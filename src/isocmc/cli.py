@@ -85,17 +85,9 @@ def _field_from_expr(expr: holo.Expr, rect: Rect, n_x: int, n_y: int) -> ScalarF
 
 
 def _inputs_block(args, tols: dict, **extra) -> dict:
-    block = {
-        "h2": getattr(args, "h2", None),
-        "omega": getattr(args, "omega", None),
-        "f": getattr(args, "f", None),
-        "grid_file": getattr(args, "grid_file", None),
-        "H": getattr(args, "H", None),
-        "domain": getattr(args, "domain", None),
-        "grid": getattr(args, "grid", None),
-        "seed": args.seed,
-        "tolerances": {k: tols[k] for k in sorted(tols)},
-    }
+    keys = ("h2", "omega", "f", "grid_file", "H", "domain", "grid")
+    block = {key: getattr(args, key, None) for key in keys}
+    block["tolerances"] = {k: tols[k] for k in sorted(tols)}
     block.update(extra)
     return block
 
@@ -126,8 +118,7 @@ def _synthesize(args, tols) -> weierstrass.SurfaceSample:
 # subcommands
 
 
-def cmd_lift(args, parser) -> int:
-    tols = _resolve_tols(args, parser)
+def cmd_lift(args, parser, tols: dict) -> int:
     sample = _synthesize(args, tols)
     obj_path = _out_path(args, f"{args.out}.obj")
     grid_path = _out_path(args, f"{args.out}.grid")
@@ -147,8 +138,7 @@ def cmd_lift(args, parser) -> int:
     return 0
 
 
-def cmd_analyze(args, parser) -> int:
-    tols = _resolve_tols(args, parser)
+def cmd_analyze(args, parser, tols: dict) -> int:
     if args.grid_file:
         loaded = io_mesh.read_grid(args.grid_file)
         if isinstance(loaded, ScalarField):
@@ -189,8 +179,7 @@ def cmd_analyze(args, parser) -> int:
     return 0
 
 
-def cmd_classify(args, parser) -> int:
-    tols = _resolve_tols(args, parser)
+def cmd_classify(args, parser, tols: dict) -> int:
     sources = [args.K is not None, bool(args.grid_file), bool(args.f), bool(args.h2)]
     if sum(sources) != 1:
         parser.error("classify needs exactly one of --K, --grid-file, --f, or --h2/--omega")
@@ -225,8 +214,7 @@ def cmd_classify(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    tols = _resolve_tols(args, parser)
+def cmd_sweep(args, parser, tols: dict) -> int:
     h_values = _parse_floats(args.H_list)
     if not h_values:
         parser.error("--H-list needs at least one value")
@@ -271,8 +259,7 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_vdist(args, parser) -> int:
-    tols = _resolve_tols(args, parser)
+def cmd_vdist(args, parser, tols: dict) -> int:
     data = _data_from_args(args)
     radii = _parse_floats(args.radii)
     rep = vdist.sample_k_image(
@@ -295,8 +282,7 @@ def cmd_vdist(args, parser) -> int:
     return 0
 
 
-def cmd_pde(args, parser) -> int:
-    tols = _resolve_tols(args, parser)
+def cmd_pde(args, parser, tols: dict) -> int:
     h_for_tol = args.H
     if args.f:
         rect = _parse_domain(args.domain)
@@ -351,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"isocmc {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="directory for output files")
-    common.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
     common.add_argument(
         "--tol",
         action="append",
@@ -426,7 +411,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
+        return args.func(args, parser, _resolve_tols(args, parser))
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
     except Exception as exc:

@@ -158,15 +158,17 @@ def fd_gauss_curvature(f: ScalarField) -> InteriorField:
 def pde_analyze(f: ScalarField, const_tol: float = DEFAULT_CONST_TOL) -> PdeReport:
     """Report the Laplacian and Hessian determinant of a height field.
 
-    The Laplacian array is exactly twice fd_mean_curvature and the Hessian
-    determinant exactly fd_gauss_curvature, node for node.  The Laplacian is
-    flagged constant when its spread (max - min) stays below const_tol.
+    The stencils run once.  The Laplacian array is exactly twice
+    fd_mean_curvature (halving is exact above the subnormal range) and the
+    Hessian determinant exactly fd_gauss_curvature, node for node.  The
+    Laplacian is flagged constant when its spread (max - min) stays below
+    const_tol.
     """
     if const_tol <= 0:
         raise ValueError("const_tol must be positive")
-    mean = fd_mean_curvature(f)
-    lap = InteriorField(2.0 * mean.values, mean.margin, mean.h_x, mean.h_y)
-    hess = fd_gauss_curvature(f)
+    f_xx, f_yy, f_xy = _second_derivatives(f)
+    lap = InteriorField(f_xx + f_yy, 1, f.h_x, f.h_y)
+    hess = InteriorField(f_xx * f_yy - f_xy * f_xy, 1, f.h_x, f.h_y)
     spread = lap.max - lap.min
     return PdeReport(lap, hess, bool(spread < const_tol), const_tol)
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from itertools import zip_longest
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -411,15 +412,9 @@ def variables(e: Expr) -> set[str]:
 def _collect_vars(e: Expr, out: set[str]) -> None:
     if isinstance(e, Variable):
         out.add(e.tag)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        _collect_vars(e.left, out)
-        _collect_vars(e.right, out)
-    elif isinstance(e, Neg):
-        _collect_vars(e.child, out)
-    elif isinstance(e, IntPow):
-        _collect_vars(e.base, out)
-    elif isinstance(e, (Exp, Sin, Cos, Sinh, Cosh)):
-        _collect_vars(e.arg, out)
+    for child in vars(e).values():
+        if isinstance(child, Expr):
+            _collect_vars(child, out)
 
 
 def _require_complex_mode(e: Expr, what: str) -> None:
@@ -502,12 +497,10 @@ def _anti(e: Expr) -> Expr | None:
     coeffs = _poly_coeffs(e)
     if coeffs is not None:
         return _integrate_poly(coeffs)
-    if isinstance(e, Add):
+    if isinstance(e, (Add, Sub)):
         l, r = _anti(e.left), _anti(e.right)
-        return None if l is None or r is None else add(l, r)
-    if isinstance(e, Sub):
-        l, r = _anti(e.left), _anti(e.right)
-        return None if l is None or r is None else sub(l, r)
+        join = add if isinstance(e, Add) else sub
+        return None if l is None or r is None else join(l, r)
     if isinstance(e, Neg):
         c = _anti(e.child)
         return None if c is None else neg(c)
@@ -564,11 +557,8 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
         l, r = _poly_coeffs(e.left), _poly_coeffs(e.right)
         if l is None or r is None:
             return None
-        n = max(len(l), len(r))
-        l = l + [0] * (n - len(l))
-        r = r + [0] * (n - len(r))
         s = 1 if isinstance(e, Add) else -1
-        return [a + s * b for a, b in zip(l, r)]
+        return [a + s * b for a, b in zip_longest(l, r, fillvalue=0)]
     if isinstance(e, Neg):
         c = _poly_coeffs(e.child)
         return None if c is None else [-v for v in c]
@@ -583,17 +573,19 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
             return None if l is None else [v / e.right.value for v in l]
         return None
     if isinstance(e, IntPow):
-        if e.n < 0:
-            base = _poly_coeffs(e.base)
-            if base is not None and len(base) == 1 and abs(base[0]) >= DIV_EPS:
-                return [base[0] ** e.n]
-            return None
+        if isinstance(e.base, Variable) and e.n >= 0:
+            return [0] * e.n + [1]
         base = _poly_coeffs(e.base)
         if base is None:
             return None
+        if e.n < 0:
+            invertible = len(base) == 1 and abs(base[0]) >= DIV_EPS
+            return [base[0] ** e.n] if invertible else None
         out = [complex(1)]
-        for _ in range(e.n):
-            out = list(np.convolve(out, base))
+        for bit in bin(e.n)[2:]:  # square and multiply, leading bit first
+            out = list(np.convolve(out, out))
+            if bit == "1":
+                out = list(np.convolve(out, base))
         return out
     return None
 
@@ -613,30 +605,33 @@ def _linear_coeffs(e: Expr) -> tuple[complex, complex] | None:
 
 @dataclass(frozen=True)
 class Contour:
-    """Integration polyline; the first waypoint is the base point."""
+    """Integration polyline; the first waypoint is the base point.
 
-    waypoints: tuple[complex, ...]
+    Waypoints are scalars or arrays, broadcast to one complex128 shape; an
+    array contour is a batch of polylines, one per element.
+    """
+
+    waypoints: tuple
 
     def __post_init__(self):
-        pts = tuple(complex(w) for w in self.waypoints)
-        if len(pts) < 2:
+        if len(self.waypoints) < 2:
             raise ValueError("a contour needs at least 2 waypoints")
+        pts = np.broadcast_arrays(*(np.array(w, dtype=np.complex128) for w in self.waypoints))
         for a, b in zip(pts, pts[1:]):
-            if a == b:
+            if np.any(a == b):
                 raise ValueError("consecutive contour waypoints must be distinct")
-        if not all(np.isfinite(w) for w in pts):
+        if not all(np.all(np.isfinite(w)) for w in pts):
             raise ValueError("contour waypoints must be finite")
-        object.__setattr__(self, "waypoints", pts)
+        object.__setattr__(self, "waypoints", tuple(pts))
 
     @property
-    def base_point(self) -> complex:
+    def base_point(self) -> np.ndarray:
         return self.waypoints[0]
-
-    def segments(self) -> Iterable[tuple[complex, complex]]:
-        return zip(self.waypoints, self.waypoints[1:])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# Most quadrature nodes handed to one evaluate call; bounds working memory.
+MAX_EVAL_NODES = 16_384
 
 
 def contour_integral(
@@ -644,50 +639,78 @@ def contour_integral(
     contour: Contour,
     tol: float = DEFAULT_QUAD_TOL,
     max_panels: int = MAX_PANELS,
-) -> complex:
+) -> complex | np.ndarray:
     """Integrate expr along the polyline with adaptive Gauss-Legendre panels.
 
     Each panel uses a 10-point rule; a panel is accepted when the two-half
     refinement agrees with it within the panel's share of the absolute
     tolerance, and is bisected otherwise.  Exceeding `max_panels` raises
     QuadratureError.  Singularities on the path surface as SingularityError
-    from evaluation.
+    from evaluation.  An array contour gives a complex128 array of its
+    shape: each element is a polyline with its own `tol` and `max_panels`.
     """
     _require_complex_mode(expr, "contour integration")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    segs = list(contour.segments())
-    total_len = sum(abs(b - a) for a, b in segs)
-    acc = 0j
-    panels = 0
-    for za, zb in segs:
-        seg_tol = tol * abs(zb - za) / total_len
-        stack = [(0.0, 1.0, _gl_panel(expr, za, zb, 0.0, 1.0), seg_tol)]
-        while stack:
-            panels += 1
-            if panels > max_panels:
-                raise QuadratureError(
-                    f"tolerance {tol:g} not reached within {max_panels} panels"
-                )
-            t0, t1, coarse, budget = stack.pop()
-            tm = 0.5 * (t0 + t1)
-            left = _gl_panel(expr, za, zb, t0, tm)
-            right = _gl_panel(expr, za, zb, tm, t1)
-            fine = left + right
-            if abs(fine - coarse) <= budget:
-                acc += fine
-            else:
-                stack.append((t0, tm, left, 0.5 * budget))
-                stack.append((tm, t1, right, 0.5 * budget))
-    return complex(acc)
+    pts = np.stack([np.ravel(w) for w in contour.waypoints])
+    steps = np.diff(pts, axis=0)
+    budgets = tol * np.abs(steps) / np.abs(steps).sum(axis=0)
+    acc = np.zeros(pts.shape[1], dtype=np.complex128)
+    panels = np.zeros(pts.shape[1], dtype=np.int64)
+    batch = MAX_EVAL_NODES // (2 * _GL_NODES.size)
+    for part in (slice(lo, lo + batch) for lo in range(0, acc.size, batch)):
+        for za, dz, budget in zip(pts[:-1, part], steps[:, part], budgets[:, part]):
+            _adaptive_panels(expr, za, dz, budget, acc[part], panels[part], tol, max_panels)
+    out = acc.reshape(contour.base_point.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
-def _gl_panel(expr: Expr, za: complex, zb: complex, t0: float, t1: float) -> complex:
+def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None:
+    """Adaptive panels on the segments za -> za + dz, summed into acc.
+
+    Each segment has a depth-first stack of (t0, t1, coarse, budget) panels
+    in one complex array.  A round pops the top panel of every unfinished
+    segment and evaluates the halves of all of them in one call.  A rejected
+    panel pushes its left half, then its right half, like a one-segment loop.
+    """
+    n = za.size
+    coarse = _gl_panels(expr, za, dz, np.zeros((n, 1)), np.ones((n, 1)))[:, 0]
+    stack = np.zeros((n, 8, 4), dtype=np.complex128)
+    stack[:, 0] = np.stack((np.zeros(n), np.ones(n), coarse, budget), axis=1)
+    depth = np.ones(n, dtype=np.intp)
+    while (live := np.flatnonzero(depth)).size:
+        panels[live] += 1
+        if panels[live].max() > max_panels:
+            raise QuadratureError(
+                f"tolerance {tol:g} not reached within {max_panels} panels"
+            )
+        top = depth[live] - 1
+        t0, t1, coarse, share = stack[live, top].T
+        t0, t1, share = t0.real, t1.real, share.real
+        tm = 0.5 * (t0 + t1)
+        left, right = _gl_panels(
+            expr, za[live], dz[live], np.stack((t0, tm), 1), np.stack((tm, t1), 1)
+        ).T
+        fine = left + right
+        done = np.abs(fine - coarse) <= share
+        acc[live[done]] += fine[done]
+        depth[live] += np.where(done, -1, 1)
+        rows, row_top = live[~done], top[~done]
+        if row_top.size and row_top.max() + 2 > stack.shape[1]:
+            stack = np.concatenate((stack, np.zeros_like(stack)), axis=1)
+        stack[rows, row_top] = np.stack((t0, tm, left, 0.5 * share), 1)[~done]
+        stack[rows, row_top + 1] = np.stack((tm, t1, right, 0.5 * share), 1)[~done]
+
+
+def _gl_panels(expr, za, dz, t0, t1) -> np.ndarray:
+    """GL10 integrals over the (k, m) panels [t0, t1] of za -> za + dz.
+
+    np.dot sums each panel of the 3-d array alone, whatever the batch.
+    """
     half = 0.5 * (t1 - t0)
-    ts = 0.5 * (t0 + t1) + half * _GL_NODES
-    zs = za + ts * (zb - za)
-    vals = evaluate(expr, {"z": zs})
-    return complex((zb - za) * half * np.dot(_GL_WEIGHTS, vals))
+    ts = (0.5 * (t0 + t1))[..., None] + half[..., None] * _GL_NODES
+    vals = evaluate(expr, {"z": za[:, None, None] + ts * dz[:, None, None]})
+    return dz[:, None] * half * np.dot(vals, _GL_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .graphgeo import Rect, ScalarField
 from .weierstrass import SurfaceSample
 
 GRID_MAGIC = "# cmcgrid v1"
-REPORT_SCHEMA_VERSION = "1"
+REPORT_SCHEMA_VERSION = "2"
 
 
 class GridFormatError(ValueError):

@@ -148,25 +148,51 @@ class SurfaceSample:
         )
 
 
-def _integral(
-    e: holo.Expr, base: complex, z: complex, tol: float
-) -> complex:
-    """Integral of e from base to z along the straight segment."""
+def _segment_integrals(e: holo.Expr, za, zb, tol: float) -> np.ndarray:
+    """Integral of e along every straight segment za -> zb; 0 where they meet."""
+    za, zb = np.broadcast_arrays(za, zb)
+    out = np.zeros(za.shape, dtype=np.complex128)
+    moving = za != zb
+    if np.any(moving):
+        out[moving] = holo.contour_integral(e, holo.Contour((za[moving], zb[moving])), tol)
+    return out
+
+
+def _cumulative_integrals(
+    e: holo.Expr, base: complex, grid: np.ndarray, tol: float
+) -> np.ndarray:
+    """Integral of e from base to every grid node, by cumulative segments.
+
+    Used only when no symbolic antiderivative exists.  The path runs from
+    the base point to the first node, down the first column, then along
+    each row.  Each of the three legs is one batched quadrature call, and
+    running sums join the segments.  Every segment is integrated to `tol`
+    on its own, so a node's error is at most (n_u + n_v - 1) * tol.
+    """
+    start = _segment_integrals(e, base, grid[:1, 0], tol)
+    column = _segment_integrals(e, grid[:-1, 0], grid[1:, 0], tol)
+    rows = _segment_integrals(e, grid[:, :-1], grid[:, 1:], tol)
+    firsts = np.cumsum(np.concatenate((start, column)))
+    return np.cumsum(np.concatenate((firsts[:, None], rows), axis=1), axis=1)
+
+
+def _integral_field(
+    e: holo.Expr, base: complex, grid: np.ndarray, tol: float
+) -> np.ndarray:
+    """Integral of e from base to every grid node, closed form if possible."""
     primitive = holo.antiderivative(e)
     if primitive is not None:
-        return holo.evaluate(primitive, {"z": z}) - holo.evaluate(
-            primitive, {"z": base}
-        )
-    if z == base:
-        return 0j
-    return holo.contour_integral(e, holo.Contour((base, z)), tol)
+        at_base = holo.evaluate(primitive, {"z": base})
+        return holo.evaluate(primitive, {"z": grid}) - at_base
+    return _cumulative_integrals(e, base, grid, tol)
 
 
 def planar_map(
     data: WeierstrassData, z: complex, tol: float = holo.DEFAULT_QUAD_TOL
 ) -> complex:
     """W(z), the integral of omega_hat from the base point to z."""
-    return _integral(data.omega_hat, data.base_point, complex(z), tol)
+    w = _integral_field(data.omega_hat, data.base_point, np.full((1, 1), complex(z)), tol)
+    return complex(w[0, 0])
 
 
 def height(
@@ -178,8 +204,8 @@ def height(
     """Surface height over the point W(z)."""
     w = planar_map(data, z, tol)
     generator = holo.mul(data.h2, data.omega_hat)
-    t = _integral(generator, data.base_point, complex(z), tol)
-    return 0.5 * H * (w.real * w.real + w.imag * w.imag) + t.real
+    t = _integral_field(generator, data.base_point, np.full((1, 1), complex(z)), tol)
+    return 0.5 * H * (w.real * w.real + w.imag * w.imag) + float(t[0, 0].real)
 
 
 def analytic_curvature(
@@ -198,43 +224,6 @@ def induced_metric(data: WeierstrassData, z: complex) -> float:
     """Conformal factor |omega_hat(z)|^2; identical for every H."""
     w = holo.evaluate(data.omega_hat, {"z": complex(z)})
     return abs(w) ** 2
-
-
-def _cumulative_integrals(
-    e: holo.Expr, base: complex, grid: np.ndarray, tol: float
-) -> np.ndarray:
-    """Integral of e from base to every grid node, by cumulative segments.
-
-    Used only when no symbolic antiderivative exists.  The path runs from
-    the base point to the first node, down the first column, then across
-    each row, so every node is reached through grid segments and the whole
-    grid costs one short quadrature per node.
-    """
-    n_v, n_u = grid.shape
-    out = np.empty((n_v, n_u), dtype=np.complex128)
-
-    def seg(a: complex, b: complex) -> complex:
-        if a == b:
-            return 0j
-        return holo.contour_integral(e, holo.Contour((a, b)), tol)
-
-    out[0, 0] = seg(base, grid[0, 0])
-    for j in range(1, n_v):
-        out[j, 0] = out[j - 1, 0] + seg(grid[j - 1, 0], grid[j, 0])
-    for j in range(n_v):
-        for i in range(1, n_u):
-            out[j, i] = out[j, i - 1] + seg(grid[j, i - 1], grid[j, i])
-    return out
-
-
-def _integral_field(
-    e: holo.Expr, base: complex, grid: np.ndarray, tol: float
-) -> np.ndarray:
-    primitive = holo.antiderivative(e)
-    if primitive is not None:
-        at_base = holo.evaluate(primitive, {"z": base})
-        return holo.evaluate(primitive, {"z": grid}) - at_base
-    return _cumulative_integrals(e, base, grid, tol)
 
 
 def synthesize(

@@ -236,8 +236,13 @@ def test_antiderivative_handles_linear_arguments():
 
 
 def test_antiderivative_handles_general_polynomial_trees():
-    # z*z and (z+1)^3 are polynomials even though no node is a monomial
-    for src, check in [("z*z", lambda z: z**3 / 3), ("(z+1)^3", None)]:
+    # z*z and (z+1)^3 are polynomials even though no node is a monomial;
+    # the 13th power takes both the squaring and the multiplying step
+    for src, check in [
+        ("z*z", lambda z: z**3 / 3),
+        ("(z+1)^3", None),
+        ("(0.5*z-1)^13", lambda z: ((0.5 * z - 1) ** 14 - 1) / 7),
+    ]:
         primitive = antiderivative(parse(src))
         assert primitive is not None
         if check is not None:
@@ -260,6 +265,13 @@ def test_antiderivative_roundtrip_on_random_class_members():
         back = evaluate(derivative(primitive), {"z": pts})
         want = evaluate(e, {"z": pts})
         np.testing.assert_allclose(back, want, rtol=1e-9, atol=1e-9)
+
+
+def test_antiderivative_of_a_huge_monomial():
+    # z^n maps to its coefficient list directly, not through n convolutions
+    primitive = antiderivative(parse("z^20000"))
+    for z in (0.5, 1.0, -1.0):
+        assert evaluate(primitive, {"z": z}) == pytest.approx(z**20001 / 20001, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +347,85 @@ def test_contour_integral_diverges_at_singular_endpoint():
     # quadrature node lands inside the division guard, which must fail loudly
     with pytest.raises(SingularityError):
         contour_integral(parse("1/z"), Contour((1.0, 0.0)), max_panels=200)
+
+
+def test_contour_rejects_a_bad_element_in_an_array():
+    za = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="distinct"):
+        Contour((za, np.array([1.0, 1.0, 3.0])))
+    with pytest.raises(ValueError, match="finite"):
+        Contour((za, np.array([1.0, complex("nan"), 3.0])))
+    with pytest.raises(ValueError, match="finite"):
+        Contour((za, np.array([1.0, 2.0, complex("inf")])))
+
+
+def test_contour_integral_array_waypoints_match_scalar_calls():
+    rng = np.random.default_rng(7)
+    za = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    zb = za + rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    mid = 0.5 * (za + zb) + 0.3j
+    e, tol = parse("exp(z^2)/(z+5)"), 1e-10
+    for points in ((za, zb), (0.0, mid, zb)):  # segments; polylines from one base
+        got = contour_integral(e, Contour(points), tol=tol)
+        assert got.shape == (3, 4) and got.dtype == np.complex128
+        for idx in np.ndindex(got.shape):
+            scalar = [p if np.isscalar(p) else p[idx] for p in points]
+            want = contour_integral(e, Contour(tuple(scalar)), tol=tol)
+            assert isinstance(want, complex)
+            assert abs(got[idx] - want) <= tol
+
+
+def _reference_segment_integral(expr, za, zb, tol):
+    """The scalar depth-first loop the batched engine reproduces: (value, panels)."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+
+    def panel(t0, t1):
+        half = 0.5 * (t1 - t0)
+        zs = za + (0.5 * (t0 + t1) + half * nodes) * (zb - za)
+        return (zb - za) * half * np.dot(weights, evaluate(expr, {"z": zs}))
+
+    acc, panels, stack = 0j, 0, [(0.0, 1.0, panel(0.0, 1.0), tol)]
+    while stack:
+        panels += 1
+        t0, t1, coarse, budget = stack.pop()
+        tm = 0.5 * (t0 + t1)
+        left, right = panel(t0, tm), panel(tm, t1)
+        if abs(left + right - coarse) <= budget:
+            acc += left + right
+        else:
+            stack += [(t0, tm, left, 0.5 * budget), (tm, t1, right, 0.5 * budget)]
+    return acc, panels
+
+
+def test_contour_integral_refines_like_the_scalar_loop():
+    e, tol = parse("sin(20*z)/(z+3)"), 1e-10
+    za = np.array([0.0, 0.1j, -2.0 + 0.05j])
+    zb = np.array([10.0, 3.0 + 0.1j, -2.5 + 0.02j])
+    got = contour_integral(e, Contour((za, zb)), tol=tol)
+    for k in range(za.size):
+        want, panels = _reference_segment_integral(e, complex(za[k]), complex(zb[k]), tol)
+        assert abs(got[k] - want) <= 1e-14 * (1 + abs(want))
+        # the same panels: the reference's count is enough, one fewer is not
+        one = Contour((za[k : k + 1], zb[k : k + 1]))
+        contour_integral(e, one, tol=tol, max_panels=panels)
+        with pytest.raises(QuadratureError):
+            contour_integral(e, one, tol=tol, max_panels=panels - 1)
+
+
+def test_contour_integral_batches_past_one_evaluate_call():
+    za = np.linspace(-1.0, 1.0, 2001)[:-1] * (1 + 1j)
+    zb = za + 0.001
+    got = contour_integral(parse("exp(z)"), Contour((za, zb)))
+    assert za.size * 20 > holo.MAX_EVAL_NODES
+    assert np.max(np.abs(got - (np.exp(zb) - np.exp(za)))) < 1e-14
+
+
+def test_contour_integral_panel_budget_is_per_element():
+    short = Contour((np.zeros(3), np.array([0.01, 0.02, 0.03])))
+    assert contour_integral(parse("sin(20*z)"), short, max_panels=1).shape == (3,)
+    mixed = Contour((np.zeros(3), np.array([0.01, 10.0, 0.03])))
+    with pytest.raises(QuadratureError):
+        contour_integral(parse("sin(20*z)"), mixed, max_panels=2)
 
 
 def test_contour_integral_rejects_real_mode():

@@ -183,7 +183,7 @@ def test_report_nulls_for_absent_sections():
     assert doc["curvature"] is None
     assert doc["classification"] is None
     assert doc["vdist"] is None
-    assert doc["version"]["schema"] == "1"
+    assert doc["version"]["schema"] == "2"
     assert doc["input"] == {"seed": 0}
 
 

@@ -183,6 +183,24 @@ def test_synthesize_quadrature_only_pair():
     assert sample.y[0, 0] == 0.0
 
 
+def test_synthesize_quadrature_oracle():
+    # neither 1/(z+4) nor z/(z+4) has a closed-form antiderivative here, so
+    # both fields take the batched quadrature; a node's path has at most
+    # n_u + n_v - 1 segments, each integrated to tol
+    data = WeierstrassData(Z, holo.parse("1/(z+4)"))
+    assert holo.antiderivative(data.omega_hat) is None
+    n, tol = 41, holo.DEFAULT_QUAD_TOL
+    sample = synthesize(data, LiftParams(0.0, SQUARE, n, n), tol)
+    uu, vv = np.meshgrid(SQUARE.x_nodes(n), SQUARE.y_nodes(n))
+    z = uu + 1j * vv
+    bound = (n + n) * tol
+    assert np.max(np.abs(sample.x + 1j * sample.y - np.log1p(z / 4))) <= bound
+    assert np.max(np.abs(sample.ell - (z - 4 * np.log1p(z / 4)).real)) <= bound
+    # the pointwise maps are one-node calls of the same path
+    assert abs(planar_map(data, z[7, 30]) - np.log1p(z[7, 30] / 4)) <= bound
+    assert height(data, 0.0, z[7, 30]) == pytest.approx(sample.ell[7, 30], abs=bound)
+
+
 def test_umbilic_flags_and_gauss_grid():
     sample = synthesize(enneper_data(3), LiftParams(1.0, SQUARE, 21, 21))
     flags = sample.umbilic_flags()
