@@ -81,7 +81,7 @@ class CanonicalSurface:
         return self.alpha * x * x + self.beta * y * y
 
     def as_field(self, domain: Rect, n_x: int, n_y: int) -> ScalarField:
-        xx, yy = np.meshgrid(domain.x_nodes(n_x), domain.y_nodes(n_y))
+        xx, yy = domain.mesh(n_x, n_y)
         return ScalarField(domain, self.height_at(xx, yy))
 
 

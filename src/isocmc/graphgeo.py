@@ -55,6 +55,10 @@ class Rect:
     def y_nodes(self, n: int) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, n)
 
+    def mesh(self, n_x: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) of the n_y x n_x lattice; [j, i] is node (x_i, y_j)."""
+        return np.meshgrid(self.x_nodes(n_x), self.y_nodes(n_y))
+
 
 @dataclass
 class ScalarField:
@@ -91,7 +95,7 @@ class ScalarField:
         return (self.domain.y_max - self.domain.y_min) / (self.n_y - 1)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.domain.x_nodes(self.n_x), self.domain.y_nodes(self.n_y))
+        return self.domain.mesh(self.n_x, self.n_y)
 
 
 @dataclass

@@ -64,36 +64,6 @@ class QuadratureError(ExpressionError):
 class Expr:
     """Base node.  Subclasses are frozen dataclasses; trees are immutable."""
 
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, n):
-        return intpow(self, n)
-
     def __str__(self):
         return to_text(self)
 
@@ -244,88 +214,58 @@ class IntPow(Expr):
 
 
 @dataclass(frozen=True)
-class Exp(Expr):
+class _Function(Expr):
+    """An entire function of one argument; subclasses set `name` and `ufunc`.
+
+    Subclasses add no fields, so the dataclass equality (same class, same
+    argument), hash and repr apply to each of them unchanged.
+    """
+
     arg: Expr
+    name = ""
+    ufunc = None
 
     def _eval(self, env):
-        return np.exp(self.arg._eval(env))
+        return self.ufunc(self.arg._eval(env))
 
     def _diff(self):
-        return mul(Exp(self.arg), self.arg._diff())
+        sign, derived = _DERIVATIVES[type(self)]
+        d = mul(derived(self.arg), self.arg._diff())
+        return d if sign > 0 else neg(d)
 
     def _text(self):
-        return f"exp({self.arg._text()})"
+        return f"{self.name}({self.arg._text()})"
 
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
-
-    def _eval(self, env):
-        return np.sin(self.arg._eval(env))
-
-    def _diff(self):
-        return mul(Cos(self.arg), self.arg._diff())
-
-    def _text(self):
-        return f"sin({self.arg._text()})"
+class Exp(_Function):
+    name, ufunc = "exp", np.exp
 
 
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
-
-    def _eval(self, env):
-        return np.cos(self.arg._eval(env))
-
-    def _diff(self):
-        return neg(mul(Sin(self.arg), self.arg._diff()))
-
-    def _text(self):
-        return f"cos({self.arg._text()})"
+class Sin(_Function):
+    name, ufunc = "sin", np.sin
 
 
-@dataclass(frozen=True)
-class Sinh(Expr):
-    arg: Expr
-
-    def _eval(self, env):
-        return np.sinh(self.arg._eval(env))
-
-    def _diff(self):
-        return mul(Cosh(self.arg), self.arg._diff())
-
-    def _text(self):
-        return f"sinh({self.arg._text()})"
+class Cos(_Function):
+    name, ufunc = "cos", np.cos
 
 
-@dataclass(frozen=True)
-class Cosh(Expr):
-    arg: Expr
-
-    def _eval(self, env):
-        return np.cosh(self.arg._eval(env))
-
-    def _diff(self):
-        return mul(Sinh(self.arg), self.arg._diff())
-
-    def _text(self):
-        return f"cosh({self.arg._text()})"
+class Sinh(_Function):
+    name, ufunc = "sinh", np.sinh
 
 
-_FUNCTIONS = {"exp": Exp, "sin": Sin, "cos": Cos, "sinh": Sinh, "cosh": Cosh}
+class Cosh(_Function):
+    name, ufunc = "cosh", np.cosh
+
+
+# d/dz f(u) = sign * g(u) * u' for the entry f: (sign, g); read backwards,
+# the integral of g(a*z + b) is sign * f(a*z + b) / a.
+_DERIVATIVES = {Exp: (1, Exp), Sin: (1, Cos), Cos: (-1, Sin), Sinh: (1, Cosh), Cosh: (1, Sinh)}
+_PRIMITIVES = {g: (sign, f) for f, (sign, g) in _DERIVATIVES.items()}
+_FUNCTIONS = {f.name: f for f in _DERIVATIVES}
 
 
 # ---------------------------------------------------------------------------
 # smart constructors (constant folding, zero/one elimination)
-
-
-def as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, float, complex)):
-        return Constant(v)
-    raise TypeError(f"cannot coerce {type(v).__name__} to an expression")
 
 
 def _is_const(e: Expr, value=None) -> bool:
@@ -517,23 +457,16 @@ def _anti(e: Expr) -> Expr | None:
             l = _anti(e.left)
             return None if l is None else div(l, e.right)
         return None
-    if isinstance(e, (Exp, Sin, Cos, Sinh, Cosh)):
+    if isinstance(e, _Function):
         lin = _linear_coeffs(e.arg)
         if lin is None:
             return None
         a, _ = lin
         if a == 0:
             return mul(Constant(evaluate(e, {"z": 0j})), Variable("z"))
-        inv = Constant(1 / a)
-        if isinstance(e, Exp):
-            return mul(inv, Exp(e.arg))
-        if isinstance(e, Sin):
-            return neg(mul(inv, Cos(e.arg)))
-        if isinstance(e, Cos):
-            return mul(inv, Sin(e.arg))
-        if isinstance(e, Sinh):
-            return mul(inv, Cosh(e.arg))
-        return mul(inv, Sinh(e.arg))
+        sign, primitive = _PRIMITIVES[type(e)]
+        term = mul(Constant(1 / a), primitive(e.arg))
+        return term if sign > 0 else neg(term)
     return None
 
 

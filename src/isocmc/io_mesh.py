@@ -136,7 +136,7 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
     ys = flat[:, 1].reshape(n_v, n_u)
     ells = flat[:, 2].reshape(n_v, n_u)
     if kind == "field":
-        xx, yy = np.meshgrid(domain.x_nodes(n_u), domain.y_nodes(n_v))
+        xx, yy = domain.mesh(n_u, n_v)
         lattice_gap = max(
             float(np.max(np.abs(xs - xx))), float(np.max(np.abs(ys - yy)))
         )

@@ -26,12 +26,16 @@ import numpy as np
 
 from . import holo
 from .graphgeo import Rect
-from .weierstrass import UMBILIC_TOL, WeierstrassData
+from .weierstrass import UMBILIC_TOL, WeierstrassData, gauss_curvature
 
 # Newton iterations allowed per umbilic candidate.
 _MAX_NEWTON = 80
 # Candidate local minima examined per scan, strongest first.
 _MAX_CANDIDATES = 512
+
+
+class CurvatureOverflowError(ValueError):
+    """K = H^2 - |phi|^2 left the float range on a sampled disk."""
 
 
 class Verdict(Enum):
@@ -93,7 +97,8 @@ def sample_k_image(
     `const_tol` (default 1e-9 * (1 + H^2)) bounds the K range that still
     counts as constant; `margin` (default 1e-3 * (1 + H^2)) is how close
     K_max must come to H^2 to call the image open-up-to-the-sup when no
-    umbilic exists.  The verdict is sampled evidence, not a proof.
+    umbilic exists.  The verdict is sampled evidence, not a proof.  A disk
+    where K leaves the float range raises CurvatureOverflowError.
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
@@ -116,7 +121,12 @@ def sample_k_image(
     for r in radii:
         pts = _disk_points(r, samples_per_radius)
         vals = holo.evaluate(phi, {"z": pts})
-        k = sup - (vals.real ** 2 + vals.imag ** 2)
+        with np.errstate(over="ignore"):
+            k = gauss_curvature(H, vals)
+        if not np.all(np.isfinite(k)):
+            raise CurvatureOverflowError(
+                f"K = H^2 - |phi|^2 overflows the float range at radius {r:g}"
+            )
         lo = min(lo, float(k.min()))
         hi = max(hi, float(k.max()))
         k_min.append(lo)
@@ -171,12 +181,13 @@ def umbilic_scan(
     n_u, n_v = grid
     if n_u < 3 or n_v < 3:
         raise ValueError("umbilic scan needs at least 3 nodes per axis")
-    uu, vv = np.meshgrid(domain.x_nodes(n_u), domain.y_nodes(n_v))
+    uu, vv = domain.mesh(n_u, n_v)
     zz = uu + 1j * vv
     phi = data.phi()
     dphi = holo.derivative(phi)
     vals = holo.evaluate(phi, {"z": zz})
-    mod2 = vals.real ** 2 + vals.imag ** 2
+    with np.errstate(over="ignore"):
+        mod2 = vals.real ** 2 + vals.imag ** 2
 
     spread = float(mod2.max() - mod2.min())
     if spread < 1e-30 * (1.0 + float(mod2.max())):

@@ -104,8 +104,7 @@ class SurfaceSample:
         """Per-node K = H^2 - |phi|^2; needs the curvature potential."""
         if self.phi is None:
             raise ValueError("sample carries no curvature potential")
-        mod2 = self.phi.real ** 2 + self.phi.imag ** 2
-        return self.H * self.H - mod2
+        return gauss_curvature(self.H, self.phi)
 
     def umbilic_flags(self, tol: float = UMBILIC_TOL) -> np.ndarray:
         if self.phi is None:
@@ -119,11 +118,9 @@ class SurfaceSample:
         grid (omega_hat = 1 up to a constant of modulus one gives this);
         anything else raises NonGraphSampleError.
         """
-        u = self.domain.x_nodes(self.n_u)
-        v = self.domain.y_nodes(self.n_v)
-        uu, vv = np.meshgrid(u, v)
-        cx = float(self.x[0, 0] - u[0])
-        cy = float(self.y[0, 0] - v[0])
+        uu, vv = self.domain.mesh(self.n_u, self.n_v)
+        cx = float(self.x[0, 0] - uu[0, 0])
+        cy = float(self.y[0, 0] - vv[0, 0])
         offset = max(
             float(np.max(np.abs(self.x - (uu + cx)))),
             float(np.max(np.abs(self.y - (vv + cy)))),
@@ -146,6 +143,11 @@ class SurfaceSample:
             ScalarField(self.domain, self.x.copy()),
             ScalarField(self.domain, self.y.copy()),
         )
+
+
+def gauss_curvature(H: float, phi):
+    """K = H^2 - |phi|^2 from curvature potential values, scalar or array."""
+    return H * H - (phi.real ** 2 + phi.imag ** 2)
 
 
 def _segment_integrals(e: holo.Expr, za, zb, tol: float) -> np.ndarray:
@@ -216,8 +218,7 @@ def analytic_curvature(
 ) -> tuple[float, bool]:
     """(K, is_umbilic) at z, from the curvature potential."""
     p = holo.evaluate(data.phi(), {"z": complex(z)})
-    mod = abs(p)
-    return H * H - mod * mod, bool(mod < umbilic_tol)
+    return gauss_curvature(H, p), bool(abs(p) < umbilic_tol)
 
 
 def induced_metric(data: WeierstrassData, z: complex) -> float:
@@ -237,9 +238,7 @@ def synthesize(
     the (x, y) arrays do not depend on H at all.  A node where omega_hat
     vanishes is a hard error naming the node.
     """
-    u = params.domain.x_nodes(params.n_u)
-    v = params.domain.y_nodes(params.n_v)
-    uu, vv = np.meshgrid(u, v)
+    uu, vv = params.domain.mesh(params.n_u, params.n_v)
     grid = uu + 1j * vv
 
     omega_vals = holo.evaluate(data.omega_hat, {"z": grid})

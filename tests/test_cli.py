@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -214,6 +215,21 @@ def test_corrupt_grid_file_is_a_runtime_error(tmp_path, capsys):
     bad.write_text("not a grid at all\n")
     assert run(tmp_path, "analyze", "--grid-file", str(bad)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_vdist_curvature_overflow_is_a_named_error(tmp_path, capsys):
+    # |exp(z)|^2 at radius 400 is e^800, past the float range
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(
+            tmp_path, "vdist", "--h2", "exp(z)", "--omega", "1", "--H", "1",
+            "--radii", "1,10,400",
+        )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "overflow" in err and "radius 400" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_pde_rejects_complex_height_expressions(tmp_path, capsys):

@@ -9,6 +9,8 @@ from isocmc import holo
 from isocmc.holo import (
     Constant,
     Contour,
+    Cos,
+    Cosh,
     Exp,
     IntPow,
     Mul,
@@ -16,7 +18,9 @@ from isocmc.holo import (
     NonFiniteError,
     ParseError,
     QuadratureError,
+    Sin,
     SingularityError,
+    Sinh,
     Sub,
     Variable,
     antiderivative,
@@ -265,6 +269,39 @@ def test_antiderivative_roundtrip_on_random_class_members():
         back = evaluate(derivative(primitive), {"z": pts})
         want = evaluate(e, {"z": pts})
         np.testing.assert_allclose(back, want, rtol=1e-9, atol=1e-9)
+
+
+HALF, TWO = Constant(0.5), Constant(2)
+
+
+@pytest.mark.parametrize(
+    "name, d_dz, primitive",
+    [
+        ("exp", lambda u: Mul(Exp(u), TWO), lambda u: Mul(Mul(HALF, Exp(u)), TWO)),
+        ("sin", lambda u: Mul(Cos(u), TWO), lambda u: Mul(Mul(HALF, Sin(u)), TWO)),
+        ("cos", lambda u: Neg(Mul(Sin(u), TWO)), lambda u: Neg(Mul(Neg(Mul(HALF, Cos(u))), TWO))),
+        ("sinh", lambda u: Mul(Cosh(u), TWO), lambda u: Mul(Mul(HALF, Sinh(u)), TWO)),
+        ("cosh", lambda u: Mul(Sinh(u), TWO), lambda u: Mul(Mul(HALF, Cosh(u)), TWO)),
+    ],
+    ids=["exp", "sin", "cos", "sinh", "cosh"],
+)
+def test_entire_function_calculus_trees(name, d_dz, primitive):
+    u = parse("2*z+1")
+    f = parse(f"{name}({to_text(u)})")
+    d = derivative(f)
+    assert d == d_dz(u)
+    # the primitive of the derivative, shifted so that it vanishes at 0
+    body = primitive(u)
+    assert antiderivative(d) == Sub(body, Constant(evaluate(body, {"z": 0j})))
+    # a constant argument integrates to f(c) * z
+    c = parse(f"{name}(2)")
+    assert antiderivative(c) == Mul(Constant(getattr(np, name)(2 + 0j)), Z)
+    # equal arguments do not make different functions equal
+    node = type(f)
+    assert all(node(Z) != other(Z) for other in (Exp, Sin, Cos, Sinh, Cosh) if other is not node)
+    assert node(Z) == node(Z) and hash(node(Z)) == hash(node(Z))
+    assert repr(node(Z)) == f"{node.__name__}(arg=Variable(tag='z'))"
+    assert to_text(node(Z)) == f"{name}(z)"
 
 
 def test_antiderivative_of_a_huge_monomial():
