@@ -120,11 +120,7 @@ def _synthesize(args, tols) -> weierstrass.SurfaceSample:
 
 def cmd_lift(args, parser, tols: dict) -> int:
     sample = _synthesize(args, tols)
-    obj_path = _out_path(args, f"{args.out}.obj")
-    grid_path = _out_path(args, f"{args.out}.grid")
-    io_mesh.export_obj(sample, obj_path)
-    io_mesh.write_grid(sample, grid_path, provenance=f"lift H={args.H:g}")
-    k = sample.analytic_gauss()
+    k = sample.analytic_gauss()  # before any file is written: K may overflow
     report = io_mesh.ReportDoc(
         inputs=_inputs_block(args, tols),
         curvature={
@@ -133,6 +129,10 @@ def cmd_lift(args, parser, tols: dict) -> int:
             "umbilic_count": int(np.count_nonzero(sample.umbilic_flags(tols["umbilic"]))),
         },
     )
+    obj_path = _out_path(args, f"{args.out}.obj")
+    grid_path = _out_path(args, f"{args.out}.grid")
+    io_mesh.export_obj(sample, obj_path)
+    io_mesh.write_grid(sample, grid_path, provenance=f"lift H={args.H:g}")
     io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
     print(f"lift: wrote {obj_path}, {grid_path}; K in [{k.min():g}, {k.max():g}]")
     return 0

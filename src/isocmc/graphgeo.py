@@ -33,6 +33,10 @@ class DegenerateFitError(ValueError):
     """Least squares design matrix is rank deficient."""
 
 
+class StencilOverflowError(ValueError):
+    """A finite-difference curvature left the float range."""
+
+
 @dataclass(frozen=True)
 class Rect:
     """Closed axis-aligned rectangle [x_min, x_max] x [y_min, y_max]."""
@@ -166,13 +170,16 @@ def pde_analyze(f: ScalarField, const_tol: float = DEFAULT_CONST_TOL) -> PdeRepo
     fd_mean_curvature (halving is exact above the subnormal range) and the
     Hessian determinant exactly fd_gauss_curvature, node for node.  The
     Laplacian is flagged constant when its spread (max - min) stays below
-    const_tol.
+    const_tol.  Values past the float range raise StencilOverflowError.
     """
     if const_tol <= 0:
         raise ValueError("const_tol must be positive")
-    f_xx, f_yy, f_xy = _second_derivatives(f)
-    lap = InteriorField(f_xx + f_yy, 1, f.h_x, f.h_y)
-    hess = InteriorField(f_xx * f_yy - f_xy * f_xy, 1, f.h_x, f.h_y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_xx, f_yy, f_xy = _second_derivatives(f)
+        lap = InteriorField(f_xx + f_yy, 1, f.h_x, f.h_y)
+        hess = InteriorField(f_xx * f_yy - f_xy * f_xy, 1, f.h_x, f.h_y)
+    if not (np.isfinite(lap.values).all() and np.isfinite(hess.values).all()):
+        raise StencilOverflowError("finite-difference H or K overflows the float range")
     spread = lap.max - lap.min
     return PdeReport(lap, hess, bool(spread < const_tol), const_tol)
 

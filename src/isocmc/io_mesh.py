@@ -30,16 +30,16 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def grid_text(
-    obj: Union[SurfaceSample, ScalarField], provenance: str = "-"
-) -> str:
-    """Render a sample or height field in the grid text format.
+def _records(prefix: str, x: np.ndarray, y: np.ndarray, ell: np.ndarray):
+    """Yield the "x y ell" lines (as _fmt formats them) one lattice row at a time."""
+    n_v, n_u = ell.shape
+    template = (prefix + "%.17g %.17g %.17g\n") * n_u
+    for row in np.stack((x, y, ell), axis=-1).reshape(n_v, 3 * n_u):
+        yield template % tuple(row.tolist())
 
-    Header:  magic line, kind (surface | field), domain rectangle, shape
-    (n_u n_v), H, one free-form provenance line, end marker.  Body: one
-    record per node in row major order (v outermost, u fastest), each a
-    triple "x y ell" with 17 significant digits.
-    """
+
+def _grid_parts(obj: Union[SurfaceSample, ScalarField], provenance: str):
+    """The header text and the record rows of a grid file."""
     if "\n" in provenance or not provenance:
         raise ValueError("provenance must be one non-empty line")
     if isinstance(obj, SurfaceSample):
@@ -52,7 +52,7 @@ def grid_text(
     else:
         raise TypeError("expected a SurfaceSample or ScalarField")
     n_v, n_u = ells.shape
-    lines = [
+    header = [
         GRID_MAGIC,
         f"kind {kind}",
         f"domain {_fmt(dom.x_min)} {_fmt(dom.x_max)} {_fmt(dom.y_min)} {_fmt(dom.y_max)}",
@@ -61,24 +61,48 @@ def grid_text(
         f"provenance {provenance}",
         "end_header",
     ]
-    for j in range(n_v):
-        for i in range(n_u):
-            lines.append(f"{_fmt(xs[j, i])} {_fmt(ys[j, i])} {_fmt(ells[j, i])}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(header) + "\n", _records("", xs, ys, ells)
+
+
+def grid_text(obj: Union[SurfaceSample, ScalarField], provenance: str = "-") -> str:
+    """Render a sample or height field in the grid text format.
+
+    Header:  magic line, kind (surface | field), domain rectangle, shape
+    (n_u n_v), H, one free-form provenance line, end marker.  Body: one
+    record per node in row major order (v outermost, u fastest), each a
+    triple "x y ell" with 17 significant digits.
+    """
+    header, rows = _grid_parts(obj, provenance)
+    return header + "".join(rows)
 
 
 def write_grid(
-    obj: Union[SurfaceSample, ScalarField],
-    path: str | Path,
-    provenance: str = "-",
+    obj: Union[SurfaceSample, ScalarField], path: str | Path, provenance: str = "-"
 ) -> None:
-    Path(path).write_text(grid_text(obj, provenance))
+    header, rows = _grid_parts(obj, provenance)
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(rows)
 
 
 def _header_value(lines: list[str], idx: int, key: str) -> str:
-    if idx >= len(lines) or not lines[idx].startswith(key + " "):
+    if not lines[idx].startswith(key + " "):
         raise GridFormatError(f"malformed header: expected '{key} ...' on line {idx + 1}")
     return lines[idx][len(key) + 1 :]
+
+
+def _body_lines(fh, expected: int):
+    """Yield the `expected` record lines left in fh; blank lines may only trail."""
+    found = 0
+    for line in fh:
+        if line.isspace():
+            break
+        found += 1
+        yield line
+    if any(not rest.isspace() for rest in fh):
+        raise GridFormatError("malformed record: blank line inside the body")
+    if found != expected:
+        raise GridFormatError(f"record count mismatch: expected {expected}, found {found}")
 
 
 def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
@@ -87,66 +111,52 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
     Validates the header shape, the record count, and finiteness of every
     value.  Surface files come back as SurfaceSample without a curvature
     potential; field files additionally check that the stored (x, y) match
-    the header lattice.
+    the header lattice.  The body is parsed by numpy.loadtxt.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0] != GRID_MAGIC:
-        raise GridFormatError(f"not a grid file: expected leading '{GRID_MAGIC}'")
-    kind = _header_value(lines, 1, "kind")
-    if kind not in ("surface", "field"):
-        raise GridFormatError(f"unknown grid kind {kind!r}")
-    try:
-        dom_vals = [float(t) for t in _header_value(lines, 2, "domain").split()]
-        n_u, n_v = (int(t) for t in _header_value(lines, 3, "shape").split())
-        h = float(_header_value(lines, 4, "H"))
-    except (ValueError, GridFormatError) as exc:
-        raise GridFormatError(f"malformed header: {exc}") from None
-    if len(dom_vals) != 4:
-        raise GridFormatError("malformed header: domain needs 4 numbers")
-    provenance = _header_value(lines, 5, "provenance")
-    if lines[6] != "end_header":
-        raise GridFormatError("malformed header: missing end_header")
-    if n_u < 2 or n_v < 2:
-        raise GridFormatError(f"grid needs at least 2 nodes per axis, got {n_u} x {n_v}")
-    if not np.isfinite(h):
-        raise GridFormatError("non-finite H in header")
-    try:
-        domain = Rect(*dom_vals)
-    except ValueError as exc:
-        raise GridFormatError(f"bad domain: {exc}") from None
-
-    records = lines[7:]
-    while records and not records[-1].strip():
-        records.pop()
-    expected = n_u * n_v
-    if len(records) != expected:
-        raise GridFormatError(
-            f"record count mismatch: expected {expected}, found {len(records)}"
-        )
-    try:
-        flat = np.array([[float(t) for t in line.split()] for line in records])
-    except ValueError:
-        raise GridFormatError("malformed record: expected three numbers per line") from None
-    if flat.ndim != 2 or flat.shape[1] != 3:
+    with open(path) as fh:
+        lines = [fh.readline().rstrip("\n") for _ in range(7)]
+        if lines[0] != GRID_MAGIC:
+            raise GridFormatError(f"not a grid file: expected leading '{GRID_MAGIC}'")
+        kind = _header_value(lines, 1, "kind")
+        if kind not in ("surface", "field"):
+            raise GridFormatError(f"unknown grid kind {kind!r}")
+        try:
+            dom_vals = [float(t) for t in _header_value(lines, 2, "domain").split()]
+            n_u, n_v = (int(t) for t in _header_value(lines, 3, "shape").split())
+            h = float(_header_value(lines, 4, "H"))
+        except (ValueError, GridFormatError) as exc:
+            raise GridFormatError(f"malformed header: {exc}") from None
+        if len(dom_vals) != 4:
+            raise GridFormatError("malformed header: domain needs 4 numbers")
+        _header_value(lines, 5, "provenance")
+        if lines[6] != "end_header":
+            raise GridFormatError("malformed header: missing end_header")
+        if n_u < 2 or n_v < 2:
+            raise GridFormatError(f"grid needs at least 2 nodes per axis, got {n_u} x {n_v}")
+        if not np.isfinite(h):
+            raise GridFormatError("non-finite H in header")
+        try:
+            domain = Rect(*dom_vals)
+        except ValueError as exc:
+            raise GridFormatError(f"bad domain: {exc}") from None
+        try:
+            flat = np.loadtxt(_body_lines(fh, n_u * n_v), comments=None, ndmin=2)
+        except GridFormatError:
+            raise
+        except ValueError as exc:
+            raise GridFormatError(f"malformed record: {exc}") from None
+    if flat.shape[1] != 3:
         raise GridFormatError("malformed record: expected three numbers per line")
     if not np.all(np.isfinite(flat)):
         raise GridFormatError("non-finite value in records")
-    xs = flat[:, 0].reshape(n_v, n_u)
-    ys = flat[:, 1].reshape(n_v, n_u)
-    ells = flat[:, 2].reshape(n_v, n_u)
+    xs, ys, ells = flat.T.reshape(3, n_v, n_u)
     if kind == "field":
         xx, yy = domain.mesh(n_u, n_v)
-        lattice_gap = max(
-            float(np.max(np.abs(xs - xx))), float(np.max(np.abs(ys - yy)))
-        )
+        lattice_gap = max(np.max(np.abs(xs - xx)), np.max(np.abs(ys - yy)))
         if lattice_gap > 1e-9 * (1.0 + float(np.max(np.abs(xx)))):
             raise GridFormatError("field records do not sit on the header lattice")
         return ScalarField(domain, ells)
-    return SurfaceSample(
-        domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells,
-        phi=None, data=None,
-    )
+    return SurfaceSample(domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells)
 
 
 def export_obj(sample: SurfaceSample, path: str | Path) -> None:
@@ -159,21 +169,12 @@ def export_obj(sample: SurfaceSample, path: str | Path) -> None:
     n_v, n_u = sample.ell.shape
     if n_u < 2 or n_v < 2:
         raise ValueError("OBJ export needs at least a 2 x 2 grid")
-    lines = []
-    for j in range(n_v):
-        for i in range(n_u):
-            lines.append(
-                f"v {_fmt(sample.x[j, i])} {_fmt(sample.y[j, i])} {_fmt(sample.ell[j, i])}"
-            )
-    for j in range(n_v - 1):
-        for i in range(n_u - 1):
-            a = j * n_u + i + 1
-            b = j * n_u + (i + 1) + 1
-            c = (j + 1) * n_u + (i + 1) + 1
-            d = (j + 1) * n_u + i + 1
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    a = np.arange(1, n_u)  # 1-based index of the (i, j) corner of each cell, j = 0
+    corners = np.stack((a, a + 1, a + n_u + 1, a, a + n_u + 1, a + n_u), axis=1).ravel()
+    template = "f %d %d %d\nf %d %d %d\n" * (n_u - 1)
+    with open(path, "w") as fh:
+        fh.writelines(_records("v ", sample.x, sample.y, sample.ell))
+        fh.writelines(template % tuple((corners + j * n_u).tolist()) for j in range(n_v - 1))
 
 
 @dataclass

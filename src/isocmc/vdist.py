@@ -26,16 +26,12 @@ import numpy as np
 
 from . import holo
 from .graphgeo import Rect
-from .weierstrass import UMBILIC_TOL, WeierstrassData, gauss_curvature
+from .weierstrass import UMBILIC_TOL, CurvatureOverflowError, WeierstrassData, gauss_curvature
 
 # Newton iterations allowed per umbilic candidate.
 _MAX_NEWTON = 80
 # Candidate local minima examined per scan, strongest first.
 _MAX_CANDIDATES = 512
-
-
-class CurvatureOverflowError(ValueError):
-    """K = H^2 - |phi|^2 left the float range on a sampled disk."""
 
 
 class Verdict(Enum):
@@ -121,12 +117,10 @@ def sample_k_image(
     for r in radii:
         pts = _disk_points(r, samples_per_radius)
         vals = holo.evaluate(phi, {"z": pts})
-        with np.errstate(over="ignore"):
+        try:
             k = gauss_curvature(H, vals)
-        if not np.all(np.isfinite(k)):
-            raise CurvatureOverflowError(
-                f"K = H^2 - |phi|^2 overflows the float range at radius {r:g}"
-            )
+        except CurvatureOverflowError as exc:
+            raise CurvatureOverflowError(f"{exc} at radius {r:g}") from None
         lo = min(lo, float(k.min()))
         hi = max(hi, float(k.max()))
         k_min.append(lo)

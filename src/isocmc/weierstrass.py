@@ -43,6 +43,10 @@ class NonGraphSampleError(ValueError):
     """Sample's (x, y) grid is not a translated copy of the parameter grid."""
 
 
+class CurvatureOverflowError(ValueError):
+    """K = H^2 - |phi|^2 left the float range."""
+
+
 @dataclass(frozen=True)
 class WeierstrassData:
     """Generator pair (h2, omega_hat); both holomorphic expressions in z."""
@@ -146,8 +150,12 @@ class SurfaceSample:
 
 
 def gauss_curvature(H: float, phi):
-    """K = H^2 - |phi|^2 from curvature potential values, scalar or array."""
-    return H * H - (phi.real ** 2 + phi.imag ** 2)
+    """K = H^2 - |phi|^2, scalar or array; CurvatureOverflowError past the float range."""
+    with np.errstate(over="ignore"):
+        k = H * H - (np.square(phi.real) + np.square(phi.imag))
+    if not np.all(np.isfinite(k)):
+        raise CurvatureOverflowError("K = H^2 - |phi|^2 overflows the float range")
+    return k
 
 
 def _segment_integrals(e: holo.Expr, za, zb, tol: float) -> np.ndarray:

@@ -5,8 +5,9 @@ import warnings
 
 import pytest
 
-from isocmc import io_mesh
+from isocmc import io_mesh, weierstrass
 from isocmc.cli import main
+from isocmc.graphgeo import Rect
 
 
 def run(tmp_path, *argv):
@@ -230,6 +231,43 @@ def test_vdist_curvature_overflow_is_a_named_error(tmp_path, capsys):
     assert "overflow" in err and "radius 400" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+OVERFLOW_GEN = ("--h2", "exp(z)", "--omega", "1", "--H", "1",
+                "--domain", "390:400:-1:1", "--grid", "11x11")
+
+
+def run_quietly(tmp_path, *argv):
+    """(exit code, RuntimeWarnings raised while running)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(tmp_path, *argv)
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lift_curvature_overflow_writes_nothing(tmp_path, capsys):
+    # |exp(z)|^2 near Re z = 400 is e^800, past the float range
+    code, runtime_warnings = run_quietly(tmp_path, "lift", *OVERFLOW_GEN)
+    assert code == 1 and not runtime_warnings
+    err = capsys.readouterr().err
+    assert "error:" in err and "overflows the float range" in err
+    assert "RuntimeWarning" not in err and "JSON" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_analyze_curvature_overflow_is_a_named_error(tmp_path, capsys):
+    sample = weierstrass.synthesize(
+        weierstrass.exp_data(),
+        weierstrass.LiftParams(1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11),
+    )
+    io_mesh.write_grid(sample, tmp_path / "huge.grid")
+    for argv in (OVERFLOW_GEN, ("--grid-file", str(tmp_path / "huge.grid"))):
+        code, runtime_warnings = run_quietly(tmp_path, "analyze", *argv)
+        assert code == 1 and not runtime_warnings
+        err = capsys.readouterr().err
+        assert "finite-difference" in err and "overflows the float range" in err
+        assert "RuntimeWarning" not in err and "JSON" not in err
+    assert not (tmp_path / "analyze.json").exists()
 
 
 def test_pde_rejects_complex_height_expressions(tmp_path, capsys):

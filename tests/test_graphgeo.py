@@ -11,6 +11,7 @@ from isocmc.graphgeo import (
     GridTooSmallError,
     Rect,
     ScalarField,
+    StencilOverflowError,
     fd_gauss_curvature,
     fd_mean_curvature,
     fd_metric,
@@ -175,6 +176,15 @@ def test_pde_analyze_cubic_lift():
 def test_pde_analyze_flags_non_constant_laplacian():
     f = field_from(SQUARE, 21, 21, lambda x, y: x**3)
     assert not pde_analyze(f).is_constant_laplacian
+
+
+def test_pde_analyze_overflow_is_a_named_error():
+    huge = field_from(SQUARE, 9, 9, lambda x, y: 1e200 * (x * x + y * y))
+    with pytest.raises(StencilOverflowError, match="float range"):
+        pde_analyze(huge)  # Hessian determinant ~ 1e400
+    zigzag = field_from(SQUARE, 9, 9, lambda x, y: 1e307 * np.cos(4 * np.pi * x))
+    with pytest.raises(StencilOverflowError):
+        pde_analyze(zigzag)  # f_xx = -4e307 / h^2 with h = 1/4
 
 
 # ---------------------------------------------------------------------------

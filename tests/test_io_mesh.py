@@ -1,5 +1,6 @@
 """Grid text format, OBJ export, JSON reports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -84,6 +85,7 @@ def test_bad_headers_are_rejected(tmp_path):
         good.replace("# cmcgrid v1", "# othergrid v9"),
         good.replace("kind surface", "kind blob"),
         good.replace("shape 7 7", "shape 1 7"),
+        "".join(good.splitlines(keepends=True)[:6]),  # no end_header line
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.grid"
@@ -101,6 +103,54 @@ def test_malformed_records_are_rejected(tmp_path):
     path.write_text("\n".join(good[:7] + ["1 2 nan"] + good[8:]) + "\n")
     with pytest.raises(GridFormatError):
         read_grid(path)
+
+
+def body_with(lines, edit):
+    """A 7x7 surface grid file whose record lines went through `edit`."""
+    return "\n".join(lines[:7] + edit(lines[7:])) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda r: ["1 2", "3 4 5 6"] + r[2:], id="two-then-four-numbers"),
+        pytest.param(lambda r: r[:-1] + [r[-1] + " # c"], id="trailing-comment"),
+        pytest.param(lambda r: ["# c " + r[0]] + r[1:], id="leading-comment"),
+        pytest.param(lambda r: r[:20] + [""] + r[20:], id="blank-line-inside"),
+        pytest.param(lambda r: r[:20] + ["  \t"] + r[20:], id="whitespace-line-inside"),
+        pytest.param(lambda r: [""] + r, id="blank-line-first"),
+        pytest.param(lambda r: r[:3] + ["1 2 inf"] + r[4:], id="inf"),
+        pytest.param(lambda r: r[:3] + ["-inf 0 0"] + r[4:], id="minus-inf"),
+        pytest.param(lambda r: [], id="header-only"),
+        pytest.param(lambda r: ["", ""], id="header-and-blank-lines"),
+        pytest.param(lambda r: r + r[:1], id="one-record-too-many"),
+        pytest.param(lambda r: [" ".join(["1_0"] + x.split()[1:]) for x in r], id="underscore"),
+        pytest.param(lambda r: [x.split()[0] for x in r], id="one-column"),
+        pytest.param(lambda r: [x + " 0" for x in r], id="four-columns"),
+    ],
+)
+def test_reader_rejects_malformed_bodies(tmp_path, edit):
+    path = tmp_path / "m.grid"
+    path.write_text(body_with(grid_text(sample()).splitlines(), edit))
+    with pytest.raises(GridFormatError):
+        read_grid(path)
+
+
+def test_reader_accepts_crlf_and_trailing_blank_lines(tmp_path):
+    s = sample()
+    lines = grid_text(s).splitlines()
+    for name, data in [
+        ("crlf", ("\r\n".join(lines) + "\r\n").encode()),
+        ("trailing", ("\n".join(lines) + "\n\n  \n\t\n").encode()),
+        ("no-final-newline", "\n".join(lines).encode()),
+        ("crlf-trailing", ("\r\n".join(lines) + "\r\n\r\n").encode()),
+    ]:
+        path = tmp_path / f"{name}.grid"
+        path.write_bytes(data)
+        back = read_grid(path)
+        assert np.array_equal(back.x, s.x), name
+        assert np.array_equal(back.y, s.y), name
+        assert np.array_equal(back.ell, s.ell), name
 
 
 def test_field_kind_must_stay_on_its_lattice(tmp_path):
@@ -172,6 +222,120 @@ def test_obj_needs_a_real_grid():
     )
     with pytest.raises(ValueError):
         export_obj(tiny, "/dev/null")
+
+
+# ---------------------------------------------------------------------------
+# byte identity against the per-value writers the row templates replaced
+
+
+def _ref_fmt(v):
+    return f"{float(v):.17g}"
+
+
+def reference_grid_text(obj, provenance="-"):
+    if isinstance(obj, weierstrass.SurfaceSample):
+        kind, dom, h = "surface", obj.domain, obj.H
+        xs, ys, ells = obj.x, obj.y, obj.ell
+    else:
+        kind, dom, h = "field", obj.domain, 0.0
+        xs, ys = obj.meshgrid()
+        ells = obj.values
+    n_v, n_u = ells.shape
+    f = _ref_fmt
+    lines = [
+        "# cmcgrid v1",
+        f"kind {kind}",
+        f"domain {f(dom.x_min)} {f(dom.x_max)} {f(dom.y_min)} {f(dom.y_max)}",
+        f"shape {n_u} {n_v}",
+        f"H {f(h)}",
+        f"provenance {provenance}",
+        "end_header",
+    ]
+    for j in range(n_v):
+        for i in range(n_u):
+            lines.append(f"{f(xs[j, i])} {f(ys[j, i])} {f(ells[j, i])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_obj_text(s):
+    n_v, n_u = s.ell.shape
+    lines = []
+    for j in range(n_v):
+        for i in range(n_u):
+            lines.append(f"v {_ref_fmt(s.x[j, i])} {_ref_fmt(s.y[j, i])} {_ref_fmt(s.ell[j, i])}")
+    for j in range(n_v - 1):
+        for i in range(n_u - 1):
+            a = j * n_u + i + 1
+            b = j * n_u + (i + 1) + 1
+            c = (j + 1) * n_u + (i + 1) + 1
+            d = (j + 1) * n_u + i + 1
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
+
+
+PLANTED = [-0.0, 5e-324, 1e308, 1e16, 0.1, 1 / 3, -2.5e-7]
+
+
+def planted(values):
+    """A copy of `values` with the PLANTED numbers at spread-out entries."""
+    out = np.array(values, dtype=float)
+    out.flat[np.linspace(0, out.size - 1, len(PLANTED)).astype(int)] = PLANTED
+    return out
+
+
+def plant(s):
+    """The sample with PLANTED spread over its x, y and ell nodes together."""
+    x, y, ell = planted(np.stack((s.x, s.y, s.ell)))
+    return dataclasses.replace(s, x=x, y=y, ell=ell)
+
+
+def lifted(n_u, n_v, H=-0.75):
+    rect = Rect(-1.0, 0.5, -0.25, 2.0)
+    return weierstrass.synthesize(
+        weierstrass.exp_data(), weierstrass.LiftParams(H, rect, n_u, n_v)
+    )
+
+
+def identity_cases():
+    s53, s22, f, wide = lifted(5, 3), lifted(2, 2), a_field(6), lifted(9, 5)
+    strided = dataclasses.replace(  # non-contiguous views of a larger lattice
+        wide, n_u=5, n_v=3, x=wide.x[::2, ::2], y=wide.y[::2, ::2], ell=wide.ell[::2, ::2]
+    )
+    cases = {
+        "5x3": s53,
+        "2x2": s22,
+        "field": f,
+        "5x3-planted": plant(s53),
+        "2x2-planted": plant(s22),
+        "5x3-strided": strided,
+        "field-planted": ScalarField(f.domain, planted(f.values)),
+    }
+    return [pytest.param(obj, id=name) for name, obj in cases.items()]
+
+
+@pytest.mark.parametrize("obj", identity_cases())
+def test_grid_writer_matches_the_per_value_writer(tmp_path, obj):
+    want = reference_grid_text(obj, provenance="ref check")
+    assert grid_text(obj, provenance="ref check") == want
+    write_grid(obj, tmp_path / "g.grid", provenance="ref check")
+    assert (tmp_path / "g.grid").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize(
+    "obj", [c for c in identity_cases() if not isinstance(c.values[0], ScalarField)]
+)
+def test_obj_writer_matches_the_per_value_writer(tmp_path, obj):
+    export_obj(obj, tmp_path / "m.obj")
+    assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(obj).encode()
+
+
+def test_planted_values_survive_the_roundtrip(tmp_path):
+    s = plant(lifted(5, 3))
+    write_grid(s, tmp_path / "p.grid")
+    back = read_grid(tmp_path / "p.grid")
+    for got, want in ((back.x, s.x), (back.y, s.y), (back.ell, s.ell)):
+        assert got.tobytes() == want.tobytes()  # bitwise: -0.0 keeps its sign
 
 
 # ---------------------------------------------------------------------------

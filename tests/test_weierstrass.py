@@ -126,6 +126,19 @@ def test_analytic_curvature_exponential():
     assert k2 == pytest.approx(-math.exp(-6.0))
 
 
+def test_gauss_curvature_overflow_is_a_named_error():
+    from isocmc import vdist
+
+    assert vdist.CurvatureOverflowError is weierstrass.CurvatureOverflowError
+    phi = np.array([1e100 + 0j, 3e200 - 1e10j])
+    for values in (phi, complex(phi[1])):
+        with pytest.raises(weierstrass.CurvatureOverflowError, match="float range"):
+            weierstrass.gauss_curvature(1.0, values)
+    assert weierstrass.gauss_curvature(2.0, phi[:1])[0] == 4.0 - 1e200
+    with pytest.raises(weierstrass.CurvatureOverflowError):
+        analytic_curvature(exp_data(), 1.0, 400.0)
+
+
 def test_induced_metric():
     assert induced_metric(exp_data(), 2.3 - 1j) == 1.0
     data = WeierstrassData(ONE, holo.Exp(Z))
