@@ -131,8 +131,7 @@ def cmd_lift(args, parser, tols: dict) -> int:
     )
     obj_path = _out_path(args, f"{args.out}.obj")
     grid_path = _out_path(args, f"{args.out}.grid")
-    io_mesh.export_obj(sample, obj_path)
-    io_mesh.write_grid(sample, grid_path, provenance=f"lift H={args.H:g}")
+    io_mesh.write_surface(sample, grid_path, obj_path, provenance=f"lift H={args.H:g}")
     io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
     print(f"lift: wrote {obj_path}, {grid_path}; K in [{k.min():g}, {k.max():g}]")
     return 0
@@ -218,15 +217,16 @@ def cmd_sweep(args, parser, tols: dict) -> int:
     h_values = _parse_floats(args.H_list)
     if not h_values:
         parser.error("--H-list needs at least one value")
+    names = [f"{args.out}_H{h:g}.obj" for h in h_values]
+    clashes = [h for h, name in zip(h_values, names) if names.count(name) > 1]
+    if clashes:
+        parser.error(f"--H-list values {clashes} would write the same {args.out}_H*.obj file")
     data = _data_from_args(args)
     rect = _parse_domain(args.domain)
     n_u, n_v = _parse_grid(args.grid)
-    samples = [
-        weierstrass.synthesize(
-            data, weierstrass.LiftParams(h, rect, n_u, n_v), tol=tols["quadrature"]
-        )
-        for h in h_values
-    ]
+    samples = weierstrass.synthesize_family(
+        data, h_values, rect, n_u, n_v, tol=tols["quadrature"]
+    )
     base = samples[0]
     planar_identical = all(
         np.array_equal(s.x, base.x) and np.array_equal(s.y, base.y) for s in samples
@@ -237,8 +237,7 @@ def cmd_sweep(args, parser, tols: dict) -> int:
         for s in samples
     ]
     per_h = []
-    for s, resid in zip(samples, residuals):
-        name = f"{args.out}_H{s.H:g}.obj"
+    for s, name, resid in zip(samples, names, residuals):
         io_mesh.export_obj(s, _out_path(args, name))
         per_h.append({"H": float(s.H), "obj": name, "height_shift_residual": resid})
     report = io_mesh.ReportDoc(

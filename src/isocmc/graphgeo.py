@@ -142,25 +142,34 @@ class PdeReport:
         return (self.hessian_det.min, self.hessian_det.max)
 
 
-def _second_derivatives(f: ScalarField):
+def _curvature_stencils(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Interior Laplacian f_xx + f_yy and Hessian determinant f_xx*f_yy - f_xy^2.
+
+    One run of the central second differences.  If either leaves the float
+    range, StencilOverflowError is raised and no warning leaks.
+    """
     v = f.values
     hx, hy = f.h_x, f.h_y
-    f_xx = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hx * hx)
-    f_yy = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hy * hy)
-    f_xy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * hx * hy)
-    return f_xx, f_yy, f_xy
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_xx = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hx * hx)
+        f_yy = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hy * hy)
+        f_xy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * hx * hy)
+        lap, hess = f_xx + f_yy, f_xx * f_yy - f_xy * f_xy
+    if not (np.isfinite(lap).all() and np.isfinite(hess).all()):
+        raise StencilOverflowError("finite-difference H or K overflows the float range")
+    return lap, hess
 
 
 def fd_mean_curvature(f: ScalarField) -> InteriorField:
     """Half the finite-difference Laplacian, second order in the spacing."""
-    f_xx, f_yy, _ = _second_derivatives(f)
-    return InteriorField(0.5 * (f_xx + f_yy), 1, f.h_x, f.h_y)
+    lap, _ = _curvature_stencils(f)
+    return InteriorField(0.5 * lap, 1, f.h_x, f.h_y)
 
 
 def fd_gauss_curvature(f: ScalarField) -> InteriorField:
     """Finite-difference Hessian determinant f_xx*f_yy - f_xy^2."""
-    f_xx, f_yy, f_xy = _second_derivatives(f)
-    return InteriorField(f_xx * f_yy - f_xy * f_xy, 1, f.h_x, f.h_y)
+    _, hess = _curvature_stencils(f)
+    return InteriorField(hess, 1, f.h_x, f.h_y)
 
 
 def pde_analyze(f: ScalarField, const_tol: float = DEFAULT_CONST_TOL) -> PdeReport:
@@ -174,12 +183,7 @@ def pde_analyze(f: ScalarField, const_tol: float = DEFAULT_CONST_TOL) -> PdeRepo
     """
     if const_tol <= 0:
         raise ValueError("const_tol must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_xx, f_yy, f_xy = _second_derivatives(f)
-        lap = InteriorField(f_xx + f_yy, 1, f.h_x, f.h_y)
-        hess = InteriorField(f_xx * f_yy - f_xy * f_xy, 1, f.h_x, f.h_y)
-    if not (np.isfinite(lap.values).all() and np.isfinite(hess.values).all()):
-        raise StencilOverflowError("finite-difference H or K overflows the float range")
+    lap, hess = (InteriorField(a, 1, f.h_x, f.h_y) for a in _curvature_stencils(f))
     spread = lap.max - lap.min
     return PdeReport(lap, hess, bool(spread < const_tol), const_tol)
 

@@ -30,12 +30,30 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _records(prefix: str, x: np.ndarray, y: np.ndarray, ell: np.ndarray):
-    """Yield the "x y ell" lines (as _fmt formats them) one lattice row at a time."""
+def _records(x: np.ndarray, y: np.ndarray, ell: np.ndarray):
+    """Yield the "x y ell" lines (as _fmt formats them) one lattice row at a time.
+
+    x and y texts come from a table of the distinct bit patterns (-0.0 keeps
+    its sign) of each block of about 2^13 nodes; ell is formatted in place.
+    """
     n_v, n_u = ell.shape
-    template = (prefix + "%.17g %.17g %.17g\n") * n_u
-    for row in np.stack((x, y, ell), axis=-1).reshape(n_v, 3 * n_u):
-        yield template % tuple(row.tolist())
+    template = "%s %s %.17g\n" * n_u
+    args = [""] * (3 * n_u)
+    step = max(1, (1 << 13) // n_u)
+    for j in range(0, n_v, step):
+        xy = np.array((x[j : j + step], y[j : j + step]), dtype=np.float64)
+        keys, index = np.unique(xy.view(np.uint64), return_inverse=True)
+        texts = [_fmt(v) for v in keys.view(np.float64).tolist()]
+        for xr, yr, er in zip(*index.reshape(xy.shape), ell[j : j + step]):
+            args[0::3] = [texts[k] for k in xr.tolist()]
+            args[1::3] = [texts[k] for k in yr.tolist()]
+            args[2::3] = er.tolist()
+            yield template % tuple(args)
+
+
+def _vertices(records: str) -> str:
+    """The OBJ "v x y ell" lines of a run of grid record lines."""
+    return "v " + records[:-1].replace("\n", "\nv ") + "\n"
 
 
 def _grid_parts(obj: Union[SurfaceSample, ScalarField], provenance: str):
@@ -61,7 +79,7 @@ def _grid_parts(obj: Union[SurfaceSample, ScalarField], provenance: str):
         f"provenance {provenance}",
         "end_header",
     ]
-    return "\n".join(header) + "\n", _records("", xs, ys, ells)
+    return "\n".join(header) + "\n", _records(xs, ys, ells)
 
 
 def grid_text(obj: Union[SurfaceSample, ScalarField], provenance: str = "-") -> str:
@@ -159,6 +177,16 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
     return SurfaceSample(domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells)
 
 
+def _faces(n_u: int, n_v: int):
+    """The OBJ "f" lines of an n_u x n_v lattice, one row of cells at a time."""
+    if n_u < 2 or n_v < 2:
+        raise ValueError("OBJ export needs at least a 2 x 2 grid")
+    a = np.arange(1, n_u)  # 1-based index of the (i, j) corner of each cell, j = 0
+    corners = np.stack((a, a + 1, a + n_u + 1, a, a + n_u + 1, a + n_u), axis=1).ravel()
+    template = "f %d %d %d\nf %d %d %d\n" * (n_u - 1)
+    return (template % tuple((corners + j * n_u).tolist()) for j in range(n_v - 1))
+
+
 def export_obj(sample: SurfaceSample, path: str | Path) -> None:
     """Write the sample as a triangulated Wavefront OBJ mesh.
 
@@ -166,15 +194,24 @@ def export_obj(sample: SurfaceSample, path: str | Path) -> None:
     "v x y ell"; every grid cell becomes two triangles split along the
     (i, j) -> (i+1, j+1) diagonal, with 1-based vertex indices.
     """
-    n_v, n_u = sample.ell.shape
-    if n_u < 2 or n_v < 2:
-        raise ValueError("OBJ export needs at least a 2 x 2 grid")
-    a = np.arange(1, n_u)  # 1-based index of the (i, j) corner of each cell, j = 0
-    corners = np.stack((a, a + 1, a + n_u + 1, a, a + n_u + 1, a + n_u), axis=1).ravel()
-    template = "f %d %d %d\nf %d %d %d\n" * (n_u - 1)
+    faces = _faces(*sample.ell.shape[::-1])
     with open(path, "w") as fh:
-        fh.writelines(_records("v ", sample.x, sample.y, sample.ell))
-        fh.writelines(template % tuple((corners + j * n_u).tolist()) for j in range(n_v - 1))
+        fh.writelines(map(_vertices, _records(sample.x, sample.y, sample.ell)))
+        fh.writelines(faces)
+
+
+def write_surface(
+    sample: SurfaceSample, grid_path: str | Path, obj_path: str | Path, provenance: str = "-"
+) -> None:
+    """write_grid and export_obj in one pass, formatting each record once for both."""
+    header, rows = _grid_parts(sample, provenance)
+    faces = _faces(*sample.ell.shape[::-1])
+    with open(obj_path, "w") as obj, open(grid_path, "w") as grid:
+        grid.write(header)
+        for records in rows:
+            grid.write(records)
+            obj.write(_vertices(records))
+        obj.writelines(faces)
 
 
 @dataclass

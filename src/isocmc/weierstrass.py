@@ -246,7 +246,21 @@ def synthesize(
     the (x, y) arrays do not depend on H at all.  A node where omega_hat
     vanishes is a hard error naming the node.
     """
-    uu, vv = params.domain.mesh(params.n_u, params.n_v)
+    family = synthesize_family(data, [params.H], params.domain, params.n_u, params.n_v, tol)
+    return family[0]
+
+
+def synthesize_family(
+    data: WeierstrassData, h_values: list[float], domain: Rect, n_u: int, n_v: int,
+    tol: float = holo.DEFAULT_QUAD_TOL,
+) -> list[SurfaceSample]:
+    """One sample per H, each as synthesize gives it, sharing x, y and phi.
+
+    W, the height integral and phi are computed once; only the bowl term
+    (H/2)|W|^2 of ell depends on H.
+    """
+    family = [LiftParams(h, domain, n_u, n_v) for h in h_values]
+    uu, vv = domain.mesh(n_u, n_v)
     grid = uu + 1j * vv
 
     omega_vals = holo.evaluate(data.omega_hat, {"z": grid})
@@ -263,21 +277,14 @@ def synthesize(
     )
     x = np.ascontiguousarray(w.real)
     y = np.ascontiguousarray(w.imag)
-    ell = 0.5 * params.H * (x * x + y * y) + t.real
-    if not (np.all(np.isfinite(ell)) and np.all(np.isfinite(x))):
+    ells = [0.5 * params.H * (x * x + y * y) + t.real for params in family]
+    if not (all(np.all(np.isfinite(ell)) for ell in ells) and np.all(np.isfinite(x))):
         raise ValueError("synthesized surface contains non-finite values")
     phi_vals = holo.evaluate(data.phi(), {"z": grid})
-    return SurfaceSample(
-        domain=params.domain,
-        n_u=params.n_u,
-        n_v=params.n_v,
-        H=params.H,
-        x=x,
-        y=y,
-        ell=np.ascontiguousarray(ell),
-        phi=phi_vals,
-        data=data,
-    )
+    return [
+        SurfaceSample(domain, n_u, n_v, params.H, x, y, ell, phi=phi_vals, data=data)
+        for params, ell in zip(family, ells)
+    ]
 
 
 def enneper_data(n: int) -> WeierstrassData:

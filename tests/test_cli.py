@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from isocmc import io_mesh, weierstrass
+from isocmc import holo, io_mesh, weierstrass
 from isocmc.cli import main
 from isocmc.graphgeo import Rect
 
@@ -100,6 +100,31 @@ def test_sweep_reports_isometry(tmp_path):
     assert [s["H"] for s in sweep["surfaces"]] == [0.0, 1.5, 10.0]
     for h_tag in ("0", "1.5", "10"):
         assert (tmp_path / f"sweep_H{h_tag}.obj").exists()
+
+
+def test_lift_writes_what_the_separate_writers_write(tmp_path):
+    argv = ("--h2", "z^3 - 0.5*i*z", "--omega", "1", "--H", "-0.75", "--grid", "23x17")
+    assert run(tmp_path, "lift", *argv, "-o", "one") == 0
+    sample = weierstrass.synthesize(
+        weierstrass.WeierstrassData(holo.parse(argv[1]), holo.parse(argv[3])),
+        weierstrass.LiftParams(-0.75, Rect(-1.0, 1.0, -1.0, 1.0), 23, 17),
+    )
+    io_mesh.write_grid(sample, tmp_path / "two.grid", provenance="lift H=-0.75")
+    io_mesh.export_obj(sample, tmp_path / "two.obj")
+    for ext in ("grid", "obj"):
+        assert (tmp_path / f"one.{ext}").read_bytes() == (tmp_path / f"two.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("h_list", ["0.1,0.1000001", "1,1", "2,-1,2.0000001"])
+def test_sweep_rejects_h_values_with_one_file_name(tmp_path, capsys, h_list):
+    code = run(tmp_path, "sweep", "--h2", "z^2", "--omega", "1",
+               f"--H-list={h_list}", "--grid", "11x11", "-o", "s")
+    assert code == 2
+    err = capsys.readouterr().err
+    clashing = [h for h in h_list.split(",") if h != "-1"]
+    assert "--H-list" in err and all(repr(float(h)) in err for h in clashing)
+    assert "-1.0" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_vdist_verdict(tmp_path, capsys):

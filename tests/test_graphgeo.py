@@ -187,6 +187,19 @@ def test_pde_analyze_overflow_is_a_named_error():
         pde_analyze(zigzag)  # f_xx = -4e307 / h^2 with h = 1/4
 
 
+def test_fd_curvatures_overflow_is_a_named_error(recwarn):
+    # Re exp(z) near Re z = 400 is about 5e173, so f_xx * f_yy is past the float range
+    sample = weierstrass.synthesize(
+        weierstrass.exp_data(),
+        weierstrass.LiftParams(1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11),
+    )
+    field = sample.as_height_field()
+    for curvature in (fd_mean_curvature, fd_gauss_curvature):
+        with pytest.raises(StencilOverflowError, match="float range"):
+            curvature(field)
+    assert not recwarn.list
+
+
 # ---------------------------------------------------------------------------
 # quadratic fit
 

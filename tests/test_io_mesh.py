@@ -18,6 +18,7 @@ from isocmc.io_mesh import (
     vdist_block,
     write_grid,
     write_report,
+    write_surface,
 )
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
@@ -297,6 +298,13 @@ def lifted(n_u, n_v, H=-0.75):
     )
 
 
+def signed_zeros(s):
+    """The sample with 0.0 and -0.0 in one x column and in one y column."""
+    x, y = s.x.copy(), s.y.copy()
+    x[:2, 1], y[1:3, 3] = (0.0, -0.0), (-0.0, 0.0)
+    return dataclasses.replace(s, x=x, y=y)
+
+
 def identity_cases():
     s53, s22, f, wide = lifted(5, 3), lifted(2, 2), a_field(6), lifted(9, 5)
     strided = dataclasses.replace(  # non-contiguous views of a larger lattice
@@ -309,6 +317,7 @@ def identity_cases():
         "5x3-planted": plant(s53),
         "2x2-planted": plant(s22),
         "5x3-strided": strided,
+        "5x3-signed-zeros": signed_zeros(s53),
         "field-planted": ScalarField(f.domain, planted(f.values)),
     }
     return [pytest.param(obj, id=name) for name, obj in cases.items()]
@@ -328,6 +337,36 @@ def test_grid_writer_matches_the_per_value_writer(tmp_path, obj):
 def test_obj_writer_matches_the_per_value_writer(tmp_path, obj):
     export_obj(obj, tmp_path / "m.obj")
     assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(obj).encode()
+
+
+@pytest.mark.parametrize(
+    "obj", [c for c in identity_cases() if not isinstance(c.values[0], ScalarField)]
+)
+def test_one_pass_writer_matches_the_per_value_writers(tmp_path, obj):
+    write_surface(obj, tmp_path / "s.grid", tmp_path / "s.obj", provenance="ref check")
+    want_grid = reference_grid_text(obj, provenance="ref check")
+    assert (tmp_path / "s.grid").read_bytes() == want_grid.encode()
+    assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(obj).encode()
+
+
+def test_one_pass_writer_validates_before_writing(tmp_path):
+    s = sample(n=3)
+    paths = tmp_path / "s.grid", tmp_path / "s.obj"
+    with pytest.raises(ValueError, match="provenance"):
+        write_surface(s, *paths, provenance="two\nlines")
+    one_row = dataclasses.replace(s, n_v=1, x=s.x[:1], y=s.y[:1], ell=s.ell[:1])
+    with pytest.raises(ValueError, match="2 x 2"):
+        write_surface(one_row, *paths)
+    assert not any(p.exists() for p in paths)
+
+
+def test_writers_match_across_table_blocks(tmp_path):
+    # 2100 nodes per row: each table of x and y texts covers three of the seven rows
+    s = lifted(2100, 7)
+    s.x[2:4, 5], s.y[2:4, 9] = (0.0, -0.0), (-0.0, 0.0)  # signed zeros on both sides of a cut
+    write_surface(s, tmp_path / "s.grid", tmp_path / "s.obj")
+    assert (tmp_path / "s.grid").read_bytes() == reference_grid_text(s).encode()
+    assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(s).encode()
 
 
 def test_planted_values_survive_the_roundtrip(tmp_path):

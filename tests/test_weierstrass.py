@@ -19,6 +19,7 @@ from isocmc.weierstrass import (
     induced_metric,
     planar_map,
     synthesize,
+    synthesize_family,
 )
 
 Z = holo.Variable("z")
@@ -173,6 +174,38 @@ def test_synthesize_family_is_isometric():
         assert np.array_equal(base.y, lifted.y)
         bowl = 0.5 * H * (base.x**2 + base.y**2)
         assert np.max(np.abs(lifted.ell - base.ell - bowl)) <= 1e-12
+
+
+def per_h_synthesis(data, H, rect, n, tol=holo.DEFAULT_QUAD_TOL):
+    """(x, y, ell) as synthesize computed them one H at a time."""
+    uu, vv = rect.mesh(n, n)
+    grid = uu + 1j * vv
+    w = weierstrass._integral_field(data.omega_hat, data.base_point, grid, tol)
+    t = weierstrass._integral_field(
+        holo.mul(data.h2, data.omega_hat), data.base_point, grid, tol
+    )
+    x, y = w.real, w.imag
+    return x, y, 0.5 * H * (x * x + y * y) + t.real
+
+
+@pytest.mark.parametrize(
+    "data",
+    [enneper_data(3), exp_data(), WeierstrassData(Z, holo.parse("1/(z+4)"))],
+    ids=["cubic", "exp", "quadrature"],
+)
+def test_synthesize_family_matches_per_h_synthesis(data):
+    h_values = [-1.25, 0.0, 0.1, 3.0]
+    family = synthesize_family(data, h_values, SQUARE, 17, 17)
+    assert [s.H for s in family] == h_values
+    for s in family:
+        x, y, ell = per_h_synthesis(data, s.H, SQUARE, 17)
+        assert s.x.tobytes() == x.tobytes() and s.y.tobytes() == y.tobytes()
+        assert s.ell.tobytes() == ell.tobytes()
+        single = synthesize(data, LiftParams(s.H, SQUARE, 17, 17))
+        assert single.ell.tobytes() == s.ell.tobytes()
+        assert single.phi.tobytes() == s.phi.tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        synthesize_family(data, [0.0, float("inf")], SQUARE, 5, 5)
 
 
 def test_synthesize_is_deterministic():
