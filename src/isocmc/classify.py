@@ -100,6 +100,8 @@ def label_from_constants(
     surface of revolution.
     """
     H, K = float(H), float(K)
+    if not (math.isfinite(H) and math.isfinite(K)):
+        raise ValueError("H and K must be finite")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     disc = H * H - K

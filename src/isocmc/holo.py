@@ -437,6 +437,9 @@ def _anti(e: Expr) -> Expr | None:
     coeffs = _poly_coeffs(e)
     if coeffs is not None:
         return _integrate_poly(coeffs)
+    lin = _linear_coeffs(e.base) if isinstance(e, IntPow) and e.n >= 0 else None
+    if lin is not None and lin[0] != 0:  # a power of a*z + b past MAX_POLY_TERMS
+        return div(intpow(e.base, e.n + 1), Constant(lin[0] * (e.n + 1)))
     if isinstance(e, (Add, Sub)):
         l, r = _anti(e.left), _anti(e.right)
         join = add if isinstance(e, Add) else sub
@@ -480,8 +483,17 @@ def _integrate_poly(coeffs: list[complex]) -> Expr:
     return out
 
 
+# Most nonzero terms a polynomial may expand to: its primitive is an Add chain
+# of one link per term, which must stay far below the recursion limit.
+MAX_POLY_TERMS = 256
+
+
+def _capped(coeffs: list) -> list | None:
+    return coeffs if np.count_nonzero(coeffs) <= MAX_POLY_TERMS else None
+
+
 def _poly_coeffs(e: Expr) -> list[complex] | None:
-    """Coefficient list (index = degree) when e is a polynomial in z."""
+    """Coefficient list (index = degree) of a polynomial in z of <= MAX_POLY_TERMS terms."""
     if isinstance(e, Constant):
         return [e.value]
     if isinstance(e, Variable):
@@ -491,7 +503,7 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
         if l is None or r is None:
             return None
         s = 1 if isinstance(e, Add) else -1
-        return [a + s * b for a, b in zip_longest(l, r, fillvalue=0)]
+        return _capped([a + s * b for a, b in zip_longest(l, r, fillvalue=0)])
     if isinstance(e, Neg):
         c = _poly_coeffs(e.child)
         return None if c is None else [-v for v in c]
@@ -499,7 +511,7 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
         l, r = _poly_coeffs(e.left), _poly_coeffs(e.right)
         if l is None or r is None:
             return None
-        return list(np.convolve(l, r))
+        return _capped(list(np.convolve(l, r)))
     if isinstance(e, Div):
         if isinstance(e.right, Constant) and abs(e.right.value) >= DIV_EPS:
             l = _poly_coeffs(e.left)
@@ -516,9 +528,10 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
             return [base[0] ** e.n] if invertible else None
         out = [complex(1)]
         for bit in bin(e.n)[2:]:  # square and multiply, leading bit first
-            out = list(np.convolve(out, out))
-            if bit == "1":
-                out = list(np.convolve(out, base))
+            square = np.convolve(out, out)
+            out = _capped(list(square if bit == "0" else np.convolve(square, base)))
+            if out is None:
+                return None
         return out
     return None
 

@@ -8,6 +8,7 @@ identical invocations produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,10 @@ from .weierstrass import SurfaceSample
 
 GRID_MAGIC = "# cmcgrid v1"
 REPORT_SCHEMA_VERSION = "2"
+# Nodes per block of records, as the writer formats and the reader parses them.
+_BLOCK_NODES = 1 << 13
+# A record with x and y as text in bytes 0-24 and 25-49 (%.17g writes <= 24).
+_TEXT_RECORD = np.dtype([("x", "S25"), ("y", "S25"), ("ell", "f8")])
 
 
 class GridFormatError(ValueError):
@@ -39,7 +44,7 @@ def _records(x: np.ndarray, y: np.ndarray, ell: np.ndarray):
     n_v, n_u = ell.shape
     template = "%s %s %.17g\n" * n_u
     args = [""] * (3 * n_u)
-    step = max(1, (1 << 13) // n_u)
+    step = max(1, _BLOCK_NODES // n_u)
     for j in range(0, n_v, step):
         xy = np.array((x[j : j + step], y[j : j + step]), dtype=np.float64)
         keys, index = np.unique(xy.view(np.uint64), return_inverse=True)
@@ -123,13 +128,57 @@ def _body_lines(fh, expected: int):
         raise GridFormatError(f"record count mismatch: expected {expected}, found {found}")
 
 
+def _loadtxt(lines, dtype=float) -> np.ndarray:
+    """numpy.loadtxt of record lines, or of single texts; floats come back 2-D."""
+    try:
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2 if dtype is float else 1)
+    except GridFormatError:
+        raise
+    except ValueError as exc:
+        raise GridFormatError(f"malformed record: {exc}") from None
+
+
+def _body_values(fh, n_u: int, n_v: int, as_text: bool = True) -> np.ndarray | None:
+    """x, y and ell of the records left in fh, shape (3, n_v, n_u); None if a
+    text filled its 25 bytes, since it may have been cut short."""
+    body, values = _body_lines(fh, n_u * n_v), np.empty((3, n_v, n_u))
+    step, x0 = max(1, _BLOCK_NODES // n_u), None  # row 0's x (bytes, values)
+    for j in range(0, n_v, step):
+        block = values[:, j : j + step]
+        records = itertools.islice(body, block[0].size)
+        if as_text:  # until a block's x rows differ from row 0 or a y row varies
+            rec = _loadtxt(records, _TEXT_RECORD).reshape(block[0].shape)
+            raw = rec.view(np.uint8).reshape(*rec.shape, -1)
+            if raw[..., 24].any() or raw[..., 49].any():
+                return None
+            x, y = raw[..., :25], raw[..., 25:50]
+            x0 = x0 or (x[0], _loadtxt(rec["x"][0])[:, 0])
+            as_text = bool(np.all(x == x0[0]) and np.all(y == y[:, :1]))
+            if as_text:
+                block[0], block[1] = x0[1], _loadtxt(rec["y"][:, 0])
+            else:
+                block[0], block[1] = (_loadtxt(rec[k].ravel()).reshape(rec.shape) for k in "xy")
+            block[2] = rec["ell"]
+        else:
+            flat = _loadtxt(records)
+            if flat.shape[1] != 3:
+                raise GridFormatError("malformed record: expected three numbers per line")
+            block[:] = flat.T.reshape(block.shape)
+        if not np.all(np.isfinite(block)):
+            raise GridFormatError("non-finite value in records")
+    list(body)  # runs the blank-line and record-count checks to the end
+    return values
+
+
 def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
     """Parse a grid file back into a sample or height field.
 
     Validates the header shape, the record count, and finiteness of every
     value.  Surface files come back as SurfaceSample without a curvature
     potential; field files additionally check that the stored (x, y) match
-    the header lattice.  The body is parsed by numpy.loadtxt.
+    the header lattice.  The body is parsed by numpy.loadtxt; on a repeating
+    lattice (x repeats row 0's texts, y one text per row) x and y stay text
+    and each distinct text is converted once.
     """
     with open(path) as fh:
         lines = [fh.readline().rstrip("\n") for _ in range(7)]
@@ -157,17 +206,11 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
             domain = Rect(*dom_vals)
         except ValueError as exc:
             raise GridFormatError(f"bad domain: {exc}") from None
-        try:
-            flat = np.loadtxt(_body_lines(fh, n_u * n_v), comments=None, ndmin=2)
-        except GridFormatError:
-            raise
-        except ValueError as exc:
-            raise GridFormatError(f"malformed record: {exc}") from None
-    if flat.shape[1] != 3:
-        raise GridFormatError("malformed record: expected three numbers per line")
-    if not np.all(np.isfinite(flat)):
-        raise GridFormatError("non-finite value in records")
-    xs, ys, ells = flat.T.reshape(3, n_v, n_u)
+        values = _body_values(fh, n_u, n_v)
+    if values is None:  # read every value as a float instead
+        with open(path) as fh:
+            values = _body_values(itertools.islice(fh, 7, None), n_u, n_v, as_text=False)
+    xs, ys, ells = values
     if kind == "field":
         xx, yy = domain.mesh(n_u, n_v)
         lattice_gap = max(np.max(np.abs(xs - xx)), np.max(np.abs(ys - yy)))

@@ -104,6 +104,8 @@ def sample_k_image(
     if samples_per_radius < 16:
         raise ValueError("need at least 16 samples per radius")
     H = float(H)
+    if not math.isfinite(H):
+        raise ValueError("H must be finite")
     sup = H * H
     if const_tol is None:
         const_tol = 1e-9 * (1.0 + sup)

@@ -66,6 +66,14 @@ def test_label_rejects_impossible_pairs():
     )
 
 
+@pytest.mark.parametrize(
+    "H, K", [(math.nan, 0.0), (math.inf, 1.0), (0.0, math.nan), (1.0, -math.inf)]
+)
+def test_label_rejects_non_finite_constants(H, K):
+    with pytest.raises(ValueError, match="H and K must be finite"):
+        label_from_constants(H, K)
+
+
 def test_label_tolerance_validation():
     with pytest.raises(ValueError):
         label_from_constants(0.0, 0.0, tol=0.0)

@@ -295,6 +295,38 @@ def test_analyze_curvature_overflow_is_a_named_error(tmp_path, capsys):
     assert not (tmp_path / "analyze.json").exists()
 
 
+@pytest.mark.parametrize("H, K", [("nan", "0"), ("inf", "1"), ("0", "nan")])
+def test_classify_rejects_non_finite_constants(tmp_path, capsys, H, K):
+    assert run(tmp_path, "classify", "--H", H, "--K", K) == 1
+    err = capsys.readouterr().err
+    assert "error: H and K must be finite" in err and "JSON" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("H", ["nan", "inf"])
+def test_vdist_rejects_a_non_finite_h(tmp_path, capsys, H):
+    assert run(tmp_path, "vdist", "--h2", "z^2", "--omega", "1", "--H", H) == 1
+    err = capsys.readouterr().err
+    assert "error: H must be finite" in err and "overflow" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "h2, code, message",
+    [
+        # |z+1|^1101 passes the float range on the square
+        ("(z+1)^1100", 1, "error: evaluation overflowed to a non-finite value"),
+        ("(z/2+0.5)^1100", 0, "lift: wrote"),
+    ],
+)
+def test_lift_of_a_power_past_the_term_cap(tmp_path, capsys, h2, code, message):
+    argv = ("lift", "--h2", h2, "--omega", "1", "--grid", "11x11")
+    assert run_quietly(tmp_path, *argv) == (code, [])
+    out, err = capsys.readouterr()
+    assert message in out + err
+    assert "recursion" not in err and "RuntimeWarning" not in err
+
+
 def test_pde_rejects_complex_height_expressions(tmp_path, capsys):
     assert run(tmp_path, "pde", "--f", "z^2", "--grid", "21x21") == 1
     assert "x and y" in capsys.readouterr().err

@@ -311,6 +311,25 @@ def test_antiderivative_of_a_huge_monomial():
         assert evaluate(primitive, {"z": z}) == pytest.approx(z**20001 / 20001, rel=1e-12)
 
 
+def test_polynomials_past_the_term_cap():
+    z = Variable("z")
+    # up to MAX_POLY_TERMS nonzero terms the primitive is the expanded sum
+    below = antiderivative(parse(f"(z+1)^{holo.MAX_POLY_TERMS - 1}"))
+    assert isinstance(below, holo.Add)
+    # a power of a*z + b past the cap takes (a*z+b)^(n+1) / (a*(n+1)) directly
+    base = parse("z/2+0.5")
+    past = antiderivative(IntPow(base, 300))
+    assert past == Sub(
+        holo.Div(IntPow(base, 301), Constant(150.5)), Constant(0.5**301 / 150.5)
+    )
+    for p in (0.5, 1.0 + 1j, -2.0):
+        want = ((p / 2 + 0.5) ** 301 - 0.5**301) / 150.5
+        assert evaluate(past, {"z": p}) == pytest.approx(want, rel=1e-12)
+    # other bases past the cap are left to quadrature
+    assert antiderivative(parse("(z^2+1)^300")) is None
+    assert antiderivative(IntPow(z, 20000)) is not None  # one term
+
+
 # ---------------------------------------------------------------------------
 # contours and quadrature
 

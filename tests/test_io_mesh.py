@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from isocmc import weierstrass
+from isocmc import holo, weierstrass
 from isocmc.graphgeo import Rect, ScalarField
 from isocmc.io_mesh import (
     GridFormatError,
@@ -375,6 +375,191 @@ def test_planted_values_survive_the_roundtrip(tmp_path):
     back = read_grid(tmp_path / "p.grid")
     for got, want in ((back.x, s.x), (back.y, s.y), (back.ell, s.ell)):
         assert got.tobytes() == want.tobytes()  # bitwise: -0.0 keeps its sign
+
+
+# ---------------------------------------------------------------------------
+# bit identity against the one-call numpy.loadtxt reader the blocks replaced
+
+
+def _ref_body_lines(fh, expected):
+    found = 0
+    for line in fh:
+        if line.isspace():
+            break
+        found += 1
+        yield line
+    if any(not rest.isspace() for rest in fh):
+        raise GridFormatError("malformed record: blank line inside the body")
+    if found != expected:
+        raise GridFormatError(f"record count mismatch: expected {expected}, found {found}")
+
+
+def reference_read_grid(path):
+    with open(path) as fh:
+        lines = [fh.readline().rstrip("\n") for _ in range(7)]
+        if lines[0] != "# cmcgrid v1" or lines[6] != "end_header":
+            raise GridFormatError("malformed header")
+        fields = [line.split(" ", 1)[1] for line in lines[1:6]]
+        kind, dom_vals = fields[0], [float(t) for t in fields[1].split()]
+        n_u, n_v = (int(t) for t in fields[2].split())
+        h, domain = float(fields[3]), Rect(*dom_vals)
+        try:
+            flat = np.loadtxt(_ref_body_lines(fh, n_u * n_v), comments=None, ndmin=2)
+        except GridFormatError:
+            raise
+        except ValueError as exc:
+            raise GridFormatError(f"malformed record: {exc}") from None
+    if flat.shape[1] != 3:
+        raise GridFormatError("malformed record: expected three numbers per line")
+    if not np.all(np.isfinite(flat)):
+        raise GridFormatError("non-finite value in records")
+    xs, ys, ells = flat.T.reshape(3, n_v, n_u)
+    if kind == "field":
+        xx, yy = domain.mesh(n_u, n_v)
+        lattice_gap = max(np.max(np.abs(xs - xx)), np.max(np.abs(ys - yy)))
+        if lattice_gap > 1e-9 * (1.0 + float(np.max(np.abs(xx)))):
+            raise GridFormatError("field records do not sit on the header lattice")
+        return ScalarField(domain, ells)
+    return weierstrass.SurfaceSample(
+        domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells
+    )
+
+
+def graph(n_u, n_v):
+    """A lift with omega = 1: x repeats row 0 and y is constant along each row."""
+    return weierstrass.synthesize(
+        weierstrass.enneper_data(3), weierstrass.LiftParams(0.5, SQUARE, n_u, n_v)
+    )
+
+
+def non_graph(n_u, n_v):
+    z = holo.Variable("z")
+    data = weierstrass.WeierstrassData(z, holo.Exp(z))
+    return weierstrass.synthesize(data, weierstrass.LiftParams(0.5, SQUARE, n_u, n_v))
+
+
+def with_tokens(text, edits):
+    """Grid text whose record k has its field c replaced, for each (k, c, token)."""
+    lines = text.splitlines()
+    for k, c, token in edits:
+        fields = lines[7 + k].split()
+        fields[c] = token
+        lines[7 + k] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def in_column(n_u, n_v, i, c, token):
+    """Edits that put `token` into field c of column i on every row."""
+    return [(j * n_u + i, c, token) for j in range(n_v)]
+
+
+def spied_read(monkeypatch, path):
+    """read_grid(path), and (x and y texts it converted, blocks it parsed as floats)."""
+    from isocmc import io_mesh
+
+    counts, inner = [0, 0], io_mesh._loadtxt
+
+    def spy(lines, dtype=float):
+        if isinstance(lines, np.ndarray):
+            counts[0] += lines.size
+        elif dtype is float:
+            counts[1] += 1
+        return inner(lines, dtype)
+
+    monkeypatch.setattr(io_mesh, "_loadtxt", spy)
+    return read_grid(path), tuple(counts)
+
+
+def assert_bitwise(got, want):
+    if isinstance(want, ScalarField):
+        assert isinstance(got, ScalarField) and got.domain == want.domain
+        pairs = [(got.values, want.values)]
+    else:
+        assert isinstance(got, weierstrass.SurfaceSample)
+        assert (got.domain, got.n_u, got.n_v, got.H) == (want.domain, want.n_u, want.n_v, want.H)
+        pairs = [(got.x, want.x), (got.y, want.y), (got.ell, want.ell)]
+    for g, w in pairs:
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# A valid x or y token longer than the 25-byte text field of the reader.
+LONG = "0.000000000000000000000000001"
+
+
+def reader_cases():
+    tall, wide = graph(3, 6000), graph(2500, 5)  # 2730 and 3 rows per block
+    broken = dataclasses.replace(tall, x=tall.x.copy())
+    broken.x[3000, 1] = np.nextafter(broken.x[3000, 1], 2.0)  # in the second block
+    bent = graph(5, 4)
+    bent.y[2, 3] = np.nextafter(bent.y[2, 3], 2.0)  # x still repeats, row 2's y does not
+    signed = graph(5, 4)
+    signed.x[:, 2], signed.y[3] = -0.0, -0.0
+    long_x = in_column(5, 4, 1, 0, LONG)  # every x row still repeats row 0's texts
+    long_y = [(2 * 5 + i, 1, "-" + LONG) for i in range(5)]  # row 2's y is one text
+    # (texts converted, float blocks): a repeating lattice converts row 0's x
+    # and one y per row; the first block that does not repeat converts all its
+    # texts and every later block is parsed as floats
+    cases = {
+        "graph-3x6000": (grid_text(tall), (3 + 6000, 0)),
+        "graph-2500x5": (grid_text(wide), (2500 + 5, 0)),
+        "graph-breaks-in-block-2": (grid_text(broken), (3 + 2730 + 2 * 2730 * 3, 1)),
+        "non-graph": (grid_text(non_graph(40, 30)), (40 + 2 * 1200, 0)),
+        "y-varies-along-a-row": (grid_text(bent), (5 + 2 * 20, 0)),
+        "field": (grid_text(a_field(6)), (6 + 6, 0)),
+        "signed-zeros-mixed": (grid_text(signed_zeros(graph(5, 4))), (5 + 2 * 20, 0)),
+        "signed-zeros-repeating": (grid_text(signed), (5 + 4, 0)),
+        # a text that fills its field may be cut short: every value is read as a float
+        "long-x-token": (with_tokens(grid_text(graph(5, 4)), long_x), (0, 1)),
+        "long-y-token": (with_tokens(grid_text(graph(5, 4)), long_y), (0, 1)),
+    }
+    return [pytest.param(text, work, id=name) for name, (text, work) in cases.items()]
+
+
+@pytest.mark.parametrize("text, work", reader_cases())
+def test_reader_matches_the_one_call_reader(tmp_path, monkeypatch, text, work):
+    path = tmp_path / "r.grid"
+    path.write_text(text)
+    got, done = spied_read(monkeypatch, path)
+    assert done == work
+    assert_bitwise(got, reference_read_grid(path))
+
+
+def test_long_tokens_are_not_cut(tmp_path):
+    path = tmp_path / "l.grid"
+    path.write_text(with_tokens(grid_text(graph(5, 4)), in_column(5, 4, 1, 0, LONG)))
+    assert np.all(read_grid(path).x[:, 1] == 1e-27)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param([(7, 0, "١")], id="non-ascii-digit-in-one-x"),
+        pytest.param(in_column(5, 4, 0, 0, "١"), id="non-ascii-digit-in-x-column"),
+        pytest.param([(3 * 5 + 2, 0, "1_0")], id="underscore-in-one-x-of-row-3"),
+        pytest.param([(3 * 5 + i, 0, "1_0") for i in range(5)], id="underscore-in-row-3-x"),
+    ],
+)
+def test_reader_rejects_malformed_texts(tmp_path, edits):
+    path = tmp_path / "m.grid"
+    path.write_text(with_tokens(grid_text(graph(5, 4)), edits))
+    for read in (read_grid, reference_read_grid):
+        with pytest.raises(GridFormatError, match="malformed record"):
+            read(path)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param([(5000 * 3 + 1, 1, "inf")], id="one-y-of-row-5000"),
+        pytest.param([(5000 * 3 + i, 1, "inf") for i in range(3)], id="every-y-of-row-5000"),
+    ],
+)
+def test_reader_rejects_inf_in_a_later_block(tmp_path, edits):
+    path = tmp_path / "inf.grid"
+    path.write_text(with_tokens(grid_text(graph(3, 6000)), edits))
+    for read in (read_grid, reference_read_grid):
+        with pytest.raises(GridFormatError, match="non-finite"):
+            read(path)
 
 
 # ---------------------------------------------------------------------------

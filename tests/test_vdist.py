@@ -119,6 +119,9 @@ def test_sampling_validation():
         sample_k_image(data, 1.0, [-1.0, 2.0])
     with pytest.raises(ValueError):
         sample_k_image(data, 1.0, [1.0], samples_per_radius=8)
+    for H in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="H must be finite"):
+            sample_k_image(data, H, [1.0])
 
 
 # ---------------------------------------------------------------------------
