@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphgeo import Rect, ScalarField, quadratic_test
+from .graphgeo import DEFAULT_QUAD_FIT_TOL, Rect, ScalarField, quadratic_test
 from .weierstrass import SurfaceSample
 
 # Default width of the zero tests on H, K, and H^2 - K.
@@ -132,17 +132,19 @@ def label_from_constants(
 def classify_sample(
     sample: SurfaceSample | ScalarField,
     tol: float = DEFAULT_CLASSIFY_TOL,
+    fit_tol: float = DEFAULT_QUAD_FIT_TOL,
 ) -> ClassificationResult:
     """Classify a sampled graph; non-quadrics come back labeled NonQuadric.
 
     Accepts a graph-mode surface sample or a plain height field.  The height
     is fitted by least squares; linear and constant terms are dropped as the
     translational part of an ambient isometry, and the quadratic part is
-    diagonalized by a planar rotation.  `tol` bounds both the fit residual
-    (relative) and the zero tests on the recovered constants.
+    diagonalized by a planar rotation.  `fit_tol` bounds the relative fit
+    residual, as in quadratic_test, and `tol` the zero tests on the
+    recovered constants.
     """
     field = sample.as_height_field() if isinstance(sample, SurfaceSample) else sample
-    is_quad, coeffs = quadratic_test(field, tol)
+    is_quad, coeffs = quadratic_test(field, fit_tol)
     if not is_quad:
         return ClassificationResult(SurfaceClass.NON_QUADRIC, None, None, None, None)
     _, _, _, d, e, g = (float(c) for c in coeffs)

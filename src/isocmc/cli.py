@@ -73,7 +73,11 @@ def _data_from_args(args) -> weierstrass.WeierstrassData:
     return weierstrass.WeierstrassData(holo.parse(args.h2), holo.parse(args.omega))
 
 
-def _field_from_expr(expr: holo.Expr, rect: Rect, n_x: int, n_y: int) -> ScalarField:
+def _field_from_args(args) -> ScalarField:
+    """The --f height expression sampled on the --domain/--grid lattice."""
+    rect = _parse_domain(args.domain)
+    n_x, n_y = _parse_grid(args.grid)
+    expr = holo.parse(args.f)
     if "z" in holo.variables(expr):
         raise ValueError("a height expression must use x and y, not z")
     xx, yy = rect.mesh(n_x, n_y)
@@ -114,6 +118,15 @@ def _synthesize(args, tols) -> weierstrass.SurfaceSample:
     return weierstrass.synthesize(data, params, tol=tols["quadrature"])
 
 
+def _height_source(args, tols) -> weierstrass.SurfaceSample | ScalarField:
+    """What --f, --grid-file or --h2/--omega names, looked up in that order."""
+    if args.f:
+        return _field_from_args(args)
+    if args.grid_file:
+        return io_mesh.read_grid(args.grid_file)
+    return _synthesize(args, tols)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -139,17 +152,22 @@ def cmd_lift(args, parser, tols: dict) -> int:
 
 def cmd_analyze(args, parser, tols: dict) -> int:
     if args.grid_file:
-        loaded = io_mesh.read_grid(args.grid_file)
-        if isinstance(loaded, ScalarField):
+        sample = io_mesh.read_grid(args.grid_file)
+        if isinstance(sample, ScalarField):
             parser.error("analyze expects a surface grid file; use pde for plain fields")
-        sample = loaded
     else:
         if not (args.h2 and args.omega):
             parser.error("analyze needs --h2 and --omega, or --grid-file")
         sample = _synthesize(args, tols)
-    pde = graphgeo.pde_analyze(sample.as_height_field())
-    h_fd = 0.5 * pde.laplacian.values
-    k_fd = pde.hessian_det.values
+    try:
+        field = sample.as_height_field()
+    except weierstrass.NonGraphSampleError:  # a curved chart: differentiate over (u, v)
+        ell = ScalarField(sample.domain, sample.ell)
+        lap, k_fd, _ = graphgeo.fd_chart_curvature(ell, sample.x, sample.y)
+    else:
+        pde = graphgeo.pde_analyze(field)
+        lap, k_fd = pde.laplacian.values, pde.hessian_det.values
+    h_fd = 0.5 * lap
     block = {
         "H_input": float(sample.H),
         "H_fd": _stats(h_fd),
@@ -186,18 +204,10 @@ def cmd_classify(args, parser, tols: dict) -> int:
     if args.K is not None:
         result = classify.label_from_constants(args.H, args.K, tols["zero"])
         extra = {"K": args.K}
-    elif args.grid_file:
-        loaded = io_mesh.read_grid(args.grid_file)
-        result = classify.classify_sample(loaded, tols["zero"])
-    elif args.f:
-        rect = _parse_domain(args.domain)
-        n_u, n_v = _parse_grid(args.grid)
-        field = _field_from_expr(holo.parse(args.f), rect, n_u, n_v)
-        result = classify.classify_sample(field, tols["zero"])
     else:
-        if not args.omega:
+        if args.h2 and not args.omega:
             parser.error("--h2 needs --omega")
-        result = classify.classify_sample(_synthesize(args, tols), tols["zero"])
+        result = classify.classify_sample(_height_source(args, tols), tols["zero"], tols["fit"])
     report = io_mesh.ReportDoc(
         inputs=_inputs_block(args, tols, **extra),
         classification=io_mesh.classification_block(result),
@@ -282,24 +292,13 @@ def cmd_vdist(args, parser, tols: dict) -> int:
 
 
 def cmd_pde(args, parser, tols: dict) -> int:
-    h_for_tol = args.H
-    if args.f:
-        rect = _parse_domain(args.domain)
-        n_u, n_v = _parse_grid(args.grid)
-        field = _field_from_expr(holo.parse(args.f), rect, n_u, n_v)
-        h_for_tol = 0.0
-    elif args.grid_file:
-        loaded = io_mesh.read_grid(args.grid_file)
-        if isinstance(loaded, ScalarField):
-            field = loaded
-            h_for_tol = 0.0
-        else:
-            field = loaded.as_height_field()
-            h_for_tol = loaded.H
-    elif args.h2 and args.omega:
-        field = _synthesize(args, tols).as_height_field()
-    else:
+    if not (args.f or args.grid_file or (args.h2 and args.omega)):
         parser.error("pde needs --f, --grid-file, or --h2/--omega")
+    source = _height_source(args, tols)
+    if isinstance(source, ScalarField):
+        field, h_for_tol = source, 0.0
+    else:
+        field, h_for_tol = source.as_height_field(), source.H
     rep = graphgeo.pde_analyze(field, _const_tol(tols, h_for_tol))
     is_quad, _ = graphgeo.quadratic_test(field, tols["fit"])
     report = io_mesh.ReportDoc(

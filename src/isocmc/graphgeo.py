@@ -2,11 +2,13 @@
 
 For a graph over the plane the mean curvature is half the Laplacian of f
 and the Gauss curvature is the determinant of its Hessian, so both are
-computable from samples alone with central second differences.  This module
-never looks at the holomorphic side; it is the independent check against
-the synthesized surfaces.
+computable from samples alone with central differences.  Heights sampled
+on a curved chart (x, y)(u, v) are differentiated on the parameter lattice
+and carried over by the chain rule.  This module never looks at the
+holomorphic side; it is the independent check against the synthesized
+surfaces.
 
-All stencils are interior only: outputs drop a one-node margin and say so.
+All stencils are interior only: outputs drop a one-node margin.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ DEFAULT_QUAD_FIT_TOL = 1e-8
 
 class GridTooSmallError(ValueError):
     """Grid has too few nodes for the requested stencil."""
-
-
-class ConformalityError(ValueError):
-    """Coordinate fields fail the conformal-parameterization check."""
 
 
 class DegenerateFitError(ValueError):
@@ -104,12 +102,9 @@ class ScalarField:
 
 @dataclass
 class InteriorField:
-    """Values on the interior nodes left after dropping `margin` rings."""
+    """Values on the interior nodes left after dropping the outer ring."""
 
     values: np.ndarray
-    margin: int
-    h_x: float
-    h_y: float
 
     @property
     def min(self) -> float:
@@ -142,34 +137,83 @@ class PdeReport:
         return (self.hessian_det.min, self.hessian_det.max)
 
 
+def _first_differences(v: np.ndarray, hu: float, hv: float) -> tuple[np.ndarray, ...]:
+    """Interior central first differences (f_u, f_v); u along rows."""
+    f_u = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hu)
+    f_v = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * hv)
+    return f_u, f_v
+
+
+def _second_differences(v: np.ndarray, hu: float, hv: float) -> tuple[np.ndarray, ...]:
+    """Interior central second differences (f_uu, f_vv, f_uv)."""
+    f_uu = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hu * hu)
+    f_vv = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hv * hv)
+    f_uv = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * hu * hv)
+    return f_uu, f_vv, f_uv
+
+
+def _finite(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, unless one holds a value past the float range."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise StencilOverflowError("finite-difference H or K overflows the float range")
+    return arrays
+
+
 def _curvature_stencils(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Interior Laplacian f_xx + f_yy and Hessian determinant f_xx*f_yy - f_xy^2.
 
     One run of the central second differences.  If either leaves the float
     range, StencilOverflowError is raised and no warning leaks.
     """
-    v = f.values
-    hx, hy = f.h_x, f.h_y
     with np.errstate(over="ignore", invalid="ignore"):
-        f_xx = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hx * hx)
-        f_yy = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hy * hy)
-        f_xy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * hx * hy)
+        f_xx, f_yy, f_xy = _second_differences(f.values, f.h_x, f.h_y)
         lap, hess = f_xx + f_yy, f_xx * f_yy - f_xy * f_xy
-    if not (np.isfinite(lap).all() and np.isfinite(hess).all()):
-        raise StencilOverflowError("finite-difference H or K overflows the float range")
-    return lap, hess
+    return _finite(lap, hess)
+
+
+def fd_chart_curvature(
+    f: ScalarField, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior Laplacian and Hessian determinant of ell over (x, y), and det J.
+
+    f samples ell on the parameter lattice (u along rows, v down columns)
+    and x, y are the chart coordinates at the same nodes.  With
+    J = d(x, y)/d(u, v) and p = J^-T grad_uv ell, the chain rule gives
+
+        Hess_xy ell = J^-T (Hess_uv ell - p_x Hess_uv x - p_y Hess_uv y) J^-1
+
+    with every derivative a central difference, so the error is second
+    order in the spacing.  A value past the float range, or a chart that
+    folds (det J = 0), raises StencilOverflowError.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != f.values.shape or y.shape != f.values.shape:
+        raise ValueError("chart coordinates must share the field's grid shape")
+    hu, hv = f.h_x, f.h_y
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        first = (_first_differences(a, hu, hv) for a in (x, y, f.values))
+        (x_u, x_v), (y_u, y_v), (f_u, f_v) = first
+        jac = x_u * y_v - x_v * y_u
+        p_x, p_y = (f_u * y_v - f_v * y_u) / jac, (x_u * f_v - x_v * f_u) / jac
+        second = (_second_differences(a, hu, hv) for a in (f.values, x, y))
+        m_uu, m_vv, m_uv = (f_2 - p_x * x_2 - p_y * y_2 for f_2, x_2, y_2 in zip(*second))
+        # trace and determinant of M (J^T J)^-1, J^T J = [[e, c], [c, g]]
+        e, g, c = x_u * x_u + y_u * y_u, x_v * x_v + y_v * y_v, x_u * x_v + y_u * y_v
+        lap = (g * m_uu - 2.0 * c * m_uv + e * m_vv) / (jac * jac)
+        hess = (m_uu * m_vv - m_uv * m_uv) / (jac * jac)
+    return _finite(lap, hess, jac)
 
 
 def fd_mean_curvature(f: ScalarField) -> InteriorField:
     """Half the finite-difference Laplacian, second order in the spacing."""
     lap, _ = _curvature_stencils(f)
-    return InteriorField(0.5 * lap, 1, f.h_x, f.h_y)
+    return InteriorField(0.5 * lap)
 
 
 def fd_gauss_curvature(f: ScalarField) -> InteriorField:
     """Finite-difference Hessian determinant f_xx*f_yy - f_xy^2."""
     _, hess = _curvature_stencils(f)
-    return InteriorField(hess, 1, f.h_x, f.h_y)
+    return InteriorField(hess)
 
 
 def pde_analyze(f: ScalarField, const_tol: float = DEFAULT_CONST_TOL) -> PdeReport:
@@ -183,7 +227,7 @@ def pde_analyze(f: ScalarField, const_tol: float = DEFAULT_CONST_TOL) -> PdeRepo
     """
     if const_tol <= 0:
         raise ValueError("const_tol must be positive")
-    lap, hess = (InteriorField(a, 1, f.h_x, f.h_y) for a in _curvature_stencils(f))
+    lap, hess = (InteriorField(a) for a in _curvature_stencils(f))
     spread = lap.max - lap.min
     return PdeReport(lap, hess, bool(spread < const_tol), const_tol)
 
@@ -212,38 +256,3 @@ def quadratic_test(
     residual = float(np.max(np.abs(design @ coeffs - rhs)))
     bound = tol * (1.0 + float(np.max(np.abs(rhs))))
     return residual < bound, coeffs
-
-
-def fd_metric(x_field: ScalarField, y_field: ScalarField) -> InteriorField:
-    """Conformal factor |d(x+iy)/du|^2 of a plane chart, by differences.
-
-    The two fields sample the chart coordinates over one parameter grid
-    (u along rows, v down columns).  Central first differences give the
-    tangent vectors; the chart must be conformal, i.e. both tangents equal
-    in length and orthogonal, within 10*h^2 relative to the metric size,
-    otherwise ConformalityError is raised.
-    """
-    if x_field.values.shape != y_field.values.shape:
-        raise ValueError("coordinate fields must share one grid shape")
-    if x_field.domain != y_field.domain:
-        raise ValueError("coordinate fields must share one parameter domain")
-    hu, hv = x_field.h_x, x_field.h_y
-    xv, yv = x_field.values, y_field.values
-    x_u = (xv[1:-1, 2:] - xv[1:-1, :-2]) / (2.0 * hu)
-    y_u = (yv[1:-1, 2:] - yv[1:-1, :-2]) / (2.0 * hu)
-    x_v = (xv[2:, 1:-1] - xv[:-2, 1:-1]) / (2.0 * hv)
-    y_v = (yv[2:, 1:-1] - yv[:-2, 1:-1]) / (2.0 * hv)
-    along_u = x_u * x_u + y_u * y_u
-    along_v = x_v * x_v + y_v * y_v
-    cross = x_u * x_v + y_u * y_v
-    h = max(hu, hv)
-    scale = 1.0 + max(float(np.max(along_u)), float(np.max(along_v)))
-    bound = 10.0 * h * h * scale
-    stretch_gap = float(np.max(np.abs(along_u - along_v)))
-    skew = float(np.max(np.abs(cross)))
-    if stretch_gap > bound or skew > bound:
-        raise ConformalityError(
-            "chart is not conformal within tolerance: "
-            f"length gap {stretch_gap:.3e}, skew {skew:.3e}, bound {bound:.3e}"
-        )
-    return InteriorField(along_u, 1, hu, hv)

@@ -27,6 +27,8 @@ import numpy as np
 DIV_EPS = 1e-300
 # Default absolute tolerance for contour integration.
 DEFAULT_QUAD_TOL = 1e-10
+# Relative panel tolerance, so integrands far above 1 converge in double precision.
+QUAD_REL_TOL = 1e-12
 # Hard cap on adaptive panels per integration call.
 MAX_PANELS = 10_000
 
@@ -588,9 +590,9 @@ def contour_integral(
 ) -> complex | np.ndarray:
     """Integrate expr along the polyline with adaptive Gauss-Legendre panels.
 
-    Each panel uses a 10-point rule; a panel is accepted when the two-half
-    refinement agrees with it within the panel's share of the absolute
-    tolerance, and is bisected otherwise.  Exceeding `max_panels` raises
+    Each panel uses a 10-point rule and is bisected until its two halves
+    agree with it within the larger of its share of the absolute tolerance
+    and QUAD_REL_TOL times its value.  Exceeding `max_panels` raises
     QuadratureError.  Singularities on the path surface as SingularityError
     from evaluation.  An array contour gives a complex128 array of its
     shape: each element is a polyline with its own `tol` and `max_panels`.
@@ -638,7 +640,7 @@ def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None
             expr, za[live], dz[live], np.stack((t0, tm), 1), np.stack((tm, t1), 1)
         ).T
         fine = left + right
-        done = np.abs(fine - coarse) <= share
+        done = np.abs(fine - coarse) <= np.maximum(share, QUAD_REL_TOL * np.abs(fine))
         acc[live[done]] += fine[done]
         depth[live] += np.where(done, -1, 1)
         rows, row_top = live[~done], top[~done]

@@ -141,13 +141,6 @@ class SurfaceSample:
         )
         return ScalarField(shifted, self.ell.copy())
 
-    def coordinate_fields(self) -> tuple[ScalarField, ScalarField]:
-        """x and y as fields over the parameter grid, for metric checks."""
-        return (
-            ScalarField(self.domain, self.x.copy()),
-            ScalarField(self.domain, self.y.copy()),
-        )
-
 
 def gauss_curvature(H: float, phi):
     """K = H^2 - |phi|^2, scalar or array; CurvatureOverflowError past the float range."""
@@ -227,12 +220,6 @@ def analytic_curvature(
     """(K, is_umbilic) at z, from the curvature potential."""
     p = holo.evaluate(data.phi(), {"z": complex(z)})
     return gauss_curvature(H, p), bool(abs(p) < umbilic_tol)
-
-
-def induced_metric(data: WeierstrassData, z: complex) -> float:
-    """Conformal factor |omega_hat(z)|^2; identical for every H."""
-    w = holo.evaluate(data.omega_hat, {"z": complex(z)})
-    return abs(w) ** 2
 
 
 def synthesize(

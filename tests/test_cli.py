@@ -62,6 +62,30 @@ def test_analyze_from_generators_reports_deviation(tmp_path, capsys):
     assert "max |K_fd - K|" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("h2, omega", [("z", "exp(z)"), ("z^2", "1/(z+4)")])
+def test_analyze_checks_curved_charts_at_second_order(tmp_path, capsys, h2, omega):
+    # omega = 1/(z+4) has no closed-form integral, so that lift runs on quadrature
+    devs = []
+    for grid in ("101x101", "201x201"):
+        argv = ("analyze", "--h2", h2, "--omega", omega, "--grid", grid, "-o", grid)
+        assert run(tmp_path, *argv) == 0
+        devs.append(load_report(tmp_path, f"{grid}.json")["curvature"]["max_dev_K"])
+    assert devs[0] < 1e-2
+    assert 3.5 <= devs[0] / devs[1] <= 4.5
+    assert "max |K_fd - K|" in capsys.readouterr().out
+
+
+def test_analyze_grid_file_of_a_curved_chart(tmp_path):
+    argv = ("--h2", "z", "--omega", "exp(z)", "--H", "0.5", "--grid", "41x41")
+    assert run(tmp_path, "lift", *argv, "-o", "curved") == 0
+    with pytest.raises(weierstrass.NonGraphSampleError):
+        io_mesh.read_grid(tmp_path / "curved.grid").as_height_field()
+    assert run(tmp_path, "analyze", "--grid-file", str(tmp_path / "curved.grid")) == 0
+    doc = load_report(tmp_path, "analyze.json")
+    assert doc["curvature"]["max_dev_H"] < 1e-2
+    assert doc["curvature"]["max_dev_K"] is None
+
+
 def test_classify_constants(tmp_path, capsys):
     assert run(tmp_path, "classify", "--H", "1", "--K", "-1") == 0
     assert "HyperbolicParaboloid" in capsys.readouterr().out
@@ -160,6 +184,18 @@ def test_pde_from_generators(tmp_path):
     assert doc["pde"]["is_quadratic"] is False
     lo, hi = doc["pde"]["hessian_interval"]
     assert lo < hi  # unbounded-K family: the determinant genuinely varies
+
+
+@pytest.mark.parametrize("tol, quadratic", [((), False), (("--tol", "fit=1e-2"), True)])
+def test_classify_and_pde_read_the_same_fit_tolerance(tmp_path, capsys, tol, quadratic):
+    source = ("--f", "x^2 + 0.001*x^3", "--grid", "41x41", *tol)
+    assert run(tmp_path, "classify", *source) == 0
+    assert run(tmp_path, "pde", *source) == 0
+    classified, pde = capsys.readouterr().out.splitlines()
+    assert ("NonQuadric" not in classified) is quadratic
+    assert pde.endswith(f"quadratic: {quadratic}")
+    label = load_report(tmp_path, "classify.json")["classification"]["label"]
+    assert (label != "NonQuadric") is load_report(tmp_path, "pde.json")["pde"]["is_quadratic"]
 
 
 def test_version_flag(capsys):
@@ -317,6 +353,8 @@ def test_vdist_rejects_a_non_finite_h(tmp_path, capsys, H):
         # |z+1|^1101 passes the float range on the square
         ("(z+1)^1100", 1, "error: evaluation overflowed to a non-finite value"),
         ("(z/2+0.5)^1100", 0, "lift: wrote"),
+        # about 1e105 on the square: converges on the relative panel tolerance
+        ("(z^2+1)^300", 0, "lift: wrote"),
     ],
 )
 def test_lift_of_a_power_past_the_term_cap(tmp_path, capsys, h2, code, message):

@@ -1,4 +1,4 @@
-"""Finite-difference curvature, PDE views, quadratic fit, chart metric."""
+"""Finite-difference curvature on graphs and on curved charts, PDE views, quadratic fit."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from isocmc import classify, weierstrass
 from isocmc.graphgeo import (
-    ConformalityError,
     GridTooSmallError,
     Rect,
     ScalarField,
     StencilOverflowError,
     fd_gauss_curvature,
+    fd_chart_curvature,
     fd_mean_curvature,
-    fd_metric,
     pde_analyze,
     quadratic_test,
 )
@@ -237,47 +236,82 @@ def test_quadratic_test_needs_seven_nodes():
 
 
 # ---------------------------------------------------------------------------
-# chart metric
+# curved charts: the chain rule over the parameter lattice
+
+
+def chart_from(rect: Rect, n: int, chart, height):
+    """ell = height(x, y) sampled at the chart points (x, y) = chart(u, v)."""
+    u, v = np.meshgrid(rect.x_nodes(n), rect.y_nodes(n))
+    x, y = chart(u, v)
+    return ScalarField(rect, height(x, y)), x, y
 
 
 def test_fd_metric_identity_chart():
-    xf = field_from(SQUARE, 21, 21, lambda x, y: x)
-    yf = field_from(SQUARE, 21, 21, lambda x, y: y)
-    e = fd_metric(xf, yf)
-    assert np.max(np.abs(e.values - 1.0)) < 1e-13
+    f, x, y = chart_from(SQUARE, 21, lambda u, v: (u, v), lambda x, y: x * x + y * y)
+    lap, hess, jac = fd_chart_curvature(f, x, y)
+    assert np.max(np.abs(jac - 1.0)) < 1e-13
+    assert np.max(np.abs(lap - 4.0)) < 1e-11
+    assert np.max(np.abs(hess - 4.0)) < 1e-11
 
 
 def test_fd_metric_rotated_chart_is_isometric():
     t = 0.7
-    xf = field_from(SQUARE, 21, 21, lambda u, v: np.cos(t) * u - np.sin(t) * v)
-    yf = field_from(SQUARE, 21, 21, lambda u, v: np.sin(t) * u + np.cos(t) * v)
-    e = fd_metric(xf, yf)
-    assert np.max(np.abs(e.values - 1.0)) < 1e-12
+    rotation = lambda u, v: (np.cos(t) * u - np.sin(t) * v, np.sin(t) * u + np.cos(t) * v)
+    f, x, y = chart_from(SQUARE, 21, rotation, lambda x, y: x * y)
+    lap, hess, jac = fd_chart_curvature(f, x, y)
+    assert np.max(np.abs(jac - 1.0)) < 1e-12
+    assert np.max(np.abs(lap)) < 1e-10
+    assert np.max(np.abs(hess + 1.0)) < 1e-10
 
 
 def test_fd_metric_conformal_exponential_chart():
     rect = Rect(-0.5, 0.5, -0.5, 0.5)
-    xf = field_from(rect, 51, 51, lambda u, v: np.exp(u) * np.cos(v))
-    yf = field_from(rect, 51, 51, lambda u, v: np.exp(u) * np.sin(v))
-    e = fd_metric(xf, yf)
+    exp_chart = lambda u, v: (np.exp(u) * np.cos(v), np.exp(u) * np.sin(v))
+    f, x, y = chart_from(rect, 51, exp_chart, lambda x, y: x * x)
+    _, _, jac = fd_chart_curvature(f, x, y)
     u = rect.x_nodes(51)[1:-1]
-    uu = np.broadcast_to(u, e.values.shape)
-    assert np.max(np.abs(e.values - np.exp(2 * uu)) / np.exp(2 * uu)) < 1e-3
+    uu = np.broadcast_to(u, jac.shape)
+    assert np.max(np.abs(jac - np.exp(2 * uu)) / np.exp(2 * uu)) < 1e-3
 
 
-def test_fd_metric_rejects_sheared_chart():
-    xf = field_from(SQUARE, 21, 21, lambda u, v: u + 0.5 * v)
-    yf = field_from(SQUARE, 21, 21, lambda u, v: v)
-    with pytest.raises(ConformalityError):
-        fd_metric(xf, yf)
+def test_fd_chart_curvature_is_exact_on_a_sheared_chart():
+    # an affine chart makes ell quadratic in (u, v), where central differences are exact
+    f, x, y = chart_from(
+        SQUARE, 21, lambda u, v: (u + 0.5 * v, v), lambda x, y: 1.5 * x * x - x * y + 0.25 * y * y
+    )
+    lap, hess, jac = fd_chart_curvature(f, x, y)
+    assert np.max(np.abs(jac - 1.0)) < 1e-13
+    assert np.max(np.abs(lap - 3.5)) < 1e-10
+    assert np.max(np.abs(hess - (3.0 * 0.5 - 1.0))) < 1e-10
 
 
-def test_fd_metric_rejects_mismatched_grids():
-    xf = field_from(SQUARE, 21, 21, lambda u, v: u)
-    yf = field_from(SQUARE, 23, 21, lambda u, v: v)
-    with pytest.raises(ValueError):
-        fd_metric(xf, yf)
-    other = Rect(0.0, 1.0, 0.0, 1.0)
-    yf2 = field_from(other, 21, 21, lambda u, v: v)
-    with pytest.raises(ValueError):
-        fd_metric(xf, yf2)
+def test_fd_chart_curvature_converges_at_second_order():
+    rect = Rect(-0.5, 0.5, -0.5, 0.5)
+    exp_chart = lambda u, v: (np.exp(u) * np.cos(v), np.exp(u) * np.sin(v))
+    height = lambda x, y: np.sin(2 * x) * np.cos(3 * y)
+
+    def errors(n):
+        f, x, y = chart_from(rect, n, exp_chart, height)
+        lap, hess, _ = fd_chart_curvature(f, x, y)
+        xi, yi = x[1:-1, 1:-1], y[1:-1, 1:-1]
+        fxx = -4 * np.sin(2 * xi) * np.cos(3 * yi)
+        fyy = -9 * np.sin(2 * xi) * np.cos(3 * yi)
+        fxy = -6 * np.cos(2 * xi) * np.sin(3 * yi)
+        return np.max(np.abs(lap - (fxx + fyy))), np.max(np.abs(hess - (fxx * fyy - fxy**2)))
+
+    coarse, fine = errors(51), errors(101)
+    for c, g in zip(coarse, fine):
+        assert 3.5 <= c / g <= 4.5
+
+
+def test_fd_chart_curvature_named_errors(recwarn):
+    # x = u^2 folds the chart along u = 0, where det J vanishes
+    f, x, y = chart_from(SQUARE, 9, lambda u, v: (u * u, v), lambda x, y: x + y)
+    with pytest.raises(StencilOverflowError):
+        fd_chart_curvature(f, x, y)
+    f, x, y = chart_from(SQUARE, 9, lambda u, v: (u, v), lambda x, y: 1e200 * (x * x + y * y))
+    with pytest.raises(StencilOverflowError, match="float range"):
+        fd_chart_curvature(f, x, y)
+    assert not recwarn.list
+    with pytest.raises(ValueError, match="grid shape"):
+        fd_chart_curvature(f, x[:, :-1], y)

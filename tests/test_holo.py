@@ -1,6 +1,7 @@
 """Expression engine: parsing, evaluation, calculus, quadrature."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -391,6 +392,20 @@ def test_contour_integral_path_independence():
 def test_contour_integral_panel_budget():
     with pytest.raises(QuadratureError):
         contour_integral(parse("sin(20*z)"), Contour((0.0, 10.0)), max_panels=2)
+
+
+def test_contour_integral_converges_on_huge_integrands():
+    # (z^2+1)^300 reaches 5^150 ~ 1e105 on the path: no panel meets the absolute
+    # 1e-10, so panels are accepted on holo.QUAD_REL_TOL of their own value
+    e = parse("(z^2+1)^300")
+    assert antiderivative(e) is None  # 301 terms, past MAX_POLY_TERMS
+    # exact primitive sum_k C(300, k) z^(2k+1) / (2k+1) at z = 1 + i, where z^2 = 2i
+    terms = [Fraction(math.comb(300, k) * 2**k, 2 * k + 1) for k in range(301)]
+    re = sum(terms[0::4]) - sum(terms[2::4])  # i^k = 1, -1
+    im = sum(terms[1::4]) - sum(terms[3::4])  # i^k = i, -i
+    exact = complex(float(re - im), float(re + im))  # times 1 + i
+    for path in ((0.0, 1 + 1j), (0.0, 1.0, 1 + 1j)):
+        assert abs(contour_integral(e, Contour(path)) - exact) < 1e-12 * abs(exact)
 
 
 def test_contour_integral_rejects_bad_tolerance():

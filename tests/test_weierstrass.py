@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isocmc import holo, weierstrass
-from isocmc.graphgeo import Rect, fd_metric
+from isocmc.graphgeo import Rect, ScalarField, fd_chart_curvature
 from isocmc.weierstrass import (
     LiftParams,
     NonGraphSampleError,
@@ -16,7 +16,6 @@ from isocmc.weierstrass import (
     enneper_data,
     exp_data,
     height,
-    induced_metric,
     planar_map,
     synthesize,
     synthesize_family,
@@ -141,10 +140,16 @@ def test_gauss_curvature_overflow_is_a_named_error():
 
 
 def test_induced_metric():
-    assert induced_metric(exp_data(), 2.3 - 1j) == 1.0
+    # the metric |omega_hat|^2 |dz|^2 comes from the chart alone, so H never changes it
     data = WeierstrassData(ONE, holo.Exp(Z))
-    assert induced_metric(data, 1.0) == pytest.approx(math.e**2, rel=1e-14)
-    assert induced_metric(data, 0.5 + 2j) == pytest.approx(math.exp(1.0), rel=1e-14)
+    flat, bowl = synthesize_family(data, [0.0, 2.0], Rect(-0.5, 0.5, -0.5, 0.5), 21, 21)
+    jacs = [
+        fd_chart_curvature(ScalarField(s.domain, s.ell), s.x, s.y)[2] for s in (flat, bowl)
+    ]
+    assert np.array_equal(jacs[0], jacs[1])
+    sample = synthesize(exp_data(), LiftParams(1.0, SQUARE, 21, 21))
+    _, _, jac = fd_chart_curvature(ScalarField(SQUARE, sample.ell), sample.x, sample.y)
+    assert np.max(np.abs(jac - 1.0)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +279,12 @@ def test_coordinate_fields_carry_the_conformal_factor():
     data = WeierstrassData(ONE, holo.Exp(Z))
     rect = Rect(-0.5, 0.5, -0.5, 0.5)
     sample = synthesize(data, LiftParams(0.0, rect, 51, 51))
-    xf, yf = sample.coordinate_fields()
-    e = fd_metric(xf, yf)
-    u = rect.x_nodes(51)[1:-1]
-    want = np.exp(2.0 * np.broadcast_to(u, e.values.shape))
-    assert np.max(np.abs(e.values - want) / want) < 1e-3
-    # and the factor is what induced_metric promises pointwise
-    assert induced_metric(data, 0.25) == pytest.approx(math.exp(0.5), rel=1e-14)
+    _, _, jac = fd_chart_curvature(ScalarField(rect, sample.ell), sample.x, sample.y)
+    # a conformal chart has det J = |omega_hat|^2
+    uu, vv = rect.mesh(51, 51)
+    omega = holo.evaluate(data.omega_hat, {"z": uu + 1j * vv})[1:-1, 1:-1]
+    want = np.abs(omega) ** 2
+    assert np.max(np.abs(jac - want) / want) < 1e-3
 
 
 def test_lift_params_validation():
