@@ -136,15 +136,14 @@ def classify_sample(
 ) -> ClassificationResult:
     """Classify a sampled graph; non-quadrics come back labeled NonQuadric.
 
-    Accepts a graph-mode surface sample or a plain height field.  The height
-    is fitted by least squares; linear and constant terms are dropped as the
-    translational part of an ambient isometry, and the quadratic part is
-    diagonalized by a planar rotation.  `fit_tol` bounds the relative fit
-    residual, as in quadratic_test, and `tol` the zero tests on the
-    recovered constants.
+    Accepts a surface sample, over any chart, or a plain height field.  The
+    height is fitted by least squares over the chart nodes; linear and
+    constant terms are dropped as the translational part of an ambient
+    isometry, and the quadratic part is diagonalized by a planar rotation.
+    `fit_tol` bounds the relative fit residual, as in quadratic_test, and
+    `tol` the zero tests on the recovered constants.
     """
-    field = sample.as_height_field() if isinstance(sample, SurfaceSample) else sample
-    is_quad, coeffs = quadratic_test(field, fit_tol)
+    is_quad, coeffs = quadratic_test(*sample.height_chart(), fit_tol)
     if not is_quad:
         return ClassificationResult(SurfaceClass.NON_QUADRIC, None, None, None, None)
     _, _, _, d, e, g = (float(c) for c in coeffs)

@@ -118,13 +118,27 @@ def _synthesize(args, tols) -> weierstrass.SurfaceSample:
     return weierstrass.synthesize(data, params, tol=tols["quadrature"])
 
 
-def _height_source(args, tols) -> weierstrass.SurfaceSample | ScalarField:
-    """What --f, --grid-file or --h2/--omega names, looked up in that order."""
-    if args.f:
-        return _field_from_args(args)
-    if args.grid_file:
-        return io_mesh.read_grid(args.grid_file)
-    return _synthesize(args, tols)
+def _height_source(args, parser, tols) -> weierstrass.SurfaceSample | ScalarField | None:
+    """The one source of heights the arguments name, read or synthesized.
+
+    The sources are --f, --grid-file and --h2/--omega, plus --K in classify,
+    as far as the subcommand has them.  None or two of them are a usage
+    error.  --K names constants, not heights, and gives None.
+    """
+    sources = {"--grid-file": args.grid_file, "--h2/--omega": args.h2 or args.omega}
+    if hasattr(args, "f"):
+        sources["--f"] = args.f
+    if hasattr(args, "K"):
+        sources["--K"] = args.K is not None
+    if sum(bool(named) for named in sources.values()) != 1:
+        parser.error(f"{args.command} needs exactly one of {', '.join(sources)}")
+    if sources.get("--K"):
+        return None
+    if sources["--h2/--omega"]:
+        if not (args.h2 and args.omega):
+            parser.error("--h2 and --omega go together")
+        return _synthesize(args, tols)
+    return _field_from_args(args) if sources.get("--f") else io_mesh.read_grid(args.grid_file)
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +165,11 @@ def cmd_lift(args, parser, tols: dict) -> int:
 
 
 def cmd_analyze(args, parser, tols: dict) -> int:
-    if args.grid_file:
-        sample = io_mesh.read_grid(args.grid_file)
-        if isinstance(sample, ScalarField):
-            parser.error("analyze expects a surface grid file; use pde for plain fields")
-    else:
-        if not (args.h2 and args.omega):
-            parser.error("analyze needs --h2 and --omega, or --grid-file")
-        sample = _synthesize(args, tols)
-    try:
-        field = sample.as_height_field()
-    except weierstrass.NonGraphSampleError:  # a curved chart: differentiate over (u, v)
-        ell = ScalarField(sample.domain, sample.ell)
-        lap, k_fd, _ = graphgeo.fd_chart_curvature(ell, sample.x, sample.y)
-    else:
-        pde = graphgeo.pde_analyze(field)
-        lap, k_fd = pde.laplacian.values, pde.hessian_det.values
-    h_fd = 0.5 * lap
+    sample = _height_source(args, parser, tols)
+    if isinstance(sample, ScalarField):
+        parser.error("analyze expects a surface grid file; use pde for plain fields")
+    pde = graphgeo.pde_analyze(*sample.height_chart())
+    h_fd, k_fd = 0.5 * pde.laplacian, pde.hessian_det
     block = {
         "H_input": float(sample.H),
         "H_fd": _stats(h_fd),
@@ -197,17 +199,13 @@ def cmd_analyze(args, parser, tols: dict) -> int:
 
 
 def cmd_classify(args, parser, tols: dict) -> int:
-    sources = [args.K is not None, bool(args.grid_file), bool(args.f), bool(args.h2)]
-    if sum(sources) != 1:
-        parser.error("classify needs exactly one of --K, --grid-file, --f, or --h2/--omega")
+    source = _height_source(args, parser, tols)
     extra: dict = {}
-    if args.K is not None:
+    if source is None:
         result = classify.label_from_constants(args.H, args.K, tols["zero"])
         extra = {"K": args.K}
     else:
-        if args.h2 and not args.omega:
-            parser.error("--h2 needs --omega")
-        result = classify.classify_sample(_height_source(args, tols), tols["zero"], tols["fit"])
+        result = classify.classify_sample(source, tols["zero"], tols["fit"])
     report = io_mesh.ReportDoc(
         inputs=_inputs_block(args, tols, **extra),
         classification=io_mesh.classification_block(result),
@@ -292,33 +290,29 @@ def cmd_vdist(args, parser, tols: dict) -> int:
 
 
 def cmd_pde(args, parser, tols: dict) -> int:
-    if not (args.f or args.grid_file or (args.h2 and args.omega)):
-        parser.error("pde needs --f, --grid-file, or --h2/--omega")
-    source = _height_source(args, tols)
-    if isinstance(source, ScalarField):
-        field, h_for_tol = source, 0.0
-    else:
-        field, h_for_tol = source.as_height_field(), source.H
-    rep = graphgeo.pde_analyze(field, _const_tol(tols, h_for_tol))
-    is_quad, _ = graphgeo.quadratic_test(field, tols["fit"])
+    source = _height_source(args, parser, tols)
+    field, x, y = source.height_chart()
+    rep = graphgeo.pde_analyze(field, x, y, _const_tol(tols, getattr(source, "H", 0.0)))
+    is_quad, _ = graphgeo.quadratic_test(field, x, y, tols["fit"])
+    lap, hess = _stats(rep.laplacian), _stats(rep.hessian_det)
     report = io_mesh.ReportDoc(
         inputs=_inputs_block(args, tols),
         extra={
             "pde": {
-                "laplacian": _stats(rep.laplacian.values),
-                "hessian_det": _stats(rep.hessian_det.values),
+                "laplacian": lap,
+                "hessian_det": hess,
                 "is_constant_laplacian": rep.is_constant_laplacian,
                 "const_tol": rep.const_tol,
-                "hessian_interval": list(rep.hessian_interval),
+                "hessian_interval": [hess["min"], hess["max"]],
                 "is_quadratic": bool(is_quad),
             }
         },
     )
     io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
     print(
-        f"pde: laplacian in [{rep.laplacian.min:g}, {rep.laplacian.max:g}] "
+        f"pde: laplacian in [{lap['min']:g}, {lap['max']:g}] "
         f"(constant: {rep.is_constant_laplacian}), hessian det in "
-        f"[{rep.hessian_det.min:g}, {rep.hessian_det.max:g}], quadratic: {is_quad}"
+        f"[{hess['min']:g}, {hess['max']:g}], quadratic: {is_quad}"
     )
     return 0
 

@@ -2,11 +2,12 @@
 
 For a graph over the plane the mean curvature is half the Laplacian of f
 and the Gauss curvature is the determinant of its Hessian, so both are
-computable from samples alone with central differences.  Heights sampled
-on a curved chart (x, y)(u, v) are differentiated on the parameter lattice
-and carried over by the chain rule.  This module never looks at the
-holomorphic side; it is the independent check against the synthesized
-surfaces.
+computable from samples alone with central differences.  Every source of
+heights comes in one form: ell on a parameter lattice and the chart
+(x, y) at its nodes.  On a translated lattice the lattice differences are
+the (x, y) derivatives; on a curved chart they are carried over by the
+chain rule.  This module never looks at the holomorphic side; it is the
+independent check against the synthesized surfaces.
 
 All stencils are interior only: outputs drop a one-node margin.
 """
@@ -21,6 +22,8 @@ import numpy as np
 DEFAULT_CONST_TOL = 1e-6
 # Default relative residual bound for the quadratic fit test.
 DEFAULT_QUAD_FIT_TOL = 1e-8
+# Agreement required of a chart with a translated lattice to count as one.
+GRAPH_TOL = 1e-9
 
 
 class GridTooSmallError(ValueError):
@@ -33,6 +36,10 @@ class DegenerateFitError(ValueError):
 
 class StencilOverflowError(ValueError):
     """A finite-difference curvature left the float range."""
+
+
+class FoldedChartError(ValueError):
+    """det J = d(x, y)/d(u, v) vanishes or changes sign on the chart."""
 
 
 @dataclass(frozen=True)
@@ -99,42 +106,32 @@ class ScalarField:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return self.domain.mesh(self.n_x, self.n_y)
 
-
-@dataclass
-class InteriorField:
-    """Values on the interior nodes left after dropping the outer ring."""
-
-    values: np.ndarray
-
-    @property
-    def min(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def max(self) -> float:
-        return float(self.values.max())
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
+    def height_chart(self) -> tuple[ScalarField, np.ndarray, np.ndarray]:
+        """The heights and their chart: a plain field is a graph over its own mesh."""
+        return (self, *self.meshgrid())
 
 
 @dataclass
 class PdeReport:
-    """Pointwise Laplacian / Hessian-determinant view of a height field."""
+    """Interior Laplacian, Hessian determinant and det J of a height field."""
 
-    laplacian: InteriorField
-    hessian_det: InteriorField
+    laplacian: np.ndarray
+    hessian_det: np.ndarray
+    jacobian: np.ndarray
     is_constant_laplacian: bool
     const_tol: float
 
-    @property
-    def laplacian_range(self) -> tuple[float, float]:
-        return (self.laplacian.min, self.laplacian.max)
 
-    @property
-    def hessian_interval(self) -> tuple[float, float]:
-        return (self.hessian_det.min, self.hessian_det.max)
+def lattice_shift(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """(c_x, c_y) if the chart (x, y) is f's lattice moved by it, else None.
+
+    The chart counts as a translated lattice when no node lies farther than
+    GRAPH_TOL from the lattice node shifted by the first node's offset.
+    """
+    x_nodes, y_nodes = f.domain.x_nodes(f.n_x), f.domain.y_nodes(f.n_y)[:, None]
+    cx, cy = float(x[0, 0] - x_nodes[0]), float(y[0, 0] - y_nodes[0, 0])
+    gap = max(np.max(np.abs(x - (x_nodes + cx))), np.max(np.abs(y - (y_nodes + cy))))
+    return (cx, cy) if gap <= GRAPH_TOL else None
 
 
 def _first_differences(v: np.ndarray, hu: float, hv: float) -> tuple[np.ndarray, ...]:
@@ -159,41 +156,22 @@ def _finite(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _curvature_stencils(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Interior Laplacian f_xx + f_yy and Hessian determinant f_xx*f_yy - f_xy^2.
+def _chain_rule(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Laplacian and Hessian determinant over a curved chart, and det J.
 
-    One run of the central second differences.  If either leaves the float
-    range, StencilOverflowError is raised and no warning leaks.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_xx, f_yy, f_xy = _second_differences(f.values, f.h_x, f.h_y)
-        lap, hess = f_xx + f_yy, f_xx * f_yy - f_xy * f_xy
-    return _finite(lap, hess)
-
-
-def fd_chart_curvature(
-    f: ScalarField, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interior Laplacian and Hessian determinant of ell over (x, y), and det J.
-
-    f samples ell on the parameter lattice (u along rows, v down columns)
-    and x, y are the chart coordinates at the same nodes.  With
-    J = d(x, y)/d(u, v) and p = J^-T grad_uv ell, the chain rule gives
+    With J = d(x, y)/d(u, v) and p = J^-T grad_uv ell,
 
         Hess_xy ell = J^-T (Hess_uv ell - p_x Hess_uv x - p_y Hess_uv y) J^-1
 
-    with every derivative a central difference, so the error is second
-    order in the spacing.  A value past the float range, or a chart that
-    folds (det J = 0), raises StencilOverflowError.
+    with every derivative a central difference on the (u, v) lattice.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != f.values.shape or y.shape != f.values.shape:
-        raise ValueError("chart coordinates must share the field's grid shape")
     hu, hv = f.h_x, f.h_y
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         first = (_first_differences(a, hu, hv) for a in (x, y, f.values))
         (x_u, x_v), (y_u, y_v), (f_u, f_v) = first
-        jac = x_u * y_v - x_v * y_u
+        (jac,) = _finite(x_u * y_v - x_v * y_u)
+        if not (np.all(jac > 0) or np.all(jac < 0)):
+            raise FoldedChartError("the chart (x, y) folds: det J vanishes or changes sign")
         p_x, p_y = (f_u * y_v - f_v * y_u) / jac, (x_u * f_v - x_v * f_u) / jac
         second = (_second_differences(a, hu, hv) for a in (f.values, x, y))
         m_uu, m_vv, m_uv = (f_2 - p_x * x_2 - p_y * y_2 for f_2, x_2, y_2 in zip(*second))
@@ -201,42 +179,44 @@ def fd_chart_curvature(
         e, g, c = x_u * x_u + y_u * y_u, x_v * x_v + y_v * y_v, x_u * x_v + y_u * y_v
         lap = (g * m_uu - 2.0 * c * m_uv + e * m_vv) / (jac * jac)
         hess = (m_uu * m_vv - m_uv * m_uv) / (jac * jac)
-    return _finite(lap, hess, jac)
+    return _finite(lap, hess) + (jac,)
 
 
-def fd_mean_curvature(f: ScalarField) -> InteriorField:
-    """Half the finite-difference Laplacian, second order in the spacing."""
-    lap, _ = _curvature_stencils(f)
-    return InteriorField(0.5 * lap)
+def pde_analyze(
+    f: ScalarField, x: np.ndarray, y: np.ndarray, const_tol: float = DEFAULT_CONST_TOL
+) -> PdeReport:
+    """Interior Laplacian and Hessian determinant of ell over the chart (x, y).
 
-
-def fd_gauss_curvature(f: ScalarField) -> InteriorField:
-    """Finite-difference Hessian determinant f_xx*f_yy - f_xy^2."""
-    _, hess = _curvature_stencils(f)
-    return InteriorField(hess)
-
-
-def pde_analyze(f: ScalarField, const_tol: float = DEFAULT_CONST_TOL) -> PdeReport:
-    """Report the Laplacian and Hessian determinant of a height field.
-
-    The stencils run once.  The Laplacian array is exactly twice
-    fd_mean_curvature (halving is exact above the subnormal range) and the
-    Hessian determinant exactly fd_gauss_curvature, node for node.  The
-    Laplacian is flagged constant when its spread (max - min) stays below
-    const_tol.  Values past the float range raise StencilOverflowError.
+    f samples ell on the parameter lattice (u along rows, v down columns)
+    and x, y are the chart at the same nodes.  On a translated lattice
+    (lattice_shift) the central second differences of f are the (x, y)
+    derivatives and det J is 1; on any other chart the chain rule carries
+    them over.  The Laplacian counts as constant when its spread stays
+    below const_tol.  A value past the float range raises
+    StencilOverflowError, and a chart that folds FoldedChartError.
     """
     if const_tol <= 0:
         raise ValueError("const_tol must be positive")
-    lap, hess = (InteriorField(a) for a in _curvature_stencils(f))
-    spread = lap.max - lap.min
-    return PdeReport(lap, hess, bool(spread < const_tol), const_tol)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != f.values.shape or y.shape != f.values.shape:
+        raise ValueError("chart coordinates must share the field's grid shape")
+    if lattice_shift(f, x, y) is None:
+        lap, hess, jac = _chain_rule(f, x, y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_xx, f_yy, f_xy = _second_differences(f.values, f.h_x, f.h_y)
+            lap, hess = _finite(f_xx + f_yy, f_xx * f_yy - f_xy * f_xy)
+        jac = np.ones_like(lap)
+    spread = float(lap.max() - lap.min())
+    return PdeReport(lap, hess, jac, bool(spread < const_tol), const_tol)
 
 
 def quadratic_test(
-    f: ScalarField, tol: float = DEFAULT_QUAD_FIT_TOL
+    f: ScalarField, x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_QUAD_FIT_TOL
 ) -> tuple[bool, np.ndarray]:
-    """Least squares test for f = a + b*x + c*y + d*x^2 + e*x*y + g*y^2.
+    """Least squares test for ell = a + b*x + c*y + d*x^2 + e*x*y + g*y^2.
 
+    The fit runs over the chart nodes (x, y), where f holds the heights.
     Returns (is_quadratic, coefficients) with coefficients ordered
     (a, b, c, d, e, g).  The fit passes when the maximum absolute residual
     stays below tol * (1 + max |f|).  Needs at least 7 nodes per axis so a
@@ -244,11 +224,8 @@ def quadratic_test(
     """
     if f.n_x < 7 or f.n_y < 7:
         raise GridTooSmallError("quadratic test needs at least 7 nodes per axis")
-    x, y = f.meshgrid()
-    xs, ys = x.ravel(), y.ravel()
-    design = np.column_stack(
-        [np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys]
-    )
+    xs, ys = np.ravel(x), np.ravel(y)
+    design = np.column_stack([np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys])
     rhs = f.values.ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import holo
-from .graphgeo import Rect, ScalarField
+from .graphgeo import Rect, ScalarField, lattice_shift
 
 # |phi| below this counts as an umbilic point.
 UMBILIC_TOL = 1e-9
-# Agreement required of (x, y) with a translated lattice in graph mode.
-GRAPH_TOL = 1e-9
 
 
 class SingularNodeError(ValueError):
@@ -115,31 +113,19 @@ class SurfaceSample:
             raise ValueError("sample carries no curvature potential")
         return np.abs(self.phi) < tol
 
-    def as_height_field(self) -> ScalarField:
-        """Reinterpret a graph-mode sample as a height field over (x, y).
+    def height_chart(self) -> tuple[ScalarField, np.ndarray, np.ndarray]:
+        """ell on the parameter lattice, and the chart (x, y) at its nodes."""
+        return ScalarField(self.domain, self.ell), self.x, self.y
 
-        Valid only when the planar map is a translation of the parameter
-        grid (omega_hat = 1 up to a constant of modulus one gives this);
-        anything else raises NonGraphSampleError.
-        """
-        uu, vv = self.domain.mesh(self.n_u, self.n_v)
-        cx = float(self.x[0, 0] - uu[0, 0])
-        cy = float(self.y[0, 0] - vv[0, 0])
-        offset = max(
-            float(np.max(np.abs(self.x - (uu + cx)))),
-            float(np.max(np.abs(self.y - (vv + cy)))),
-        )
-        if offset > GRAPH_TOL:
-            raise NonGraphSampleError(
-                f"(x, y) deviates from a translated lattice by {offset:.3e}"
-            )
-        shifted = Rect(
-            self.domain.x_min + cx,
-            self.domain.x_max + cx,
-            self.domain.y_min + cy,
-            self.domain.y_max + cy,
-        )
-        return ScalarField(shifted, self.ell.copy())
+    def as_height_field(self) -> ScalarField:
+        """A graph-mode sample as a height field over (x, y): valid only when
+        graphgeo.lattice_shift finds (x, y) a translated parameter grid, as
+        omega_hat = 1 gives; anything else raises NonGraphSampleError."""
+        shift = lattice_shift(*self.height_chart())
+        if shift is None:
+            raise NonGraphSampleError("(x, y) deviates from a translated lattice")
+        (cx, cy), d = shift, self.domain
+        return ScalarField(Rect(d.x_min + cx, d.x_max + cx, d.y_min + cy, d.y_max + cy), self.ell)
 
 
 def gauss_curvature(H: float, phi):

@@ -20,8 +20,6 @@ from isocmc.classify import (
 from isocmc.graphgeo import (
     Rect,
     ScalarField,
-    fd_gauss_curvature,
-    fd_mean_curvature,
     pde_analyze,
     quadratic_test,
 )
@@ -47,7 +45,7 @@ def test_criterion_1_constant_curvature_family():
         sample = synthesize(enneper_data(2), LiftParams(H, SQUARE, 201, 201))
         want = H * H - 1.0
         worst_analytic = max(worst_analytic, float(np.max(np.abs(sample.analytic_gauss() - want))))
-        k_fd = fd_gauss_curvature(sample.as_height_field()).values
+        k_fd = pde_analyze(*sample.height_chart()).hessian_det
         worst_fd = max(worst_fd, float(np.max(np.abs(k_fd - want))))
         if H == 1.0:
             label = classify_sample(sample).label
@@ -73,7 +71,7 @@ def test_criterion_2_exponential_family():
     sample = synthesize(exp_data(), LiftParams(H, SQUARE, 201, 201))
     want = H * H - np.exp(2.0 * sample.x)
     dev_analytic = float(np.max(np.abs(sample.analytic_gauss() - want)))
-    k_fd = fd_gauss_curvature(sample.as_height_field()).values
+    k_fd = pde_analyze(*sample.height_chart()).hessian_det
     dev_fd = float(np.max(np.abs(k_fd - want[1:-1, 1:-1])))
     umbilics = umbilic_scan(exp_data(), Rect(-2, 2, -2, 2), (101, 101))
     elapsed = time.perf_counter() - start
@@ -178,18 +176,18 @@ def test_criterion_6_pde_views():
     const_ok = True
     for H, K in pairs:
         field = canonical_form(H, K).as_field(SQUARE, 41, 41)
-        report = pde_analyze(field, const_tol=1e-8)
-        lo, hi = report.laplacian_range
+        report = pde_analyze(*field.height_chart(), const_tol=1e-8)
+        lo, hi = report.laplacian.min(), report.laplacian.max()
         const_ok &= report.is_constant_laplacian and (hi - lo) < 1e-8
         worst_lap = max(worst_lap, abs(lo - 2 * H), abs(hi - 2 * H))
         worst_hess = max(
-            worst_hess, float(np.max(np.abs(report.hessian_det.values - K)))
+            worst_hess, float(np.max(np.abs(report.hessian_det - K)))
         )
-        quad_ok &= quadratic_test(field)[0]
+        quad_ok &= quadratic_test(*field.height_chart())[0]
     cubic_like_rejected = True
     for n in (3, 4):
         sample = synthesize(enneper_data(n), LiftParams(1.0, SQUARE, 41, 41))
-        cubic_like_rejected &= not quadratic_test(sample.as_height_field())[0]
+        cubic_like_rejected &= not quadratic_test(*sample.height_chart())[0]
     ok = const_ok and worst_lap < 1e-8 and worst_hess < 1e-8 and quad_ok and cubic_like_rejected
     verdict(
         6,
@@ -209,8 +207,9 @@ def test_criterion_7_numerics_properties():
         fxx = -4 * np.sin(2 * xi) * np.cos(3 * yi)
         fyy = -9 * np.sin(2 * xi) * np.cos(3 * yi)
         fxy = -6 * np.cos(2 * xi) * np.sin(3 * yi)
-        eh = float(np.max(np.abs(fd_mean_curvature(f).values - 0.5 * (fxx + fyy))))
-        ek = float(np.max(np.abs(fd_gauss_curvature(f).values - (fxx * fyy - fxy**2))))
+        report = pde_analyze(f, x, y)
+        eh = float(np.max(np.abs(0.5 * report.laplacian - 0.5 * (fxx + fyy))))
+        ek = float(np.max(np.abs(report.hessian_det - (fxx * fyy - fxy**2))))
         return eh, ek
 
     coarse, fine = stencil_errors(51), stencil_errors(101)
@@ -236,9 +235,9 @@ def test_criterion_7_numerics_properties():
         sample = synthesize(data, LiftParams(H, SQUARE, 101, 101))
         analytic_ok &= float(np.max(sample.analytic_gauss())) <= H * H
     exp_sample = synthesize(exp_data(), LiftParams(0.5, SQUARE, 201, 201))
-    field = exp_sample.as_height_field()
+    field, x, y = exp_sample.height_chart()
     fd_bound = 0.25 + 10.0 * field.h_x * field.h_x
-    fd_ok = float(np.max(fd_gauss_curvature(field).values)) <= fd_bound
+    fd_ok = float(np.max(pde_analyze(field, x, y).hessian_det)) <= fd_bound
 
     ok = factor >= 3.5 and path_gap <= 2 * tol and trips == 1000 and analytic_ok and fd_ok
     verdict(

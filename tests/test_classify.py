@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isocmc import weierstrass
+from isocmc import holo, weierstrass
 from isocmc.classify import (
     CanonicalSurface,
     SurfaceClass,
@@ -173,6 +173,17 @@ def test_classify_accepts_surface_samples():
         weierstrass.enneper_data(2), weierstrass.LiftParams(1.0, SQUARE, 31, 31)
     )
     assert classify_sample(sample).label is SurfaceClass.CYLINDER
+
+
+def test_classify_fits_over_a_curved_chart():
+    # omega = exp(z) maps the square onto an annular sector; the height over it
+    # is (x^2 + y^2)/2 + x, a bowl with H = 1 and K = 1
+    data = weierstrass.WeierstrassData(holo.parse("1"), holo.parse("exp(z)"))
+    sample = weierstrass.synthesize(data, weierstrass.LiftParams(1.0, SQUARE, 31, 31))
+    result = classify_sample(sample)
+    assert result.label is SurfaceClass.CIRCULAR_PARABOLOID
+    assert result.H == pytest.approx(1.0, abs=1e-9)
+    assert result.K == pytest.approx(1.0, abs=1e-9)
 
 
 def test_classify_cubic_lift_is_not_a_quadric():

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,40 @@ def test_analyze_grid_file_of_a_curved_chart(tmp_path):
     doc = load_report(tmp_path, "analyze.json")
     assert doc["curvature"]["max_dev_H"] < 1e-2
     assert doc["curvature"]["max_dev_K"] is None
+
+
+def test_classify_and_pde_accept_curved_charts(tmp_path, capsys):
+    # ell = Re W over the chart W = exp(z) - 1 is the plane ell = x
+    assert run(tmp_path, "classify", "--h2", "1", "--omega", "exp(z)", "--grid", "41x41") == 0
+    assert capsys.readouterr().out.startswith("classify: Plane ")
+    laplacians = []
+    for grid in ("101x101", "201x201"):
+        lift = ("lift", "--h2", "z", "--omega", "exp(z)", "--H", "0.5", "--grid", grid)
+        assert run(tmp_path, *lift, "-o", grid) == 0
+        assert run(tmp_path, "pde", "--grid-file", str(tmp_path / f"{grid}.grid"), "-o", grid) == 0
+        laplacians.append(load_report(tmp_path, f"{grid}.json")["pde"]["laplacian"])
+    # 2H = 1, to second order in the spacing
+    devs = [max(abs(lap["min"] - 1.0), abs(lap["max"] - 1.0)) for lap in laplacians]
+    assert devs[0] < 1e-3
+    assert 3.5 <= devs[0] / devs[1] <= 4.5
+
+
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_SOURCES = {
+    "cubic": ("--h2", "z^3 - 0.5*i*z", "--omega", "1", "--H", "-0.75", "--grid", "23x17"),
+    "quadric": ("--f", "0.5*x^2 + x*y - y^2 + 0.3*x - 2", "--grid", "19x15"),
+}
+
+
+@pytest.mark.parametrize(
+    "source, command",
+    [("cubic", "analyze"), ("cubic", "classify"), ("cubic", "pde"),
+     ("quadric", "classify"), ("quadric", "pde")],
+)
+def test_graph_mode_reports_match_the_golden_files(tmp_path, source, command):
+    name = f"{source}_{command}"
+    assert run(tmp_path, command, *GOLDEN_SOURCES[source], "-o", name) == 0
+    assert (tmp_path / f"{name}.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_classify_constants(tmp_path, capsys):
@@ -235,6 +270,9 @@ def test_missing_generators_is_a_usage_error(tmp_path):
     assert run(tmp_path, "lift", "--h2", "z") == 2
     assert run(tmp_path, "sweep", "--H-list", "1") == 2
     assert run(tmp_path, "vdist", "--omega", "1") == 2
+    for command in ("analyze", "classify", "pde"):
+        assert run(tmp_path, command, "--h2", "z") == 2
+        assert run(tmp_path, command, "--omega", "1") == 2
 
 
 def test_unknown_tolerance_key_is_a_usage_error(tmp_path):
@@ -251,6 +289,23 @@ def test_unknown_tolerance_key_is_a_usage_error(tmp_path):
 def test_classify_needs_exactly_one_source(tmp_path):
     assert run(tmp_path, "classify") == 2
     assert run(tmp_path, "classify", "--K", "0", "--f", "x^2") == 2
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("pde", ("--f", "x^2")),
+        ("analyze", ("--h2", "z^2", "--omega", "1")),
+        ("classify", ("--omega", "1")),
+    ],
+)
+def test_a_second_height_source_is_a_usage_error(tmp_path, capsys, command, source):
+    assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "11x11") == 0
+    capsys.readouterr()
+    grid = ("--grid-file", str(tmp_path / "lift.grid"))
+    assert run(tmp_path, command, *source, *grid, "--grid", "11x11") == 2
+    assert f"{command} needs exactly one of" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
 
 
 def test_analyze_rejects_plain_field_grids(tmp_path):

@@ -10,10 +10,9 @@ from isocmc.graphgeo import (
     GridTooSmallError,
     Rect,
     ScalarField,
+    FoldedChartError,
     StencilOverflowError,
-    fd_gauss_curvature,
-    fd_chart_curvature,
-    fd_mean_curvature,
+    lattice_shift,
     pde_analyze,
     quadratic_test,
 )
@@ -57,20 +56,19 @@ def test_scalar_field_validation():
 @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, -0.5), (0.0, 1.0), (1.5, 1.5)])
 def test_fd_curvatures_exact_on_diagonal_quadratics(alpha, beta):
     f = field_from(SQUARE, 31, 31, lambda x, y: alpha * x * x + beta * y * y)
-    h = fd_mean_curvature(f)
-    k = fd_gauss_curvature(f)
-    assert np.max(np.abs(h.values - (alpha + beta))) < 1e-10
-    assert np.max(np.abs(k.values - 4 * alpha * beta)) < 1e-10
+    report = pde_analyze(*f.height_chart())
+    assert np.max(np.abs(0.5 * report.laplacian - (alpha + beta))) < 1e-10
+    assert np.max(np.abs(report.hessian_det - 4 * alpha * beta)) < 1e-10
 
 
 def test_fd_mean_curvature_bowl():
     f = field_from(SQUARE, 21, 21, lambda x, y: x * x + y * y)
-    assert np.max(np.abs(fd_mean_curvature(f).values - 2.0)) < 1e-12
+    assert np.max(np.abs(0.5 * pde_analyze(*f.height_chart()).laplacian - 2.0)) < 1e-12
 
 
 def test_fd_gauss_curvature_saddle():
     f = field_from(SQUARE, 21, 21, lambda x, y: 0.5 * (x * x - y * y))
-    assert np.max(np.abs(fd_gauss_curvature(f).values + 1.0)) < 1e-12
+    assert np.max(np.abs(pde_analyze(*f.height_chart()).hessian_det + 1.0)) < 1e-12
 
 
 @given(
@@ -86,8 +84,8 @@ def test_fd_curvatures_on_random_quadratics(d, e, g, b, c):
     f = field_from(
         rect, 21, 17, lambda x, y: d * x * x + e * x * y + g * y * y + b * x + c * y
     )
-    h = fd_mean_curvature(f).values
-    k = fd_gauss_curvature(f).values
+    report = pde_analyze(*f.height_chart())
+    h, k = 0.5 * report.laplacian, report.hessian_det
     assert np.max(np.abs(h - (d + g))) < 1e-8
     assert np.max(np.abs(k - (4 * d * g - e * e))) < 1e-8
 
@@ -98,8 +96,8 @@ def test_fd_mean_curvature_recovers_lift_H():
     sample = weierstrass.synthesize(
         data, weierstrass.LiftParams(1.5, SQUARE, 101, 101)
     )
-    h = fd_mean_curvature(sample.as_height_field())
-    assert np.max(np.abs(h.values - 1.5)) < 1e-10
+    h = 0.5 * pde_analyze(*sample.height_chart()).laplacian
+    assert np.max(np.abs(h - 1.5)) < 1e-10
 
 
 def test_fd_gauss_curvature_on_exponential_graph():
@@ -107,10 +105,8 @@ def test_fd_gauss_curvature_on_exponential_graph():
     sample = weierstrass.synthesize(
         data, weierstrass.LiftParams(0.5, SQUARE, 201, 201)
     )
-    field = sample.as_height_field()
-    k_fd = fd_gauss_curvature(field).values
-    x, _ = field.meshgrid()
-    k_true = 0.25 - np.exp(2.0 * x[1:-1, 1:-1])
+    k_fd = pde_analyze(*sample.height_chart()).hessian_det
+    k_true = 0.25 - np.exp(2.0 * sample.x[1:-1, 1:-1])
     assert np.max(np.abs(k_fd - k_true)) < 1e-4
 
 
@@ -122,8 +118,9 @@ def test_fd_convergence_is_second_order():
         fxx = -4 * np.sin(2 * xi) * np.cos(3 * yi)
         fyy = -9 * np.sin(2 * xi) * np.cos(3 * yi)
         fxy = -6 * np.cos(2 * xi) * np.sin(3 * yi)
-        err_h = np.max(np.abs(fd_mean_curvature(f).values - 0.5 * (fxx + fyy)))
-        err_k = np.max(np.abs(fd_gauss_curvature(f).values - (fxx * fyy - fxy**2)))
+        report = pde_analyze(f, x, y)
+        err_h = np.max(np.abs(0.5 * report.laplacian - 0.5 * (fxx + fyy)))
+        err_k = np.max(np.abs(report.hessian_det - (fxx * fyy - fxy**2)))
         return err_h, err_k
 
     coarse = exact_errors(51)
@@ -138,19 +135,27 @@ def test_fd_convergence_is_second_order():
 
 def test_pde_analyze_bowl():
     f = field_from(SQUARE, 21, 21, lambda x, y: x * x + y * y)
-    report = pde_analyze(f)
+    report = pde_analyze(*f.height_chart())
     assert report.is_constant_laplacian
-    assert np.max(np.abs(report.laplacian.values - 4.0)) < 1e-12
-    assert np.max(np.abs(report.hessian_det.values - 4.0)) < 1e-12
-    lo, hi = report.hessian_interval
+    assert np.max(np.abs(report.laplacian - 4.0)) < 1e-12
+    assert np.max(np.abs(report.hessian_det - 4.0)) < 1e-12
+    lo, hi = report.hessian_det.min(), report.hessian_det.max()
     assert lo == pytest.approx(4.0) and hi == pytest.approx(4.0)
 
 
-def test_pde_analyze_uses_the_same_stencils_as_the_curvatures():
-    f = field_from(SQUARE, 25, 25, lambda x, y: np.sin(x) * y + x * x)
-    report = pde_analyze(f)
-    assert np.array_equal(report.laplacian.values, 2.0 * fd_mean_curvature(f).values)
-    assert np.array_equal(report.hessian_det.values, fd_gauss_curvature(f).values)
+def test_pde_analyze_runs_the_lattice_stencils_on_a_translated_chart():
+    f, x, y = field_from(SQUARE, 25, 25, lambda x, y: np.sin(x) * y + x * x).height_chart()
+    assert lattice_shift(f, x, y) == (0.0, 0.0)
+    moved = (x + 0.3, y - 2.0)
+    assert lattice_shift(f, *moved) == pytest.approx((0.3, -2.0))
+    assert lattice_shift(f, x + 1e-6 * y, y) is None
+    report, translated = pde_analyze(f, x, y), pde_analyze(f, *moved)
+    assert np.array_equal(report.laplacian, translated.laplacian)
+    assert np.array_equal(report.hessian_det, translated.hessian_det)
+    assert np.array_equal(translated.jacobian, np.ones_like(report.laplacian))
+    f_xx = (f.values[1:-1, 2:] - 2.0 * f.values[1:-1, 1:-1] + f.values[1:-1, :-2]) / f.h_x**2
+    f_yy = (f.values[2:, 1:-1] - 2.0 * f.values[1:-1, 1:-1] + f.values[:-2, 1:-1]) / f.h_y**2
+    assert np.array_equal(report.laplacian, f_xx + f_yy)
 
 
 def test_pde_analyze_cubic_lift():
@@ -160,30 +165,28 @@ def test_pde_analyze_cubic_lift():
     def lift(x, y):
         return 0.5 * H * (x * x + y * y) + (x**3 - 3 * x * y * y) / 3.0
 
-    f = field_from(SQUARE, 41, 41, lift)
-    report = pde_analyze(f)
+    f, x, y = field_from(SQUARE, 41, 41, lift).height_chart()
+    report = pde_analyze(f, x, y)
     assert report.is_constant_laplacian
-    assert np.max(np.abs(report.laplacian.values - 2 * H)) < 1e-10
-    x, y = f.meshgrid()
+    assert np.max(np.abs(report.laplacian - 2 * H)) < 1e-10
     xi, yi = x[1:-1, 1:-1], y[1:-1, 1:-1]
     want = H * H - 4.0 * (xi * xi + yi * yi)
-    assert np.max(np.abs(report.hessian_det.values - want)) < 1e-8
-    lo, hi = report.hessian_interval
-    assert hi - lo > 1.0  # genuinely non-constant
+    assert np.max(np.abs(report.hessian_det - want)) < 1e-8
+    assert np.ptp(report.hessian_det) > 1.0  # genuinely non-constant
 
 
 def test_pde_analyze_flags_non_constant_laplacian():
     f = field_from(SQUARE, 21, 21, lambda x, y: x**3)
-    assert not pde_analyze(f).is_constant_laplacian
+    assert not pde_analyze(*f.height_chart()).is_constant_laplacian
 
 
 def test_pde_analyze_overflow_is_a_named_error():
     huge = field_from(SQUARE, 9, 9, lambda x, y: 1e200 * (x * x + y * y))
     with pytest.raises(StencilOverflowError, match="float range"):
-        pde_analyze(huge)  # Hessian determinant ~ 1e400
+        pde_analyze(*huge.height_chart())  # Hessian determinant ~ 1e400
     zigzag = field_from(SQUARE, 9, 9, lambda x, y: 1e307 * np.cos(4 * np.pi * x))
     with pytest.raises(StencilOverflowError):
-        pde_analyze(zigzag)  # f_xx = -4e307 / h^2 with h = 1/4
+        pde_analyze(*zigzag.height_chart())  # f_xx = -4e307 / h^2 with h = 1/4
 
 
 def test_fd_curvatures_overflow_is_a_named_error(recwarn):
@@ -192,10 +195,9 @@ def test_fd_curvatures_overflow_is_a_named_error(recwarn):
         weierstrass.exp_data(),
         weierstrass.LiftParams(1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11),
     )
-    field = sample.as_height_field()
-    for curvature in (fd_mean_curvature, fd_gauss_curvature):
+    for field, x, y in (sample.height_chart(), sample.as_height_field().height_chart()):
         with pytest.raises(StencilOverflowError, match="float range"):
-            curvature(field)
+            pde_analyze(field, x, y)
     assert not recwarn.list
 
 
@@ -210,20 +212,20 @@ def test_quadratic_test_recovers_coefficients():
         15,
         lambda x, y: 1 + 2 * x - y + x * x - x * y + 3 * y * y,
     )
-    ok, coeffs = quadratic_test(f)
+    ok, coeffs = quadratic_test(*f.height_chart())
     assert ok
     np.testing.assert_allclose(coeffs, [1, 2, -1, 1, -1, 3], atol=1e-10)
 
 
 def test_quadratic_test_rejects_cubic():
     f = field_from(SQUARE, 15, 15, lambda x, y: x**3 / 3.0)
-    ok, _ = quadratic_test(f)
+    ok, _ = quadratic_test(*f.height_chart())
     assert not ok
 
 
 def test_quadratic_test_on_normal_form():
     surf = classify.canonical_form(1.0, -3.0)  # alpha = 3/2, beta = -1/2
-    ok, coeffs = quadratic_test(surf.as_field(SQUARE, 15, 15))
+    ok, coeffs = quadratic_test(*surf.as_field(SQUARE, 15, 15).height_chart())
     assert ok
     assert coeffs[3] == pytest.approx(1.5, abs=1e-10)
     assert coeffs[5] == pytest.approx(-0.5, abs=1e-10)
@@ -232,7 +234,7 @@ def test_quadratic_test_on_normal_form():
 def test_quadratic_test_needs_seven_nodes():
     f = field_from(SQUARE, 5, 9, lambda x, y: x * y)
     with pytest.raises(GridTooSmallError):
-        quadratic_test(f)
+        quadratic_test(*f.height_chart())
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,8 @@ def chart_from(rect: Rect, n: int, chart, height):
 
 def test_fd_metric_identity_chart():
     f, x, y = chart_from(SQUARE, 21, lambda u, v: (u, v), lambda x, y: x * x + y * y)
-    lap, hess, jac = fd_chart_curvature(f, x, y)
+    report = pde_analyze(f, x, y)
+    lap, hess, jac = report.laplacian, report.hessian_det, report.jacobian
     assert np.max(np.abs(jac - 1.0)) < 1e-13
     assert np.max(np.abs(lap - 4.0)) < 1e-11
     assert np.max(np.abs(hess - 4.0)) < 1e-11
@@ -258,7 +261,8 @@ def test_fd_metric_rotated_chart_is_isometric():
     t = 0.7
     rotation = lambda u, v: (np.cos(t) * u - np.sin(t) * v, np.sin(t) * u + np.cos(t) * v)
     f, x, y = chart_from(SQUARE, 21, rotation, lambda x, y: x * y)
-    lap, hess, jac = fd_chart_curvature(f, x, y)
+    report = pde_analyze(f, x, y)
+    lap, hess, jac = report.laplacian, report.hessian_det, report.jacobian
     assert np.max(np.abs(jac - 1.0)) < 1e-12
     assert np.max(np.abs(lap)) < 1e-10
     assert np.max(np.abs(hess + 1.0)) < 1e-10
@@ -268,7 +272,7 @@ def test_fd_metric_conformal_exponential_chart():
     rect = Rect(-0.5, 0.5, -0.5, 0.5)
     exp_chart = lambda u, v: (np.exp(u) * np.cos(v), np.exp(u) * np.sin(v))
     f, x, y = chart_from(rect, 51, exp_chart, lambda x, y: x * x)
-    _, _, jac = fd_chart_curvature(f, x, y)
+    jac = pde_analyze(f, x, y).jacobian
     u = rect.x_nodes(51)[1:-1]
     uu = np.broadcast_to(u, jac.shape)
     assert np.max(np.abs(jac - np.exp(2 * uu)) / np.exp(2 * uu)) < 1e-3
@@ -279,7 +283,8 @@ def test_fd_chart_curvature_is_exact_on_a_sheared_chart():
     f, x, y = chart_from(
         SQUARE, 21, lambda u, v: (u + 0.5 * v, v), lambda x, y: 1.5 * x * x - x * y + 0.25 * y * y
     )
-    lap, hess, jac = fd_chart_curvature(f, x, y)
+    report = pde_analyze(f, x, y)
+    lap, hess, jac = report.laplacian, report.hessian_det, report.jacobian
     assert np.max(np.abs(jac - 1.0)) < 1e-13
     assert np.max(np.abs(lap - 3.5)) < 1e-10
     assert np.max(np.abs(hess - (3.0 * 0.5 - 1.0))) < 1e-10
@@ -292,7 +297,8 @@ def test_fd_chart_curvature_converges_at_second_order():
 
     def errors(n):
         f, x, y = chart_from(rect, n, exp_chart, height)
-        lap, hess, _ = fd_chart_curvature(f, x, y)
+        report = pde_analyze(f, x, y)
+        lap, hess = report.laplacian, report.hessian_det
         xi, yi = x[1:-1, 1:-1], y[1:-1, 1:-1]
         fxx = -4 * np.sin(2 * xi) * np.cos(3 * yi)
         fyy = -9 * np.sin(2 * xi) * np.cos(3 * yi)
@@ -307,11 +313,16 @@ def test_fd_chart_curvature_converges_at_second_order():
 def test_fd_chart_curvature_named_errors(recwarn):
     # x = u^2 folds the chart along u = 0, where det J vanishes
     f, x, y = chart_from(SQUARE, 9, lambda u, v: (u * u, v), lambda x, y: x + y)
-    with pytest.raises(StencilOverflowError):
-        fd_chart_curvature(f, x, y)
+    with pytest.raises(FoldedChartError, match="chart .* folds"):
+        pde_analyze(f, x, y)
+    # a reflection reverses the orientation everywhere and folds nowhere
+    f, x, y = chart_from(SQUARE, 9, lambda u, v: (-u, v), lambda x, y: x * x + y)
+    report = pde_analyze(f, x, y)
+    assert np.max(np.abs(report.jacobian + 1.0)) < 1e-13
+    assert np.max(np.abs(report.laplacian - 2.0)) < 1e-11
     f, x, y = chart_from(SQUARE, 9, lambda u, v: (u, v), lambda x, y: 1e200 * (x * x + y * y))
     with pytest.raises(StencilOverflowError, match="float range"):
-        fd_chart_curvature(f, x, y)
+        pde_analyze(f, x, y)
     assert not recwarn.list
     with pytest.raises(ValueError, match="grid shape"):
-        fd_chart_curvature(f, x[:, :-1], y)
+        pde_analyze(f, x[:, :-1], y)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isocmc import holo, weierstrass
-from isocmc.graphgeo import Rect, ScalarField, fd_chart_curvature
+from isocmc.graphgeo import Rect, pde_analyze
 from isocmc.weierstrass import (
     LiftParams,
     NonGraphSampleError,
@@ -143,12 +143,10 @@ def test_induced_metric():
     # the metric |omega_hat|^2 |dz|^2 comes from the chart alone, so H never changes it
     data = WeierstrassData(ONE, holo.Exp(Z))
     flat, bowl = synthesize_family(data, [0.0, 2.0], Rect(-0.5, 0.5, -0.5, 0.5), 21, 21)
-    jacs = [
-        fd_chart_curvature(ScalarField(s.domain, s.ell), s.x, s.y)[2] for s in (flat, bowl)
-    ]
+    jacs = [pde_analyze(*s.height_chart()).jacobian for s in (flat, bowl)]
     assert np.array_equal(jacs[0], jacs[1])
     sample = synthesize(exp_data(), LiftParams(1.0, SQUARE, 21, 21))
-    _, _, jac = fd_chart_curvature(ScalarField(SQUARE, sample.ell), sample.x, sample.y)
+    jac = pde_analyze(*sample.height_chart()).jacobian
     assert np.max(np.abs(jac - 1.0)) < 1e-13
 
 
@@ -279,7 +277,7 @@ def test_coordinate_fields_carry_the_conformal_factor():
     data = WeierstrassData(ONE, holo.Exp(Z))
     rect = Rect(-0.5, 0.5, -0.5, 0.5)
     sample = synthesize(data, LiftParams(0.0, rect, 51, 51))
-    _, _, jac = fd_chart_curvature(ScalarField(rect, sample.ell), sample.x, sample.y)
+    jac = pde_analyze(*sample.height_chart()).jacobian
     # a conformal chart has det J = |omega_hat|^2
     uu, vv = rect.mesh(51, 51)
     omega = holo.evaluate(data.omega_hat, {"z": uu + 1j * vv})[1:-1, 1:-1]
