@@ -391,20 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default="pde")
     p.set_defaults(func=cmd_pde, required_gen=False)
 
+    for p in sub.choices.values():  # later usage errors print the subcommand's usage
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "required_gen", False) and not (args.h2 and args.omega):
-            parser.error("this command requires --h2 and --omega")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args, parser, _resolve_tols(args, parser))
-    except SystemExit as exc:  # parser.error inside a command
+        args = build_parser().parse_args(argv)
+        if args.required_gen and not (args.h2 and args.omega):
+            args.parser.error("this command requires --h2 and --omega")
+        return args.func(args, args.parser, _resolve_tols(args, args.parser))
+    except SystemExit as exc:  # a usage error, --help or --version
         return int(exc.code or 0)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

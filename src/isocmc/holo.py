@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
 from typing import Mapping, Union
 
@@ -577,7 +578,11 @@ class Contour:
         return self.waypoints[0]
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:  # imports numpy.polynomial on first use
+    return np.polynomial.legendre.leggauss(10)
+
+
 # Most quadrature nodes handed to one evaluate call; bounds working memory.
 MAX_EVAL_NODES = 16_384
 
@@ -605,7 +610,7 @@ def contour_integral(
     budgets = tol * np.abs(steps) / np.abs(steps).sum(axis=0)
     acc = np.zeros(pts.shape[1], dtype=np.complex128)
     panels = np.zeros(pts.shape[1], dtype=np.int64)
-    batch = MAX_EVAL_NODES // (2 * _GL_NODES.size)
+    batch = MAX_EVAL_NODES // (2 * _gauss_legendre()[0].size)
     for part in (slice(lo, lo + batch) for lo in range(0, acc.size, batch)):
         for za, dz, budget in zip(pts[:-1, part], steps[:, part], budgets[:, part]):
             _adaptive_panels(expr, za, dz, budget, acc[part], panels[part], tol, max_panels)
@@ -656,9 +661,9 @@ def _gl_panels(expr, za, dz, t0, t1) -> np.ndarray:
     np.dot sums each panel of the 3-d array alone, whatever the batch.
     """
     half = 0.5 * (t1 - t0)
-    ts = (0.5 * (t0 + t1))[..., None] + half[..., None] * _GL_NODES
+    ts = (0.5 * (t0 + t1))[..., None] + half[..., None] * _gauss_legendre()[0]
     vals = evaluate(expr, {"z": za[:, None, None] + ts * dz[:, None, None]})
-    return dz[:, None] * half * np.dot(vals, _GL_WEIGHTS)
+    return dz[:, None] * half * np.dot(vals, _gauss_legendre()[1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import mmap
+import operator
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -21,8 +26,11 @@ from .weierstrass import SurfaceSample
 
 GRID_MAGIC = "# cmcgrid v1"
 REPORT_SCHEMA_VERSION = "2"
-# Nodes per block of records, as the writer formats and the reader parses them.
+# Nodes per block of records that the reader parses with one numpy.loadtxt call.
 _BLOCK_NODES = 1 << 13
+# Fewest nodes per process for which a parallel body read repays its fork and skip.
+_PARALLEL_NODES = 1 << 15
+_FILE_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 # A record with x and y as text in bytes 0-24 and 25-49 (%.17g writes <= 24).
 _TEXT_RECORD = np.dtype([("x", "S25"), ("y", "S25"), ("ell", "f8")])
 
@@ -38,22 +46,19 @@ def _fmt(v: float) -> str:
 def _records(x: np.ndarray, y: np.ndarray, ell: np.ndarray):
     """Yield the "x y ell" lines (as _fmt formats them) one lattice row at a time.
 
-    x and y texts come from a table of the distinct bit patterns (-0.0 keeps
-    its sign) of each block of about 2^13 nodes; ell is formatted in place.
+    A graph lattice (x rows equal row 0, y rows constant, bit for bit) puts row
+    0's x texts, formatted once, in each row's template; others use all-%.17g rows.
     """
-    n_v, n_u = ell.shape
-    template = "%s %s %.17g\n" * n_u
-    args = [""] * (3 * n_u)
-    step = max(1, _BLOCK_NODES // n_u)
-    for j in range(0, n_v, step):
-        xy = np.array((x[j : j + step], y[j : j + step]), dtype=np.float64)
-        keys, index = np.unique(xy.view(np.uint64), return_inverse=True)
-        texts = [_fmt(v) for v in keys.view(np.float64).tolist()]
-        for xr, yr, er in zip(*index.reshape(xy.shape), ell[j : j + step]):
-            args[0::3] = [texts[k] for k in xr.tolist()]
-            args[1::3] = [texts[k] for k in yr.tolist()]
-            args[2::3] = er.tolist()
-            yield template % tuple(args)
+    xb, yb = (np.asarray(a, dtype=np.float64).view(np.uint64) for a in (x, y))
+    if np.all(xb == xb[:1]) and np.all(yb == yb[:, :1]):
+        x_texts = [_fmt(v) for v in x[0].tolist()]
+        for yj, er in zip(y[:, 0].tolist(), ell):
+            sep = f" {yj:.17g} %.17g\n"
+            yield (sep.join(x_texts) + sep) % tuple(er.tolist())
+    else:
+        template = "%.17g %.17g %.17g\n" * ell.shape[1]
+        for row in np.stack((x, y, ell), axis=-1).reshape(len(ell), -1):
+            yield template % tuple(row.tolist())
 
 
 def _vertices(records: str) -> str:
@@ -138,10 +143,10 @@ def _loadtxt(lines, dtype=float) -> np.ndarray:
         raise GridFormatError(f"malformed record: {exc}") from None
 
 
-def _body_values(fh, n_u: int, n_v: int, as_text: bool = True) -> np.ndarray | None:
-    """x, y and ell of the records left in fh, shape (3, n_v, n_u); None if a
-    text filled its 25 bytes, since it may have been cut short."""
-    body, values = _body_lines(fh, n_u * n_v), np.empty((3, n_v, n_u))
+def _body_values(fh, n_u: int, n_v: int, as_text: bool = True, out=None) -> np.ndarray | None:
+    """x, y and ell of the records left in fh, shape (3, n_v, n_u), in `out` if
+    given; None if a text filled its 25 bytes, since it may have been cut short."""
+    body, values = _body_lines(fh, n_u * n_v), np.empty((3, n_v, n_u)) if out is None else out
     step, x0 = max(1, _BLOCK_NODES // n_u), None  # row 0's x (bytes, values)
     for j in range(0, n_v, step):
         block = values[:, j : j + step]
@@ -168,6 +173,47 @@ def _body_values(fh, n_u: int, n_v: int, as_text: bool = True) -> np.ndarray | N
             raise GridFormatError("non-finite value in records")
     list(body)  # runs the blank-line and record-count checks to the end
     return values
+
+
+def _parallel_values(path: str | Path, fh, n_u: int, n_v: int) -> np.ndarray | None:
+    """The body as _body_values gives it, parsed in W row ranges into one shared
+    array: forked children parse ranges 1..W-1 from their own handles, this
+    process range 0 from fh.  None if that does not pay or fails in any way."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n_u * n_v // _PARALLEL_NODES, n_v) if hasattr(os, "fork") else 1
+    if workers < 2 or threading.active_count() != 1:
+        return None
+    rows, pids, ok = [k * n_v // workers for k in range(workers + 1)], [], False
+
+    def fill(lines, k: int, skip: int = 0) -> bool:  # the last range reads to the end
+        lo, hi = rows[k], rows[k + 1]
+        lines = itertools.islice(lines, skip, skip + (hi - lo) * n_u if hi < n_v else None)
+        return _body_values(lines, n_u, hi - lo, out=values[:, lo:hi]) is not None
+
+    try:
+        values = np.frombuffer(mmap.mmap(-1, 24 * n_u * n_v)).reshape(3, n_v, n_u)
+        ident = _FILE_IDENTITY(os.fstat(fh.fileno()))
+        for k in range(1, workers):
+            # On Python >= 3.12 fork warns (DeprecationWarning) in a process with
+            # other threads, and numpy's BLAS pool is one.  The child runs only the
+            # text parser, never BLAS, and OpenBLAS shuts its pool down across a fork.
+            pids.append(os.fork())
+            if pids[-1] == 0:  # the child: its own handle on the same file
+                try:
+                    with open(path) as own:
+                        same = _FILE_IDENTITY(os.fstat(own.fileno())) == ident
+                        ok = same and fill(own, k, skip=7 + rows[k] * n_u)
+                finally:
+                    os._exit(0 if ok else 1)
+        ok = fill(fh, 0)
+    except Exception:  # the serial read repeats the work and raises its own error
+        pass
+    finally:
+        for pid in pids:
+            if not ok:
+                os.kill(pid, signal.SIGKILL)
+            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
+    return values if ok else None
 
 
 def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
@@ -206,10 +252,11 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
             domain = Rect(*dom_vals)
         except ValueError as exc:
             raise GridFormatError(f"bad domain: {exc}") from None
-        values = _body_values(fh, n_u, n_v)
-    if values is None:  # read every value as a float instead
-        with open(path) as fh:
-            values = _body_values(itertools.islice(fh, 7, None), n_u, n_v, as_text=False)
+        values = _parallel_values(path, fh, n_u, n_v)
+    for as_text in (True, False):  # serial: as text, then as floats if a text was cut
+        if values is None:
+            with open(path) as fh:
+                values = _body_values(itertools.islice(fh, 7, None), n_u, n_v, as_text)
     xs, ys, ells = values
     if kind == "field":
         xx, yy = domain.mesh(n_u, n_v)

@@ -308,6 +308,33 @@ def test_a_second_height_source_is_a_usage_error(tmp_path, capsys, command, sour
     assert not (tmp_path / f"{command}.json").exists()
 
 
+def usage_error_cases():
+    lift = ("--h2", "z", "--omega", "1")
+    return [
+        pytest.param("lift", (), id="lift-without-generators"),
+        pytest.param("lift", (*lift, "--tol", "bogus=1"), id="lift-unknown-tolerance"),
+        pytest.param("pde", ("--f", "x^2", "--grid-file", "surface.grid"), id="pde-two-sources"),
+        pytest.param("analyze", ("--grid-file", "field.grid"), id="analyze-field-grid"),
+        pytest.param("sweep", (*lift, "--H-list", ","), id="sweep-empty-H-list"),
+    ]
+
+
+@pytest.mark.parametrize("command, argv", usage_error_cases())
+def test_usage_errors_print_the_subcommand_usage(tmp_path, monkeypatch, capsys, command, argv):
+    import numpy as np
+
+    from isocmc.graphgeo import ScalarField
+
+    rect = Rect(-1, 1, -1, 1)
+    x, y = np.meshgrid(rect.x_nodes(5), rect.y_nodes(5))
+    io_mesh.write_grid(ScalarField(rect, x + y), tmp_path / "field.grid")
+    assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5x5", "-o", "surface") == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run(tmp_path, command, *argv) == 2
+    assert capsys.readouterr().err.startswith(f"usage: isocmc {command} ")
+
+
 def test_analyze_rejects_plain_field_grids(tmp_path):
     import numpy as np
 

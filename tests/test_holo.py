@@ -1,7 +1,11 @@
 """Expression engine: parsing, evaluation, calculus, quadrature."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,6 +501,18 @@ def test_contour_integral_panel_budget_is_per_element():
     mixed = Contour((np.zeros(3), np.array([0.01, 10.0, 0.03])))
     with pytest.raises(QuadratureError):
         contour_integral(parse("sin(20*z)"), mixed, max_panels=2)
+
+
+def test_gauss_legendre_rule_waits_for_the_first_quadrature():
+    # a fresh `import isocmc.cli` leaves numpy.polynomial unloaded; the rule it
+    # builds later has the bits of numpy's leggauss(10)
+    code = "import sys, isocmc.cli; print('numpy.polynomial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    nodes, weights = holo._gauss_legendre()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(10)
+    assert nodes.tobytes() == want_nodes.tobytes() and weights.tobytes() == want_weights.tobytes()
 
 
 def test_contour_integral_rejects_real_mode():

@@ -1,12 +1,17 @@
 """Grid text format, OBJ export, JSON reports."""
 
 import dataclasses
+import gc
 import json
+import os
+import signal
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from isocmc import holo, weierstrass
+from isocmc import holo, io_mesh, weierstrass
 from isocmc.graphgeo import Rect, ScalarField
 from isocmc.io_mesh import (
     GridFormatError,
@@ -111,25 +116,25 @@ def body_with(lines, edit):
     return "\n".join(lines[:7] + edit(lines[7:])) + "\n"
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(lambda r: ["1 2", "3 4 5 6"] + r[2:], id="two-then-four-numbers"),
-        pytest.param(lambda r: r[:-1] + [r[-1] + " # c"], id="trailing-comment"),
-        pytest.param(lambda r: ["# c " + r[0]] + r[1:], id="leading-comment"),
-        pytest.param(lambda r: r[:20] + [""] + r[20:], id="blank-line-inside"),
-        pytest.param(lambda r: r[:20] + ["  \t"] + r[20:], id="whitespace-line-inside"),
-        pytest.param(lambda r: [""] + r, id="blank-line-first"),
-        pytest.param(lambda r: r[:3] + ["1 2 inf"] + r[4:], id="inf"),
-        pytest.param(lambda r: r[:3] + ["-inf 0 0"] + r[4:], id="minus-inf"),
-        pytest.param(lambda r: [], id="header-only"),
-        pytest.param(lambda r: ["", ""], id="header-and-blank-lines"),
-        pytest.param(lambda r: r + r[:1], id="one-record-too-many"),
-        pytest.param(lambda r: [" ".join(["1_0"] + x.split()[1:]) for x in r], id="underscore"),
-        pytest.param(lambda r: [x.split()[0] for x in r], id="one-column"),
-        pytest.param(lambda r: [x + " 0" for x in r], id="four-columns"),
-    ],
-)
+MALFORMED_BODIES = [
+    pytest.param(lambda r: ["1 2", "3 4 5 6"] + r[2:], id="two-then-four-numbers"),
+    pytest.param(lambda r: r[:-1] + [r[-1] + " # c"], id="trailing-comment"),
+    pytest.param(lambda r: ["# c " + r[0]] + r[1:], id="leading-comment"),
+    pytest.param(lambda r: r[:20] + [""] + r[20:], id="blank-line-inside"),
+    pytest.param(lambda r: r[:20] + ["  \t"] + r[20:], id="whitespace-line-inside"),
+    pytest.param(lambda r: [""] + r, id="blank-line-first"),
+    pytest.param(lambda r: r[:3] + ["1 2 inf"] + r[4:], id="inf"),
+    pytest.param(lambda r: r[:3] + ["-inf 0 0"] + r[4:], id="minus-inf"),
+    pytest.param(lambda r: [], id="header-only"),
+    pytest.param(lambda r: ["", ""], id="header-and-blank-lines"),
+    pytest.param(lambda r: r + r[:1], id="one-record-too-many"),
+    pytest.param(lambda r: [" ".join(["1_0"] + x.split()[1:]) for x in r], id="underscore"),
+    pytest.param(lambda r: [x.split()[0] for x in r], id="one-column"),
+    pytest.param(lambda r: [x + " 0" for x in r], id="four-columns"),
+]
+
+
+@pytest.mark.parametrize("edit", MALFORMED_BODIES)
 def test_reader_rejects_malformed_bodies(tmp_path, edit):
     path = tmp_path / "m.grid"
     path.write_text(body_with(grid_text(sample()).splitlines(), edit))
@@ -298,6 +303,13 @@ def lifted(n_u, n_v, H=-0.75):
     )
 
 
+def graph(n_u, n_v):
+    """A lift with omega = 1: x repeats row 0 and y is constant along each row."""
+    return weierstrass.synthesize(
+        weierstrass.enneper_data(3), weierstrass.LiftParams(0.5, SQUARE, n_u, n_v)
+    )
+
+
 def signed_zeros(s):
     """The sample with 0.0 and -0.0 in one x column and in one y column."""
     x, y = s.x.copy(), s.y.copy()
@@ -305,12 +317,26 @@ def signed_zeros(s):
     return dataclasses.replace(s, x=x, y=y)
 
 
+def near_graphs():
+    """Graph lattices one bit away from the graph template: the sign of one zero
+    x node flipped, and one y node one ulp off the rest of its row."""
+    flipped, bent = graph(5, 3), graph(5, 3)
+    assert flipped.x[1, 2] == 0.0
+    flipped.x[1, 2] = -flipped.x[1, 2]
+    bent.y[1, 3] = np.nextafter(bent.y[1, 3], 2.0)
+    return flipped, bent
+
+
 def identity_cases():
     s53, s22, f, wide = lifted(5, 3), lifted(2, 2), a_field(6), lifted(9, 5)
     strided = dataclasses.replace(  # non-contiguous views of a larger lattice
         wide, n_u=5, n_v=3, x=wide.x[::2, ::2], y=wide.y[::2, ::2], ell=wide.ell[::2, ::2]
     )
+    flipped, bent = near_graphs()
     cases = {
+        "graph-5x3": graph(5, 3),
+        "graph-5x3-one-x-sign-flipped": flipped,
+        "graph-5x3-one-y-one-ulp-off": bent,
         "5x3": s53,
         "2x2": s22,
         "field": f,
@@ -360,10 +386,10 @@ def test_one_pass_writer_validates_before_writing(tmp_path):
     assert not any(p.exists() for p in paths)
 
 
-def test_writers_match_across_table_blocks(tmp_path):
-    # 2100 nodes per row: each table of x and y texts covers three of the seven rows
+def test_writers_match_on_wide_rows_with_signed_zeros(tmp_path):
+    # 2100 nodes, 6300 floats, per row template; 0.0 and -0.0 in adjacent rows
     s = lifted(2100, 7)
-    s.x[2:4, 5], s.y[2:4, 9] = (0.0, -0.0), (-0.0, 0.0)  # signed zeros on both sides of a cut
+    s.x[2:4, 5], s.y[2:4, 9] = (0.0, -0.0), (-0.0, 0.0)
     write_surface(s, tmp_path / "s.grid", tmp_path / "s.obj")
     assert (tmp_path / "s.grid").read_bytes() == reference_grid_text(s).encode()
     assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(s).encode()
@@ -422,13 +448,6 @@ def reference_read_grid(path):
         return ScalarField(domain, ells)
     return weierstrass.SurfaceSample(
         domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells
-    )
-
-
-def graph(n_u, n_v):
-    """A lift with omega = 1: x repeats row 0 and y is constant along each row."""
-    return weierstrass.synthesize(
-        weierstrass.enneper_data(3), weierstrass.LiftParams(0.5, SQUARE, n_u, n_v)
     )
 
 
@@ -530,15 +549,15 @@ def test_long_tokens_are_not_cut(tmp_path):
     assert np.all(read_grid(path).x[:, 1] == 1e-27)
 
 
-@pytest.mark.parametrize(
-    "edits",
-    [
-        pytest.param([(7, 0, "١")], id="non-ascii-digit-in-one-x"),
-        pytest.param(in_column(5, 4, 0, 0, "١"), id="non-ascii-digit-in-x-column"),
-        pytest.param([(3 * 5 + 2, 0, "1_0")], id="underscore-in-one-x-of-row-3"),
-        pytest.param([(3 * 5 + i, 0, "1_0") for i in range(5)], id="underscore-in-row-3-x"),
-    ],
-)
+MALFORMED_TEXTS = [
+    pytest.param([(7, 0, "١")], id="non-ascii-digit-in-one-x"),
+    pytest.param(in_column(5, 4, 0, 0, "١"), id="non-ascii-digit-in-x-column"),
+    pytest.param([(3 * 5 + 2, 0, "1_0")], id="underscore-in-one-x-of-row-3"),
+    pytest.param([(3 * 5 + i, 0, "1_0") for i in range(5)], id="underscore-in-row-3-x"),
+]
+
+
+@pytest.mark.parametrize("edits", MALFORMED_TEXTS)
 def test_reader_rejects_malformed_texts(tmp_path, edits):
     path = tmp_path / "m.grid"
     path.write_text(with_tokens(grid_text(graph(5, 4)), edits))
@@ -547,19 +566,165 @@ def test_reader_rejects_malformed_texts(tmp_path, edits):
             read(path)
 
 
-@pytest.mark.parametrize(
-    "edits",
-    [
-        pytest.param([(5000 * 3 + 1, 1, "inf")], id="one-y-of-row-5000"),
-        pytest.param([(5000 * 3 + i, 1, "inf") for i in range(3)], id="every-y-of-row-5000"),
-    ],
-)
+INF_IN_A_LATER_BLOCK = [
+    pytest.param([(5000 * 3 + 1, 1, "inf")], id="one-y-of-row-5000"),
+    pytest.param([(5000 * 3 + i, 1, "inf") for i in range(3)], id="every-y-of-row-5000"),
+]
+
+
+@pytest.mark.parametrize("edits", INF_IN_A_LATER_BLOCK)
 def test_reader_rejects_inf_in_a_later_block(tmp_path, edits):
     path = tmp_path / "inf.grid"
     path.write_text(with_tokens(grid_text(graph(3, 6000)), edits))
     for read in (read_grid, reference_read_grid):
         with pytest.raises(GridFormatError, match="non-finite"):
             read(path)
+
+
+# ---------------------------------------------------------------------------
+# the parallel body read, forced on small grids: the serial read's results and errors
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def force_parallel(monkeypatch, workers):
+    """Make read_grid parse every body with `workers` processes.
+
+    Returns the forks made by this process and the serial reads it ran (the
+    calls of _body_values without an output array).
+    """
+    forks, serial, fork, body_values = [], [], os.fork, io_mesh._body_values
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def spied_body_values(*args, **kwargs):
+        if kwargs.get("out") is None:
+            serial.append(args[1:3])
+        return body_values(*args, **kwargs)
+
+    monkeypatch.setattr(io_mesh, "_PARALLEL_NODES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(io_mesh, "_body_values", spied_body_values)
+    assert threading.active_count() == 1
+    return forks, serial
+
+
+def parallel_inputs():
+    """(file bytes, whether the read ends in the serial read) for every reader case."""
+    params = [
+        pytest.param(p.values[0].encode(), p.id.startswith("long-"), id=p.id)
+        for p in reader_cases()
+    ]
+    lines = grid_text(graph(7, 9)).splitlines()
+    crlf = ("\r\n".join(lines) + "\r\n\r\n \t\r\n").encode()
+    return params + [pytest.param(crlf, False, id="crlf-trailing-blank-lines")]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("data, falls_back", parallel_inputs())
+def test_parallel_read_matches_the_one_call_reader(
+    tmp_path, monkeypatch, no_child_left, data, falls_back, workers
+):
+    path = tmp_path / "p.grid"
+    path.write_bytes(data)
+    forks, serial = force_parallel(monkeypatch, workers)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = read_grid(path)
+        gc.collect()
+    assert len(forks) == workers - 1
+    assert bool(serial) == falls_back  # a cut text ends in the serial read, as a whole
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert_bitwise(got, reference_read_grid(path))
+
+
+def malformed_files():
+    good, small = grid_text(sample()), grid_text(graph(5, 4))
+    tall = grid_text(graph(3, 6000))
+    files = [
+        pytest.param(body_with(good.splitlines(), p.values[0]), id=p.id) for p in MALFORMED_BODIES
+    ]
+    files += [pytest.param(with_tokens(small, p.values[0]), id=p.id) for p in MALFORMED_TEXTS]
+    files += [pytest.param(with_tokens(tall, p.values[0]), id=p.id) for p in INF_IN_A_LATER_BLOCK]
+    return files + [pytest.param("".join(good.splitlines(keepends=True)[:-1]), id="truncated-body")]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("text", malformed_files())
+def test_parallel_read_raises_the_serial_error(tmp_path, monkeypatch, no_child_left, text, workers):
+    path = tmp_path / "m.grid"
+    path.write_text(text)
+    with pytest.raises(GridFormatError) as want:
+        read_grid(path)
+    forks, serial = force_parallel(monkeypatch, workers)
+    with pytest.raises(GridFormatError) as got:
+        read_grid(path)
+    assert len(forks) == workers - 1 and serial
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_a_killed_child_ends_in_the_serial_read(tmp_path, monkeypatch, no_child_left):
+    path = tmp_path / "k.grid"
+    path.write_text(grid_text(graph(5, 12)))
+    forks, serial = force_parallel(monkeypatch, 2)
+    parent, body_values = os.getpid(), io_mesh._body_values
+
+    def killed_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return body_values(*args, **kwargs)
+
+    monkeypatch.setattr(io_mesh, "_body_values", killed_in_a_child)
+    got = read_grid(path)
+    assert len(forks) == 1 and serial
+    assert_bitwise(got, reference_read_grid(path))
+
+
+def test_a_child_that_opens_another_file_ends_in_the_serial_read(
+    tmp_path, monkeypatch, no_child_left
+):
+    s = graph(5, 12)
+    path, other = tmp_path / "p.grid", tmp_path / "q.grid"
+    path.write_text(grid_text(s))
+    other.write_text(grid_text(dataclasses.replace(s, ell=s.ell + 1.0)))
+    forks, serial = force_parallel(monkeypatch, 2)
+    fork = os.fork
+
+    def replace_then_fork():  # this process keeps its handle on the old file
+        os.replace(other, path)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", replace_then_fork)
+    got = read_grid(path)
+    assert len(forks) == 1 and serial
+    assert_bitwise(got, reference_read_grid(path))  # all rows from the new file
+
+
+def test_children_are_reaped_when_the_parent_range_is_interrupted(
+    tmp_path, monkeypatch, no_child_left
+):
+    path = tmp_path / "i.grid"
+    path.write_text(grid_text(graph(5, 12)))
+    forks, _ = force_parallel(monkeypatch, 3)
+    parent, body_values = os.getpid(), io_mesh._body_values
+
+    def interrupted_in_the_parent(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return body_values(*args, **kwargs)
+
+    monkeypatch.setattr(io_mesh, "_body_values", interrupted_in_the_parent)
+    with pytest.raises(KeyboardInterrupt):
+        read_grid(path)
+    assert len(forks) == 2
 
 
 # ---------------------------------------------------------------------------
