@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphgeo import DEFAULT_QUAD_FIT_TOL, Rect, ScalarField, quadratic_test
+from .graphgeo import DEFAULT_QUAD_FIT_TOL, ScalarField, quadratic_test
 from .weierstrass import SurfaceSample
 
 # Default width of the zero tests on H, K, and H^2 - K.
@@ -50,44 +50,6 @@ class ClassificationResult:
     H: float | None
     K: float | None
     rotation_angle: float = 0.0
-
-
-@dataclass(frozen=True)
-class CanonicalSurface:
-    """The normal-form quadric of a curvature pair (H, K), K <= H^2."""
-
-    H: float
-    K: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.H) and np.isfinite(self.K)):
-            raise ValueError("H and K must be finite")
-        if self.K > self.H * self.H:
-            raise ValueError(
-                f"K = {self.K:g} exceeds H^2 = {self.H * self.H:g}; "
-                "no spacelike graph carries that pair"
-            )
-
-    @property
-    def alpha(self) -> float:
-        return 0.5 * (self.H + math.sqrt(max(self.H * self.H - self.K, 0.0)))
-
-    @property
-    def beta(self) -> float:
-        return 0.5 * (self.H - math.sqrt(max(self.H * self.H - self.K, 0.0)))
-
-    def height_at(self, x, y):
-        """Height alpha*x^2 + beta*y^2; accepts scalars or arrays."""
-        return self.alpha * x * x + self.beta * y * y
-
-    def as_field(self, domain: Rect, n_x: int, n_y: int) -> ScalarField:
-        xx, yy = domain.mesh(n_x, n_y)
-        return ScalarField(domain, self.height_at(xx, yy))
-
-
-def canonical_form(H: float, K: float) -> CanonicalSurface:
-    """Normal-form quadric for the pair; rejects K > H^2."""
-    return CanonicalSurface(float(H), float(K))
 
 
 def label_from_constants(

@@ -57,8 +57,8 @@ def _resolve_tols(args, parser) -> dict:
             value = float(raw)
         except ValueError:
             parser.error(f"tolerance {key!r} needs a number, got {raw!r}")
-        if value <= 0:
-            parser.error(f"tolerance {key!r} must be positive")
+        if not 0 < value < np.inf:
+            parser.error(f"tolerance {key!r} must be positive and finite")
         tols[key] = value
     return tols
 

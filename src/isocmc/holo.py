@@ -437,11 +437,15 @@ def antiderivative(e: Expr) -> Expr | None:
 
 
 def _anti(e: Expr) -> Expr | None:
-    coeffs = _poly_coeffs(e)
+    # A power of a*z + b, b != 0, takes (a*z+b)^(n+1) / (a*(n+1)): its
+    # expanded sum would cancel away every digit.  (a*z)^n takes it only
+    # when the expansion fails.
+    lin = _linear_coeffs(e.base) if isinstance(e, IntPow) and e.n >= 0 else None
+    direct = lin is not None and lin[0] != 0
+    coeffs = None if direct and lin[1] != 0 else _poly_coeffs(e)
     if coeffs is not None:
         return _integrate_poly(coeffs)
-    lin = _linear_coeffs(e.base) if isinstance(e, IntPow) and e.n >= 0 else None
-    if lin is not None and lin[0] != 0:  # a power of a*z + b past MAX_POLY_TERMS
+    if direct:
         return div(intpow(e.base, e.n + 1), Constant(lin[0] * (e.n + 1)))
     if isinstance(e, (Add, Sub)):
         l, r = _anti(e.left), _anti(e.right)

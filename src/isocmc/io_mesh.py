@@ -66,53 +66,6 @@ def _vertices(records: str) -> str:
     return "v " + records[:-1].replace("\n", "\nv ") + "\n"
 
 
-def _grid_parts(obj: Union[SurfaceSample, ScalarField], provenance: str):
-    """The header text and the record rows of a grid file."""
-    if "\n" in provenance or not provenance:
-        raise ValueError("provenance must be one non-empty line")
-    if isinstance(obj, SurfaceSample):
-        kind, dom, h = "surface", obj.domain, obj.H
-        xs, ys, ells = obj.x, obj.y, obj.ell
-    elif isinstance(obj, ScalarField):
-        kind, dom, h = "field", obj.domain, 0.0
-        xs, ys = obj.meshgrid()
-        ells = obj.values
-    else:
-        raise TypeError("expected a SurfaceSample or ScalarField")
-    n_v, n_u = ells.shape
-    header = [
-        GRID_MAGIC,
-        f"kind {kind}",
-        f"domain {_fmt(dom.x_min)} {_fmt(dom.x_max)} {_fmt(dom.y_min)} {_fmt(dom.y_max)}",
-        f"shape {n_u} {n_v}",
-        f"H {_fmt(h)}",
-        f"provenance {provenance}",
-        "end_header",
-    ]
-    return "\n".join(header) + "\n", _records(xs, ys, ells)
-
-
-def grid_text(obj: Union[SurfaceSample, ScalarField], provenance: str = "-") -> str:
-    """Render a sample or height field in the grid text format.
-
-    Header:  magic line, kind (surface | field), domain rectangle, shape
-    (n_u n_v), H, one free-form provenance line, end marker.  Body: one
-    record per node in row major order (v outermost, u fastest), each a
-    triple "x y ell" with 17 significant digits.
-    """
-    header, rows = _grid_parts(obj, provenance)
-    return header + "".join(rows)
-
-
-def write_grid(
-    obj: Union[SurfaceSample, ScalarField], path: str | Path, provenance: str = "-"
-) -> None:
-    header, rows = _grid_parts(obj, provenance)
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.writelines(rows)
-
-
 def _header_value(lines: list[str], idx: int, key: str) -> str:
     if not lines[idx].startswith(key + " "):
         raise GridFormatError(f"malformed header: expected '{key} ...' on line {idx + 1}")
@@ -293,12 +246,30 @@ def export_obj(sample: SurfaceSample, path: str | Path) -> None:
 def write_surface(
     sample: SurfaceSample, grid_path: str | Path, obj_path: str | Path, provenance: str = "-"
 ) -> None:
-    """write_grid and export_obj in one pass, formatting each record once for both."""
-    header, rows = _grid_parts(sample, provenance)
-    faces = _faces(*sample.ell.shape[::-1])
+    """Write the sample's grid file and OBJ mesh in one pass, formatting each record once.
+
+    Grid header:  magic line, "kind surface", domain rectangle, shape
+    (n_u n_v), H, one free-form provenance line, end marker.  Body: one record
+    per node in row major order (v outermost, u fastest), each a triple
+    "x y ell" with 17 significant digits.  The OBJ vertices are the same
+    records, as export_obj writes them.
+    """
+    if "\n" in provenance or not provenance:
+        raise ValueError("provenance must be one non-empty line")
+    dom, (n_v, n_u) = sample.domain, sample.ell.shape
+    header = [
+        GRID_MAGIC,
+        "kind surface",
+        f"domain {_fmt(dom.x_min)} {_fmt(dom.x_max)} {_fmt(dom.y_min)} {_fmt(dom.y_max)}",
+        f"shape {n_u} {n_v}",
+        f"H {_fmt(sample.H)}",
+        f"provenance {provenance}",
+        "end_header",
+    ]
+    faces = _faces(n_u, n_v)
     with open(obj_path, "w") as obj, open(grid_path, "w") as grid:
-        grid.write(header)
-        for records in rows:
+        grid.write("\n".join(header) + "\n")
+        for records in _records(sample.x, sample.y, sample.ell):
             grid.write(records)
             obj.write(_vertices(records))
         obj.writelines(faces)

@@ -84,21 +84,20 @@ def sample_k_image(
     H: float,
     radii: list[float],
     samples_per_radius: int = 10_000,
-    const_tol: float | None = None,
     margin: float | None = None,
     umbilic_tol: float = UMBILIC_TOL,
 ) -> VdistReport:
     """Sample K over nested disks about 0 and judge the image shape.
 
-    `const_tol` (default 1e-9 * (1 + H^2)) bounds the K range that still
-    counts as constant; `margin` (default 1e-3 * (1 + H^2)) is how close
-    K_max must come to H^2 to call the image open-up-to-the-sup when no
-    umbilic exists.  The verdict is sampled evidence, not a proof.  A disk
-    where K leaves the float range raises CurvatureOverflowError.
+    A K range below 1e-9 * (1 + H^2) counts as constant; `margin` (default
+    1e-3 * (1 + H^2)) is how close K_max must come to H^2 to call the image
+    open-up-to-the-sup when no umbilic exists.  The verdict is sampled
+    evidence, not a proof.  A disk where K leaves the float range raises
+    CurvatureOverflowError.
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
     if sorted(radii) != radii:
         raise ValueError("radii must be increasing")
     if samples_per_radius < 16:
@@ -107,8 +106,7 @@ def sample_k_image(
     if not math.isfinite(H):
         raise ValueError("H must be finite")
     sup = H * H
-    if const_tol is None:
-        const_tol = 1e-9 * (1.0 + sup)
+    const_tol = 1e-9 * (1.0 + sup)
     if margin is None:
         margin = 1e-3 * (1.0 + sup)
 

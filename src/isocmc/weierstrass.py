@@ -100,7 +100,6 @@ class SurfaceSample:
     y: np.ndarray
     ell: np.ndarray
     phi: np.ndarray | None = None
-    data: WeierstrassData | None = None
 
     def analytic_gauss(self) -> np.ndarray:
         """Per-node K = H^2 - |phi|^2; needs the curvature potential."""
@@ -176,38 +175,6 @@ def _integral_field(
     return _cumulative_integrals(e, base, grid, tol)
 
 
-def planar_map(
-    data: WeierstrassData, z: complex, tol: float = holo.DEFAULT_QUAD_TOL
-) -> complex:
-    """W(z), the integral of omega_hat from the base point to z."""
-    w = _integral_field(data.omega_hat, data.base_point, np.full((1, 1), complex(z)), tol)
-    return complex(w[0, 0])
-
-
-def height(
-    data: WeierstrassData,
-    H: float,
-    z: complex,
-    tol: float = holo.DEFAULT_QUAD_TOL,
-) -> float:
-    """Surface height over the point W(z)."""
-    w = planar_map(data, z, tol)
-    generator = holo.mul(data.h2, data.omega_hat)
-    t = _integral_field(generator, data.base_point, np.full((1, 1), complex(z)), tol)
-    return 0.5 * H * (w.real * w.real + w.imag * w.imag) + float(t[0, 0].real)
-
-
-def analytic_curvature(
-    data: WeierstrassData,
-    H: float,
-    z: complex,
-    umbilic_tol: float = UMBILIC_TOL,
-) -> tuple[float, bool]:
-    """(K, is_umbilic) at z, from the curvature potential."""
-    p = holo.evaluate(data.phi(), {"z": complex(z)})
-    return gauss_curvature(H, p), bool(abs(p) < umbilic_tol)
-
-
 def synthesize(
     data: WeierstrassData,
     params: LiftParams,
@@ -255,7 +222,7 @@ def synthesize_family(
         raise ValueError("synthesized surface contains non-finite values")
     phi_vals = holo.evaluate(data.phi(), {"z": grid})
     return [
-        SurfaceSample(domain, n_u, n_v, params.H, x, y, ell, phi=phi_vals, data=data)
+        SurfaceSample(domain, n_u, n_v, params.H, x, y, ell, phi=phi_vals)
         for params, ell in zip(family, ells)
     ]
 

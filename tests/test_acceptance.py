@@ -11,12 +11,7 @@ import time
 import numpy as np
 
 from isocmc import holo
-from isocmc.classify import (
-    SurfaceClass,
-    canonical_form,
-    classify_sample,
-    label_from_constants,
-)
+from isocmc.classify import SurfaceClass, classify_sample, label_from_constants
 from isocmc.graphgeo import (
     Rect,
     ScalarField,
@@ -26,7 +21,7 @@ from isocmc.graphgeo import (
 from isocmc.vdist import Verdict, sample_k_image, umbilic_scan
 from isocmc.weierstrass import LiftParams, enneper_data, exp_data, synthesize
 
-from util_expr import random_expr
+from util_expr import quadric_field, random_expr
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -98,7 +93,7 @@ def test_criterion_3_classification_table():
     worst = 0.0
     roundtrip_ok = True
     for H, K, want in table:
-        result = classify_sample(canonical_form(H, K).as_field(SQUARE, 41, 41))
+        result = classify_sample(quadric_field(H, K, SQUARE, 41, 41))
         roundtrip_ok &= result.label is want
         worst = max(worst, abs(result.H - H), abs(result.K - K))
     ok = labels_ok and roundtrip_ok and worst < 1e-8
@@ -175,7 +170,7 @@ def test_criterion_6_pde_views():
     quad_ok = True
     const_ok = True
     for H, K in pairs:
-        field = canonical_form(H, K).as_field(SQUARE, 41, 41)
+        field = quadric_field(H, K, SQUARE, 41, 41)
         report = pde_analyze(*field.height_chart(), const_tol=1e-8)
         lo, hi = report.laplacian.min(), report.laplacian.max()
         const_ok &= report.is_constant_laplacian and (hi - lo) < 1e-8

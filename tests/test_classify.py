@@ -8,14 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isocmc import holo, weierstrass
-from isocmc.classify import (
-    CanonicalSurface,
-    SurfaceClass,
-    canonical_form,
-    classify_sample,
-    label_from_constants,
-)
+from isocmc.classify import SurfaceClass, classify_sample, label_from_constants
 from isocmc.graphgeo import Rect, ScalarField
+
+from util_expr import quadric_field
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -89,25 +85,20 @@ def test_sign_flip_preserves_the_label():
 
 
 def test_canonical_form_splits_curvatures():
-    surf = canonical_form(3.0, 5.0)
-    assert surf.alpha + surf.beta == pytest.approx(3.0)
-    assert 4.0 * surf.alpha * surf.beta == pytest.approx(5.0)
-    assert surf.alpha >= surf.beta
+    form = label_from_constants(3.0, 5.0)
+    assert form.alpha + form.beta == pytest.approx(3.0)
+    assert 4.0 * form.alpha * form.beta == pytest.approx(5.0)
+    assert form.alpha >= form.beta
 
 
 def test_canonical_form_examples():
-    assert canonical_form(0.0, -1.0).height_at(1.0, 0.0) == pytest.approx(0.5)
-    assert canonical_form(1.0, 1.0).height_at(1.0, 1.0) == pytest.approx(1.0)
-    surf = canonical_form(1.0, 0.0)  # alpha = 1, beta = 0
-    x = np.array([0.5, 2.0])
-    np.testing.assert_allclose(surf.height_at(x, x * 0), [0.25, 4.0])
-
-
-def test_canonical_form_rejects_impossible_pairs():
-    with pytest.raises(ValueError):
-        canonical_form(0.0, 1.0)
-    with pytest.raises(ValueError):
-        CanonicalSurface(1.0, float("nan"))
+    rect = Rect(-2.0, 2.0, -2.0, 2.0)  # nodes at -2, -1, ..., 2
+    nodes = {v: i for i, v in enumerate(rect.x_nodes(5))}
+    at = lambda f, x, y: f.values[nodes[y], nodes[x]]
+    assert at(quadric_field(0.0, -1.0, rect, 5, 5), 1.0, 0.0) == pytest.approx(0.5)
+    assert at(quadric_field(1.0, 1.0, rect, 5, 5), 1.0, 1.0) == pytest.approx(1.0)
+    cylinder = quadric_field(1.0, 0.0, rect, 5, 5)  # alpha = 1, beta = 0
+    np.testing.assert_allclose([at(cylinder, 1.0, 0.0), at(cylinder, 2.0, 0.0)], [1.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +188,7 @@ def test_classify_cubic_lift_is_not_a_quadric():
 
 @pytest.mark.parametrize("H,K,label", TABLE)
 def test_classify_roundtrip_through_normal_forms(H, K, label):
-    field = canonical_form(H, K).as_field(SQUARE, 41, 41)
+    field = quadric_field(H, K, SQUARE, 41, 41)
     result = classify_sample(field)
     assert result.label is label
     assert result.H == pytest.approx(H, abs=1e-8)
@@ -210,7 +201,7 @@ def test_classify_roundtrip_on_random_pairs(H, gap):
     K = H * H - gap
     # keep the zero tests decisively on one side of the label boundaries
     assume(all(abs(v) < 1e-9 or abs(v) > 1e-7 for v in (H, K, gap)))
-    field = canonical_form(H, K).as_field(SQUARE, 31, 31)
+    field = quadric_field(H, K, SQUARE, 31, 31)
     result = classify_sample(field)
     assert result.label is label_from_constants(H, K).label
     assert result.H == pytest.approx(H, abs=1e-7)

@@ -4,11 +4,14 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from isocmc import holo, io_mesh, weierstrass
 from isocmc.cli import main
-from isocmc.graphgeo import Rect
+from isocmc.graphgeo import Rect, ScalarField
+
+from util_grid import reference_grid_text, reference_obj_text
 
 
 def run(tmp_path, *argv):
@@ -121,6 +124,26 @@ def test_graph_mode_reports_match_the_golden_files(tmp_path, source, command):
     assert (tmp_path / f"{name}.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+GOLDEN_RUNS = {
+    # omega = 1: the graph template of the writers
+    "graph-lift": (("lift", "--h2", "z^2", "--omega", "1", "--grid", "9x7", "-o", "graph_lift"),
+                   ("graph_lift.grid", "graph_lift.obj", "graph_lift.json")),
+    # omega = exp(z): a curved chart, in closed form
+    "chart-lift": (("lift", "--h2", "1", "--omega", "exp(z)", "--grid", "9x7", "-o", "chart_lift"),
+                   ("chart_lift.grid", "chart_lift.obj", "chart_lift.json")),
+    "sweep": (("sweep", "--h2", "z^2", "--omega", "1", "--H-list=0,1", "--grid", "5x5"),
+              ("sweep_H0.obj", "sweep_H1.obj", "sweep.json")),
+}
+
+
+@pytest.mark.parametrize("argv, files", GOLDEN_RUNS.values(), ids=GOLDEN_RUNS.keys())
+def test_written_files_match_the_golden_files(tmp_path, argv, files):
+    assert run(tmp_path, *argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def test_classify_constants(tmp_path, capsys):
     assert run(tmp_path, "classify", "--H", "1", "--K", "-1") == 0
     assert "HyperbolicParaboloid" in capsys.readouterr().out
@@ -168,10 +191,10 @@ def test_lift_writes_what_the_separate_writers_write(tmp_path):
         weierstrass.WeierstrassData(holo.parse(argv[1]), holo.parse(argv[3])),
         weierstrass.LiftParams(-0.75, Rect(-1.0, 1.0, -1.0, 1.0), 23, 17),
     )
-    io_mesh.write_grid(sample, tmp_path / "two.grid", provenance="lift H=-0.75")
     io_mesh.export_obj(sample, tmp_path / "two.obj")
-    for ext in ("grid", "obj"):
-        assert (tmp_path / f"one.{ext}").read_bytes() == (tmp_path / f"two.{ext}").read_bytes()
+    assert (tmp_path / "one.obj").read_bytes() == (tmp_path / "two.obj").read_bytes()
+    assert (tmp_path / "one.obj").read_text() == reference_obj_text(sample)
+    assert (tmp_path / "one.grid").read_text() == reference_grid_text(sample, "lift H=-0.75")
 
 
 @pytest.mark.parametrize("h_list", ["0.1,0.1000001", "1,1", "2,-1,2.0000001"])
@@ -286,6 +309,13 @@ def test_unknown_tolerance_key_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["umbilic=inf", "quadrature=nan", "margin=inf", "const=nan"])
+def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, tol):
+    assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5x5", "--tol", tol) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_classify_needs_exactly_one_source(tmp_path):
     assert run(tmp_path, "classify") == 2
     assert run(tmp_path, "classify", "--K", "0", "--f", "x^2") == 2
@@ -321,13 +351,9 @@ def usage_error_cases():
 
 @pytest.mark.parametrize("command, argv", usage_error_cases())
 def test_usage_errors_print_the_subcommand_usage(tmp_path, monkeypatch, capsys, command, argv):
-    import numpy as np
-
-    from isocmc.graphgeo import ScalarField
-
     rect = Rect(-1, 1, -1, 1)
     x, y = np.meshgrid(rect.x_nodes(5), rect.y_nodes(5))
-    io_mesh.write_grid(ScalarField(rect, x + y), tmp_path / "field.grid")
+    (tmp_path / "field.grid").write_text(reference_grid_text(ScalarField(rect, x + y)))
     assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5x5", "-o", "surface") == 0
     capsys.readouterr()
     monkeypatch.chdir(tmp_path)
@@ -336,13 +362,9 @@ def test_usage_errors_print_the_subcommand_usage(tmp_path, monkeypatch, capsys, 
 
 
 def test_analyze_rejects_plain_field_grids(tmp_path):
-    import numpy as np
-
-    from isocmc.graphgeo import Rect, ScalarField
-
     rect = Rect(-1, 1, -1, 1)
     x, y = np.meshgrid(rect.x_nodes(5), rect.y_nodes(5))
-    io_mesh.write_grid(ScalarField(rect, x + y), tmp_path / "flat.grid")
+    (tmp_path / "flat.grid").write_text(reference_grid_text(ScalarField(rect, x + y)))
     assert run(tmp_path, "analyze", "--grid-file", str(tmp_path / "flat.grid")) == 2
 
 
@@ -403,7 +425,7 @@ def test_analyze_curvature_overflow_is_a_named_error(tmp_path, capsys):
         weierstrass.exp_data(),
         weierstrass.LiftParams(1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11),
     )
-    io_mesh.write_grid(sample, tmp_path / "huge.grid")
+    io_mesh.write_surface(sample, tmp_path / "huge.grid", tmp_path / "huge.obj")
     for argv in (OVERFLOW_GEN, ("--grid-file", str(tmp_path / "huge.grid"))):
         code, runtime_warnings = run_quietly(tmp_path, "analyze", *argv)
         assert code == 1 and not runtime_warnings
@@ -427,6 +449,23 @@ def test_vdist_rejects_a_non_finite_h(tmp_path, capsys, H):
     err = capsys.readouterr().err
     assert "error: H must be finite" in err and "overflow" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("radii", ["nan", "1,inf"])
+def test_vdist_rejects_non_finite_radii(tmp_path, capsys, radii):
+    argv = ("vdist", "--h2", "z^2", "--omega", "1", "--radii", radii)
+    assert run_quietly(tmp_path, *argv) == (1, [])
+    err = capsys.readouterr().err
+    assert "error: radii must be positive and finite" in err and "overflow" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_lift_of_a_binomial_power_keeps_its_digits(tmp_path):
+    # ell = Re ((z+1)^256 - 1) / 256, and |z+1| <= 0.71 on this square
+    argv = ("--h2", "(z+1)^255", "--omega", "1", "--domain=-1.5:-0.5:-0.5:0.5", "--grid", "21x21")
+    assert run(tmp_path, "lift", *argv) == 0
+    ell = io_mesh.read_grid(tmp_path / "lift.grid").ell
+    assert np.max(np.abs(ell + 1 / 256)) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocmc import classify, weierstrass
+from isocmc import weierstrass
 from isocmc.graphgeo import (
     GridTooSmallError,
     Rect,
@@ -16,6 +16,8 @@ from isocmc.graphgeo import (
     pde_analyze,
     quadratic_test,
 )
+
+from util_expr import quadric_field
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -224,8 +226,8 @@ def test_quadratic_test_rejects_cubic():
 
 
 def test_quadratic_test_on_normal_form():
-    surf = classify.canonical_form(1.0, -3.0)  # alpha = 3/2, beta = -1/2
-    ok, coeffs = quadratic_test(*surf.as_field(SQUARE, 15, 15).height_chart())
+    field = quadric_field(1.0, -3.0, SQUARE, 15, 15)  # alpha = 3/2, beta = -1/2
+    ok, coeffs = quadratic_test(*field.height_chart())
     assert ok
     assert coeffs[3] == pytest.approx(1.5, abs=1e-10)
     assert coeffs[5] == pytest.approx(-0.5, abs=1e-10)

@@ -319,9 +319,13 @@ def test_antiderivative_of_a_huge_monomial():
 def test_polynomials_past_the_term_cap():
     z = Variable("z")
     # up to MAX_POLY_TERMS nonzero terms the primitive is the expanded sum
+    assert isinstance(antiderivative(parse("(z^2+1)^127")), holo.Add)
+    # but a power of a*z + b, b != 0, takes (a*z+b)^(n+1) / (a*(n+1)) directly,
+    # since its expanded sum cancels away every digit
     below = antiderivative(parse(f"(z+1)^{holo.MAX_POLY_TERMS - 1}"))
-    assert isinstance(below, holo.Add)
-    # a power of a*z + b past the cap takes (a*z+b)^(n+1) / (a*(n+1)) directly
+    assert below == Sub(holo.Div(IntPow(parse("z+1"), 256), Constant(256)), Constant(1 / 256))
+    assert evaluate(below, {"z": -1.0}) == -1 / 256
+    # and so does one past the cap
     base = parse("z/2+0.5")
     past = antiderivative(IntPow(base, 300))
     assert past == Sub(

@@ -18,13 +18,13 @@ from isocmc.io_mesh import (
     ReportDoc,
     classification_block,
     export_obj,
-    grid_text,
     read_grid,
     vdist_block,
-    write_grid,
     write_report,
     write_surface,
 )
+
+from util_grid import reference_grid_text, reference_obj_text
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -47,38 +47,39 @@ def a_field(n=5):
 def test_surface_roundtrip_is_bitwise(tmp_path):
     s = sample()
     path = tmp_path / "s.grid"
-    write_grid(s, path, provenance="roundtrip check")
+    write_surface(s, path, tmp_path / "s.obj", provenance="roundtrip check")
     back = read_grid(path)
     assert isinstance(back, weierstrass.SurfaceSample)
     assert back.H == s.H and back.domain == s.domain
     assert np.array_equal(back.x, s.x)
     assert np.array_equal(back.y, s.y)
     assert np.array_equal(back.ell, s.ell)
-    assert back.phi is None and back.data is None
+    assert back.phi is None
     # write -> read -> write is byte identical
-    assert grid_text(back, provenance="roundtrip check") == path.read_text()
+    write_surface(back, tmp_path / "t.grid", tmp_path / "t.obj", provenance="roundtrip check")
+    assert (tmp_path / "t.grid").read_bytes() == path.read_bytes()
 
 
 def test_field_roundtrip(tmp_path):
     f = a_field()
     path = tmp_path / "f.grid"
-    write_grid(f, path)
+    path.write_text(reference_grid_text(f))
     back = read_grid(path)
     assert isinstance(back, ScalarField)
     assert back.domain == f.domain
     assert np.array_equal(back.values, f.values)
 
 
-def test_provenance_must_be_one_line():
-    with pytest.raises(ValueError):
-        grid_text(a_field(), provenance="two\nlines")
-    with pytest.raises(ValueError):
-        grid_text(a_field(), provenance="")
+def test_provenance_must_be_one_line(tmp_path):
+    paths = tmp_path / "s.grid", tmp_path / "s.obj"
+    for provenance in ("two\nlines", ""):
+        with pytest.raises(ValueError, match="provenance"):
+            write_surface(sample(), *paths, provenance=provenance)
 
 
 def test_truncated_body_is_a_count_error(tmp_path):
     path = tmp_path / "t.grid"
-    write_grid(sample(), path)
+    write_surface(sample(), path, tmp_path / "t.obj")
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(GridFormatError, match="record"):
@@ -86,7 +87,7 @@ def test_truncated_body_is_a_count_error(tmp_path):
 
 
 def test_bad_headers_are_rejected(tmp_path):
-    good = grid_text(sample())
+    good = reference_grid_text(sample())
     cases = [
         good.replace("# cmcgrid v1", "# othergrid v9"),
         good.replace("kind surface", "kind blob"),
@@ -101,7 +102,7 @@ def test_bad_headers_are_rejected(tmp_path):
 
 
 def test_malformed_records_are_rejected(tmp_path):
-    good = grid_text(sample()).splitlines()
+    good = reference_grid_text(sample()).splitlines()
     path = tmp_path / "m.grid"
     path.write_text("\n".join(good[:7] + ["1 2"] + good[8:]) + "\n")
     with pytest.raises(GridFormatError):
@@ -137,14 +138,14 @@ MALFORMED_BODIES = [
 @pytest.mark.parametrize("edit", MALFORMED_BODIES)
 def test_reader_rejects_malformed_bodies(tmp_path, edit):
     path = tmp_path / "m.grid"
-    path.write_text(body_with(grid_text(sample()).splitlines(), edit))
+    path.write_text(body_with(reference_grid_text(sample()).splitlines(), edit))
     with pytest.raises(GridFormatError):
         read_grid(path)
 
 
 def test_reader_accepts_crlf_and_trailing_blank_lines(tmp_path):
     s = sample()
-    lines = grid_text(s).splitlines()
+    lines = reference_grid_text(s).splitlines()
     for name, data in [
         ("crlf", ("\r\n".join(lines) + "\r\n").encode()),
         ("trailing", ("\n".join(lines) + "\n\n  \n\t\n").encode()),
@@ -160,7 +161,7 @@ def test_reader_accepts_crlf_and_trailing_blank_lines(tmp_path):
 
 
 def test_field_kind_must_stay_on_its_lattice(tmp_path):
-    text = grid_text(a_field()).splitlines()
+    text = reference_grid_text(a_field()).splitlines()
     # perturb the x coordinate of the first record
     first = text[7].split()
     first[0] = repr(float(first[0]) + 0.5)
@@ -231,53 +232,7 @@ def test_obj_needs_a_real_grid():
 
 
 # ---------------------------------------------------------------------------
-# byte identity against the per-value writers the row templates replaced
-
-
-def _ref_fmt(v):
-    return f"{float(v):.17g}"
-
-
-def reference_grid_text(obj, provenance="-"):
-    if isinstance(obj, weierstrass.SurfaceSample):
-        kind, dom, h = "surface", obj.domain, obj.H
-        xs, ys, ells = obj.x, obj.y, obj.ell
-    else:
-        kind, dom, h = "field", obj.domain, 0.0
-        xs, ys = obj.meshgrid()
-        ells = obj.values
-    n_v, n_u = ells.shape
-    f = _ref_fmt
-    lines = [
-        "# cmcgrid v1",
-        f"kind {kind}",
-        f"domain {f(dom.x_min)} {f(dom.x_max)} {f(dom.y_min)} {f(dom.y_max)}",
-        f"shape {n_u} {n_v}",
-        f"H {f(h)}",
-        f"provenance {provenance}",
-        "end_header",
-    ]
-    for j in range(n_v):
-        for i in range(n_u):
-            lines.append(f"{f(xs[j, i])} {f(ys[j, i])} {f(ells[j, i])}")
-    return "\n".join(lines) + "\n"
-
-
-def reference_obj_text(s):
-    n_v, n_u = s.ell.shape
-    lines = []
-    for j in range(n_v):
-        for i in range(n_u):
-            lines.append(f"v {_ref_fmt(s.x[j, i])} {_ref_fmt(s.y[j, i])} {_ref_fmt(s.ell[j, i])}")
-    for j in range(n_v - 1):
-        for i in range(n_u - 1):
-            a = j * n_u + i + 1
-            b = j * n_u + (i + 1) + 1
-            c = (j + 1) * n_u + (i + 1) + 1
-            d = (j + 1) * n_u + i + 1
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n"
+# byte identity against the per-value writers of util_grid
 
 
 PLANTED = [-0.0, 5e-324, 1e308, 1e16, 0.1, 1 / 3, -2.5e-7]
@@ -328,7 +283,7 @@ def near_graphs():
 
 
 def identity_cases():
-    s53, s22, f, wide = lifted(5, 3), lifted(2, 2), a_field(6), lifted(9, 5)
+    s53, s22, wide = lifted(5, 3), lifted(2, 2), lifted(9, 5)
     strided = dataclasses.replace(  # non-contiguous views of a larger lattice
         wide, n_u=5, n_v=3, x=wide.x[::2, ::2], y=wide.y[::2, ::2], ell=wide.ell[::2, ::2]
     )
@@ -339,35 +294,32 @@ def identity_cases():
         "graph-5x3-one-y-one-ulp-off": bent,
         "5x3": s53,
         "2x2": s22,
-        "field": f,
         "5x3-planted": plant(s53),
         "2x2-planted": plant(s22),
         "5x3-strided": strided,
         "5x3-signed-zeros": signed_zeros(s53),
-        "field-planted": ScalarField(f.domain, planted(f.values)),
     }
     return [pytest.param(obj, id=name) for name, obj in cases.items()]
 
 
 @pytest.mark.parametrize("obj", identity_cases())
 def test_grid_writer_matches_the_per_value_writer(tmp_path, obj):
-    want = reference_grid_text(obj, provenance="ref check")
-    assert grid_text(obj, provenance="ref check") == want
-    write_grid(obj, tmp_path / "g.grid", provenance="ref check")
-    assert (tmp_path / "g.grid").read_bytes() == want.encode()
+    # and a read of the file writes the same bytes back
+    want = reference_grid_text(obj, provenance="ref check").encode()
+    write_surface(obj, tmp_path / "g.grid", tmp_path / "g.obj", provenance="ref check")
+    assert (tmp_path / "g.grid").read_bytes() == want
+    back = read_grid(tmp_path / "g.grid")
+    write_surface(back, tmp_path / "h.grid", tmp_path / "h.obj", provenance="ref check")
+    assert (tmp_path / "h.grid").read_bytes() == want
 
 
-@pytest.mark.parametrize(
-    "obj", [c for c in identity_cases() if not isinstance(c.values[0], ScalarField)]
-)
+@pytest.mark.parametrize("obj", identity_cases())
 def test_obj_writer_matches_the_per_value_writer(tmp_path, obj):
     export_obj(obj, tmp_path / "m.obj")
     assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(obj).encode()
 
 
-@pytest.mark.parametrize(
-    "obj", [c for c in identity_cases() if not isinstance(c.values[0], ScalarField)]
-)
+@pytest.mark.parametrize("obj", identity_cases())
 def test_one_pass_writer_matches_the_per_value_writers(tmp_path, obj):
     write_surface(obj, tmp_path / "s.grid", tmp_path / "s.obj", provenance="ref check")
     want_grid = reference_grid_text(obj, provenance="ref check")
@@ -397,7 +349,7 @@ def test_writers_match_on_wide_rows_with_signed_zeros(tmp_path):
 
 def test_planted_values_survive_the_roundtrip(tmp_path):
     s = plant(lifted(5, 3))
-    write_grid(s, tmp_path / "p.grid")
+    write_surface(s, tmp_path / "p.grid", tmp_path / "p.obj")
     back = read_grid(tmp_path / "p.grid")
     for got, want in ((back.x, s.x), (back.y, s.y), (back.ell, s.ell)):
         assert got.tobytes() == want.tobytes()  # bitwise: -0.0 keeps its sign
@@ -519,17 +471,17 @@ def reader_cases():
     # and one y per row; the first block that does not repeat converts all its
     # texts and every later block is parsed as floats
     cases = {
-        "graph-3x6000": (grid_text(tall), (3 + 6000, 0)),
-        "graph-2500x5": (grid_text(wide), (2500 + 5, 0)),
-        "graph-breaks-in-block-2": (grid_text(broken), (3 + 2730 + 2 * 2730 * 3, 1)),
-        "non-graph": (grid_text(non_graph(40, 30)), (40 + 2 * 1200, 0)),
-        "y-varies-along-a-row": (grid_text(bent), (5 + 2 * 20, 0)),
-        "field": (grid_text(a_field(6)), (6 + 6, 0)),
-        "signed-zeros-mixed": (grid_text(signed_zeros(graph(5, 4))), (5 + 2 * 20, 0)),
-        "signed-zeros-repeating": (grid_text(signed), (5 + 4, 0)),
+        "graph-3x6000": (reference_grid_text(tall), (3 + 6000, 0)),
+        "graph-2500x5": (reference_grid_text(wide), (2500 + 5, 0)),
+        "graph-breaks-in-block-2": (reference_grid_text(broken), (3 + 2730 + 2 * 2730 * 3, 1)),
+        "non-graph": (reference_grid_text(non_graph(40, 30)), (40 + 2 * 1200, 0)),
+        "y-varies-along-a-row": (reference_grid_text(bent), (5 + 2 * 20, 0)),
+        "field": (reference_grid_text(a_field(6)), (6 + 6, 0)),
+        "signed-zeros-mixed": (reference_grid_text(signed_zeros(graph(5, 4))), (5 + 2 * 20, 0)),
+        "signed-zeros-repeating": (reference_grid_text(signed), (5 + 4, 0)),
         # a text that fills its field may be cut short: every value is read as a float
-        "long-x-token": (with_tokens(grid_text(graph(5, 4)), long_x), (0, 1)),
-        "long-y-token": (with_tokens(grid_text(graph(5, 4)), long_y), (0, 1)),
+        "long-x-token": (with_tokens(reference_grid_text(graph(5, 4)), long_x), (0, 1)),
+        "long-y-token": (with_tokens(reference_grid_text(graph(5, 4)), long_y), (0, 1)),
     }
     return [pytest.param(text, work, id=name) for name, (text, work) in cases.items()]
 
@@ -545,7 +497,7 @@ def test_reader_matches_the_one_call_reader(tmp_path, monkeypatch, text, work):
 
 def test_long_tokens_are_not_cut(tmp_path):
     path = tmp_path / "l.grid"
-    path.write_text(with_tokens(grid_text(graph(5, 4)), in_column(5, 4, 1, 0, LONG)))
+    path.write_text(with_tokens(reference_grid_text(graph(5, 4)), in_column(5, 4, 1, 0, LONG)))
     assert np.all(read_grid(path).x[:, 1] == 1e-27)
 
 
@@ -560,7 +512,7 @@ MALFORMED_TEXTS = [
 @pytest.mark.parametrize("edits", MALFORMED_TEXTS)
 def test_reader_rejects_malformed_texts(tmp_path, edits):
     path = tmp_path / "m.grid"
-    path.write_text(with_tokens(grid_text(graph(5, 4)), edits))
+    path.write_text(with_tokens(reference_grid_text(graph(5, 4)), edits))
     for read in (read_grid, reference_read_grid):
         with pytest.raises(GridFormatError, match="malformed record"):
             read(path)
@@ -575,7 +527,7 @@ INF_IN_A_LATER_BLOCK = [
 @pytest.mark.parametrize("edits", INF_IN_A_LATER_BLOCK)
 def test_reader_rejects_inf_in_a_later_block(tmp_path, edits):
     path = tmp_path / "inf.grid"
-    path.write_text(with_tokens(grid_text(graph(3, 6000)), edits))
+    path.write_text(with_tokens(reference_grid_text(graph(3, 6000)), edits))
     for read in (read_grid, reference_read_grid):
         with pytest.raises(GridFormatError, match="non-finite"):
             read(path)
@@ -623,7 +575,7 @@ def parallel_inputs():
         pytest.param(p.values[0].encode(), p.id.startswith("long-"), id=p.id)
         for p in reader_cases()
     ]
-    lines = grid_text(graph(7, 9)).splitlines()
+    lines = reference_grid_text(graph(7, 9)).splitlines()
     crlf = ("\r\n".join(lines) + "\r\n\r\n \t\r\n").encode()
     return params + [pytest.param(crlf, False, id="crlf-trailing-blank-lines")]
 
@@ -647,8 +599,8 @@ def test_parallel_read_matches_the_one_call_reader(
 
 
 def malformed_files():
-    good, small = grid_text(sample()), grid_text(graph(5, 4))
-    tall = grid_text(graph(3, 6000))
+    good, small = reference_grid_text(sample()), reference_grid_text(graph(5, 4))
+    tall = reference_grid_text(graph(3, 6000))
     files = [
         pytest.param(body_with(good.splitlines(), p.values[0]), id=p.id) for p in MALFORMED_BODIES
     ]
@@ -673,7 +625,7 @@ def test_parallel_read_raises_the_serial_error(tmp_path, monkeypatch, no_child_l
 
 def test_a_killed_child_ends_in_the_serial_read(tmp_path, monkeypatch, no_child_left):
     path = tmp_path / "k.grid"
-    path.write_text(grid_text(graph(5, 12)))
+    path.write_text(reference_grid_text(graph(5, 12)))
     forks, serial = force_parallel(monkeypatch, 2)
     parent, body_values = os.getpid(), io_mesh._body_values
 
@@ -693,8 +645,8 @@ def test_a_child_that_opens_another_file_ends_in_the_serial_read(
 ):
     s = graph(5, 12)
     path, other = tmp_path / "p.grid", tmp_path / "q.grid"
-    path.write_text(grid_text(s))
-    other.write_text(grid_text(dataclasses.replace(s, ell=s.ell + 1.0)))
+    path.write_text(reference_grid_text(s))
+    other.write_text(reference_grid_text(dataclasses.replace(s, ell=s.ell + 1.0)))
     forks, serial = force_parallel(monkeypatch, 2)
     fork = os.fork
 
@@ -712,7 +664,7 @@ def test_children_are_reaped_when_the_parent_range_is_interrupted(
     tmp_path, monkeypatch, no_child_left
 ):
     path = tmp_path / "i.grid"
-    path.write_text(grid_text(graph(5, 12)))
+    path.write_text(reference_grid_text(graph(5, 12)))
     forks, _ = force_parallel(monkeypatch, 3)
     parent, body_values = os.getpid(), io_mesh._body_values
 

@@ -115,8 +115,9 @@ def test_sampling_validation():
         sample_k_image(data, 1.0, [])
     with pytest.raises(ValueError):
         sample_k_image(data, 1.0, [2.0, 1.0])
-    with pytest.raises(ValueError):
-        sample_k_image(data, 1.0, [-1.0, 2.0])
+    for radii in ([-1.0, 2.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="radii must be positive and finite"):
+            sample_k_image(data, 1.0, radii)
     with pytest.raises(ValueError):
         sample_k_image(data, 1.0, [1.0], samples_per_radius=8)
     for H in (math.nan, math.inf):

@@ -12,11 +12,9 @@ from isocmc.weierstrass import (
     NonGraphSampleError,
     SingularNodeError,
     WeierstrassData,
-    analytic_curvature,
     enneper_data,
     exp_data,
-    height,
-    planar_map,
+    gauss_curvature,
     synthesize,
     synthesize_family,
 )
@@ -46,84 +44,88 @@ def test_enneper_data_starts_at_two():
 
 
 # ---------------------------------------------------------------------------
-# pointwise maps
+# the planar map, heights and K at the nodes of a lattice
+
+
+def lattice(data, H, rect=SQUARE, n_u=9, n_v=7):
+    """The sample of the pair on rect, and its parameter nodes z."""
+    uu, vv = rect.mesh(n_u, n_v)
+    return synthesize(data, LiftParams(H, rect, n_u, n_v)), uu + 1j * vv
 
 
 def test_planar_map_identity():
-    data = WeierstrassData(Z, ONE)
-    assert planar_map(data, 3 + 4j) == 3 + 4j
+    s, z = lattice(WeierstrassData(Z, ONE), 0.0, Rect(0.0, 3.0, 0.0, 4.0), 4, 5)
+    assert np.array_equal(s.x + 1j * s.y, z) and z[-1, -1] == 3 + 4j
 
 
 def test_planar_map_scaling():
-    data = WeierstrassData(Z, holo.Constant(2))
-    assert planar_map(data, 1.0) == 2.0
+    s, z = lattice(WeierstrassData(Z, holo.Constant(2)), 0.0)
+    assert np.array_equal(s.x + 1j * s.y, 2 * z)
 
 
 def test_planar_map_exponential():
-    data = WeierstrassData(ONE, holo.Exp(Z))
-    assert abs(planar_map(data, 1.0) - (math.e - 1)) < 1e-12
+    s, z = lattice(WeierstrassData(ONE, holo.Exp(Z)), 0.0)
+    assert np.max(np.abs(s.x + 1j * s.y - (np.exp(z) - 1))) < 1e-12
 
 
 def test_planar_map_quadrature_fallback():
     # exp(z^2) has no symbolic antiderivative; the straight-segment
-    # quadrature must take over
+    # quadrature must take over, and W vanishes at the base point
     data = WeierstrassData(ONE, holo.parse("exp(z^2)"))
-    assert abs(planar_map(data, 1.0) - 1.4626517459071815) < 1e-9
-    assert planar_map(data, 0.0) == 0
+    s, z = lattice(data, 0.0, Rect(0.0, 1.0, 0.0, 0.5), 5, 3)
+    assert z[0, 0] == 0 and s.x[0, 0] == 0 and s.y[0, 0] == 0
+    assert z[0, -1] == 1 and abs(s.x[0, -1] - 1.4626517459071815) < 1e-9
 
 
 @pytest.mark.parametrize("z", [0.3 + 0.7j, -1.1 + 0.2j, 0.5j])
 def test_height_saddle_closed_form(z):
-    data = enneper_data(2)
-    want = 0.5 * (z.real**2 - z.imag**2)
-    assert height(data, 0.0, z) == pytest.approx(want, abs=1e-12)
+    rect = Rect(z.real - 0.25, z.real + 0.25, z.imag - 0.25, z.imag + 0.25)
+    s, zz = lattice(enneper_data(2), 0.0, rect)
+    want = 0.5 * (zz.real**2 - zz.imag**2)
+    assert np.max(np.abs(s.ell - want)) < 1e-12
 
 
 def test_height_cubic_closed_form():
-    data = enneper_data(3)
-    z = 0.4 - 0.9j
-    assert height(data, 0.0, z) == pytest.approx((z**3).real / 3.0, abs=1e-12)
+    s, z = lattice(enneper_data(3), 0.0)
+    assert np.max(np.abs(s.ell - (z**3).real / 3.0)) < 1e-12
 
 
 @pytest.mark.parametrize("H", [0.0, 0.5, 2.0])
 def test_height_exponential_closed_form(H):
-    data = exp_data()
-    z = 0.3 + 1.1j
+    s, z = lattice(exp_data(), H, Rect(-0.5, 0.5, 0.5, 1.5))
     x, y = z.real, z.imag
-    want = 0.5 * H * (x * x + y * y) + math.exp(x) * math.cos(y) - 1.0
-    assert height(data, H, z) == pytest.approx(want, abs=1e-12)
+    want = 0.5 * H * (x * x + y * y) + np.exp(x) * np.cos(y) - 1.0
+    assert np.max(np.abs(s.ell - want)) < 1e-12
 
 
 def test_height_depends_on_H_only_through_the_bowl_term():
     data = enneper_data(4)
-    z = 0.8 + 0.3j
-    w = planar_map(data, z)
+    flat, _ = lattice(data, 0.0)
     for H in (0.5, 3.0):
-        gap = height(data, H, z) - height(data, 0.0, z)
-        assert gap == pytest.approx(0.5 * H * abs(w) ** 2, rel=1e-13)
+        s, _ = lattice(data, H)
+        bowl = 0.5 * H * (s.x * s.x + s.y * s.y)
+        np.testing.assert_allclose(s.ell - flat.ell, bowl, rtol=1e-13, atol=1e-15)
 
 
 def test_analytic_curvature_polynomial_families():
-    rng = np.random.default_rng(3)
+    rect = Rect(-1.5, 1.5, -1.5, 1.5)  # the 7 x 7 lattice has z = 0 at its center
     for n in (2, 3, 4, 5):
-        data = enneper_data(n)
-        for _ in range(4):
-            z = complex(rng.normal(), rng.normal())
-            k, umb = analytic_curvature(data, 1.0, z)
-            want = 1.0 - abs((n - 1) * z ** (n - 2)) ** 2
-            assert k == pytest.approx(want, rel=1e-12, abs=1e-12)
+        s, z = lattice(enneper_data(n), 1.0, rect, 7, 7)
+        want = 1.0 - np.abs((n - 1) * z ** (n - 2)) ** 2
+        np.testing.assert_allclose(s.analytic_gauss(), want, rtol=1e-12, atol=1e-12)
     # the quadratic member never vanishes, the cubic one vanishes at 0
-    assert analytic_curvature(enneper_data(2), 1.0, 0.0) == (0.0, False)
-    k0, umb0 = analytic_curvature(enneper_data(3), 1.0, 0.0)
-    assert k0 == 1.0 and umb0
+    s2, z = lattice(enneper_data(2), 1.0, rect, 7, 7)
+    assert z[3, 3] == 0 and s2.analytic_gauss()[3, 3] == 0.0 and not s2.umbilic_flags().any()
+    s3, _ = lattice(enneper_data(3), 1.0, rect, 7, 7)
+    assert s3.analytic_gauss()[3, 3] == 1.0
+    assert np.argwhere(s3.umbilic_flags()).tolist() == [[3, 3]]
 
 
 def test_analytic_curvature_exponential():
-    data = exp_data()
-    k, umb = analytic_curvature(data, 2.0, 0.0)
-    assert k == pytest.approx(3.0) and not umb
-    k2, _ = analytic_curvature(data, 0.0, -3.0)
-    assert k2 == pytest.approx(-math.exp(-6.0))
+    phi = holo.evaluate(exp_data().phi(), {"z": np.array([0j, -3.0])})
+    assert np.abs(phi[0]) >= weierstrass.UMBILIC_TOL
+    assert gauss_curvature(2.0, phi[:1])[0] == pytest.approx(3.0)
+    assert gauss_curvature(0.0, phi[1:])[0] == pytest.approx(-math.exp(-6.0))
 
 
 def test_gauss_curvature_overflow_is_a_named_error():
@@ -136,7 +138,7 @@ def test_gauss_curvature_overflow_is_a_named_error():
             weierstrass.gauss_curvature(1.0, values)
     assert weierstrass.gauss_curvature(2.0, phi[:1])[0] == 4.0 - 1e200
     with pytest.raises(weierstrass.CurvatureOverflowError):
-        analytic_curvature(exp_data(), 1.0, 400.0)
+        gauss_curvature(1.0, holo.evaluate(exp_data().phi(), {"z": 400.0}))
 
 
 def test_induced_metric():
@@ -245,9 +247,6 @@ def test_synthesize_quadrature_oracle():
     bound = (n + n) * tol
     assert np.max(np.abs(sample.x + 1j * sample.y - np.log1p(z / 4))) <= bound
     assert np.max(np.abs(sample.ell - (z - 4 * np.log1p(z / 4)).real)) <= bound
-    # the pointwise maps are one-node calls of the same path
-    assert abs(planar_map(data, z[7, 30]) - np.log1p(z[7, 30] / 4)) <= bound
-    assert height(data, 0.0, z[7, 30]) == pytest.approx(sample.ell[7, 30], abs=bound)
 
 
 def test_umbilic_flags_and_gauss_grid():

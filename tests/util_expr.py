@@ -1,4 +1,5 @@
-"""Seeded random expression trees for round-trip and calculus tests.
+"""Seeded random expression trees for round-trip and calculus tests, and
+sampled normal-form quadrics.
 
 Trees are built through the folding constructors, so they are already in
 the shape the parser produces and ``parse(to_text(e)) == e`` is a fair
@@ -10,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from isocmc import holo
+from isocmc.classify import label_from_constants
+from isocmc.graphgeo import Rect, ScalarField
 
 _WRAPPERS = (holo.Exp, holo.Sin, holo.Cos, holo.Sinh, holo.Cosh)
 
@@ -79,3 +82,10 @@ def random_integrable(rng: np.random.Generator, terms: int = 3) -> holo.Expr:
         inner = holo.add(holo.mul(holo.Constant(a), z), holo.Constant(b))
         acc = holo.add(acc, holo.mul(holo.Constant(c), head(inner)))
     return acc
+
+
+def quadric_field(H: float, K: float, domain: Rect, n_x: int, n_y: int) -> ScalarField:
+    """The normal form alpha*x^2 + beta*y^2 of the pair (H, K), sampled on the lattice."""
+    form = label_from_constants(H, K)
+    xx, yy = domain.mesh(n_x, n_y)
+    return ScalarField(domain, form.alpha * xx * xx + form.beta * yy * yy)

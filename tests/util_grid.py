@@ -1,0 +1,58 @@
+"""Per-value reference writers of the grid and OBJ text formats.
+
+They format every number on its own, node by node, so the tests can check
+the package's row-template writers byte for byte against them and write
+fixture files, `field` grids among them, that no subcommand writes.
+"""
+
+from __future__ import annotations
+
+from isocmc import weierstrass
+
+
+def _ref_fmt(v):
+    return f"{float(v):.17g}"
+
+
+def reference_grid_text(obj, provenance="-"):
+    """A SurfaceSample or ScalarField in the grid text format."""
+    if isinstance(obj, weierstrass.SurfaceSample):
+        kind, dom, h = "surface", obj.domain, obj.H
+        xs, ys, ells = obj.x, obj.y, obj.ell
+    else:
+        kind, dom, h = "field", obj.domain, 0.0
+        xs, ys = obj.meshgrid()
+        ells = obj.values
+    n_v, n_u = ells.shape
+    f = _ref_fmt
+    lines = [
+        "# cmcgrid v1",
+        f"kind {kind}",
+        f"domain {f(dom.x_min)} {f(dom.x_max)} {f(dom.y_min)} {f(dom.y_max)}",
+        f"shape {n_u} {n_v}",
+        f"H {f(h)}",
+        f"provenance {provenance}",
+        "end_header",
+    ]
+    for j in range(n_v):
+        for i in range(n_u):
+            lines.append(f"{f(xs[j, i])} {f(ys[j, i])} {f(ells[j, i])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_obj_text(s):
+    """A SurfaceSample as a triangulated OBJ mesh."""
+    n_v, n_u = s.ell.shape
+    lines = []
+    for j in range(n_v):
+        for i in range(n_u):
+            lines.append(f"v {_ref_fmt(s.x[j, i])} {_ref_fmt(s.y[j, i])} {_ref_fmt(s.ell[j, i])}")
+    for j in range(n_v - 1):
+        for i in range(n_u - 1):
+            a = j * n_u + i + 1
+            b = j * n_u + (i + 1) + 1
+            c = (j + 1) * n_u + (i + 1) + 1
+            d = (j + 1) * n_u + i + 1
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
