@@ -26,23 +26,34 @@ _TOL_DEFAULTS = {
 }
 
 
+def _syntax(form: str, sep: str, count: int = 0, kind=float):
+    """argparse type for an option of `count` (or any number of) sep-separated
+    numbers, none empty; it keeps the text, which later parses and is echoed."""
+
+    def check(text: str) -> str:
+        parts = text.lower().split(sep)
+        try:
+            if all(p.strip() for p in parts) and len(parts) == (count or len(parts)):
+                list(map(kind, parts))
+                return text
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+    return check
+
+
 def _parse_domain(text: str) -> Rect:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ValueError("domain must be umin:umax:vmin:vmax")
-    return Rect(*(float(p) for p in parts))
+    return Rect(*(float(p) for p in text.split(":")))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError("grid must be NxM")
-    n_u, n_v = int(parts[0]), int(parts[1])
+    n_u, n_v = (int(p) for p in text.lower().split("x"))
     return n_u, n_v
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [float(p) for p in text.split(",")]
 
 
 def _resolve_tols(args, parser) -> dict:
@@ -223,8 +234,6 @@ def cmd_classify(args, parser, tols: dict) -> int:
 
 def cmd_sweep(args, parser, tols: dict) -> int:
     h_values = _parse_floats(args.H_list)
-    if not h_values:
-        parser.error("--H-list needs at least one value")
     names = [f"{args.out}_H{h:g}.obj" for h in h_values]
     clashes = [h for h, name in zip(h_values, names) if names.count(name) > 1]
     if clashes:
@@ -338,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = argparse.ArgumentParser(add_help=False)
     gen.add_argument("--h2", help="generator expression h2(z)")
     gen.add_argument("--omega", help="generator expression omega(z), nowhere zero")
-    gen.add_argument("--domain", default="-1:1:-1:1", help="umin:umax:vmin:vmax")
-    gen.add_argument("--grid", default="201x201", help="nodes per axis, NxM")
+    domain, grid = _syntax("umin:umax:vmin:vmax", ":", 4), _syntax("NxM", "x", 2, int)
+    gen.add_argument("--domain", default="-1:1:-1:1", type=domain, help="umin:umax:vmin:vmax")
+    gen.add_argument("--grid", default="201x201", type=grid, help="nodes per axis, NxM")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -369,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", parents=[common, gen], help="one family, several H values"
     )
-    p.add_argument("--H-list", dest="H_list", required=True, help="comma separated")
+    numbers = _syntax("comma separated numbers", ",")
+    p.add_argument("--H-list", dest="H_list", required=True, type=numbers, help="comma separated")
     p.add_argument("-o", "--out", default="sweep")
     p.set_defaults(func=cmd_sweep, required_gen=True)
 
@@ -377,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "vdist", parents=[common, gen], help="K image over growing disks"
     )
     p.add_argument("--H", type=float, default=0.0)
-    p.add_argument("--radii", default="1,10,100", help="comma separated, increasing")
+    p.add_argument("--radii", default="1,10,100", type=numbers, help="comma separated, increasing")
     p.add_argument("--samples", type=int, default=10_000, help="samples per radius")
     p.set_defaults(func=cmd_vdist, required_gen=True)
     p.add_argument("-o", "--out", default="vdist")

@@ -225,7 +225,10 @@ def quadratic_test(
     if f.n_x < 7 or f.n_y < 7:
         raise GridTooSmallError("quadratic test needs at least 7 nodes per axis")
     xs, ys = np.ravel(x), np.ravel(y)
-    design = np.column_stack([np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys])
+    design = np.empty((xs.size, 6), order="F")  # LAPACK's order: lstsq copies it without striding
+    design[:, 0], design[:, 1], design[:, 2] = 1.0, xs, ys
+    for col, (a, b) in enumerate(((xs, xs), (xs, ys), (ys, ys)), start=3):
+        np.multiply(a, b, out=design[:, col])
     rhs = f.values.ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:

@@ -438,15 +438,33 @@ def antiderivative(e: Expr) -> Expr | None:
 
 def _anti(e: Expr) -> Expr | None:
     # A power of a*z + b, b != 0, takes (a*z+b)^(n+1) / (a*(n+1)): its
-    # expanded sum would cancel away every digit.  (a*z)^n takes it only
-    # when the expansion fails.
+    # expanded sum would cancel away every digit, and so would the expansion
+    # of a sum or constant multiple that holds one, so such a node is first
+    # integrated term by term.  (a*z)^n takes it only when the expansion fails.
     lin = _linear_coeffs(e.base) if isinstance(e, IntPow) and e.n >= 0 else None
-    direct = lin is not None and lin[0] != 0
-    coeffs = None if direct and lin[1] != 0 else _poly_coeffs(e)
+    direct, shifted = lin is not None and lin[0] != 0, lin is not None and 0 not in lin
+    by_terms = _has_shifted_power(e)
+    linear = _anti_linear(e) if by_terms else None
+    coeffs = None if shifted or linear is not None else _poly_coeffs(e)
     if coeffs is not None:
         return _integrate_poly(coeffs)
     if direct:
         return div(intpow(e.base, e.n + 1), Constant(lin[0] * (e.n + 1)))
+    if isinstance(e, _Function):
+        lin = _linear_coeffs(e.arg)
+        if lin is None:
+            return None
+        a, _ = lin
+        if a == 0:
+            return mul(Constant(evaluate(e, {"z": 0j})), Variable("z"))
+        sign, primitive = _PRIMITIVES[type(e)]
+        term = mul(Constant(1 / a), primitive(e.arg))
+        return term if sign > 0 else neg(term)
+    return linear if by_terms else _anti_linear(e)
+
+
+def _anti_linear(e: Expr) -> Expr | None:
+    """The primitive of a sum, difference, negation or constant multiple, term by term."""
     if isinstance(e, (Add, Sub)):
         l, r = _anti(e.left), _anti(e.right)
         join = add if isinstance(e, Add) else sub
@@ -467,17 +485,15 @@ def _anti(e: Expr) -> Expr | None:
             l = _anti(e.left)
             return None if l is None else div(l, e.right)
         return None
-    if isinstance(e, _Function):
-        lin = _linear_coeffs(e.arg)
-        if lin is None:
-            return None
-        a, _ = lin
-        if a == 0:
-            return mul(Constant(evaluate(e, {"z": 0j})), Variable("z"))
-        sign, primitive = _PRIMITIVES[type(e)]
-        term = mul(Constant(1 / a), primitive(e.arg))
-        return term if sign > 0 else neg(term)
     return None
+
+
+def _has_shifted_power(e: Expr) -> bool:
+    """Whether e holds a power (a*z+b)^n with a, b != 0 and n >= 0."""
+    lin = _linear_coeffs(e.base) if isinstance(e, IntPow) and e.n >= 0 else None
+    return (lin is not None and 0 not in lin) or any(
+        _has_shifted_power(c) for c in vars(e).values() if isinstance(c, Expr)
+    )
 
 
 def _integrate_poly(coeffs: list[complex]) -> Expr:

@@ -8,12 +8,15 @@ identical invocations produce identical reports.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import mmap
 import operator
 import os
+import shutil
 import signal
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,45 +131,59 @@ def _body_values(fh, n_u: int, n_v: int, as_text: bool = True, out=None) -> np.n
     return values
 
 
-def _parallel_values(path: str | Path, fh, n_u: int, n_v: int) -> np.ndarray | None:
-    """The body as _body_values gives it, parsed in W row ranges into one shared
-    array: forked children parse ranges 1..W-1 from their own handles, this
-    process range 0 from fh.  None if that does not pay or fails in any way."""
+def _forked_ranges(n_u: int, n_v: int, prepare):
+    """Run a range function on W contiguous row ranges at once, W <= the usable CPUs.
+
+    prepare(rows), given the bounds 0 = rows[0] < ... < rows[W] = n_v, returns
+    (run, result) before any fork.  Forked children run run(k), k = 1..W-1, and
+    end through os._exit; this process runs run(0).  result if every run(k)
+    returned True; None if that does not pay or fails in any way."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, n_u * n_v // _PARALLEL_NODES, n_v) if hasattr(os, "fork") else 1
     if workers < 2 or threading.active_count() != 1:
         return None
     rows, pids, ok = [k * n_v // workers for k in range(workers + 1)], [], False
-
-    def fill(lines, k: int, skip: int = 0) -> bool:  # the last range reads to the end
-        lo, hi = rows[k], rows[k + 1]
-        lines = itertools.islice(lines, skip, skip + (hi - lo) * n_u if hi < n_v else None)
-        return _body_values(lines, n_u, hi - lo, out=values[:, lo:hi]) is not None
-
     try:
-        values = np.frombuffer(mmap.mmap(-1, 24 * n_u * n_v)).reshape(3, n_v, n_u)
-        ident = _FILE_IDENTITY(os.fstat(fh.fileno()))
+        run, result = prepare(rows)
         for k in range(1, workers):
-            # On Python >= 3.12 fork warns (DeprecationWarning) in a process with
-            # other threads, and numpy's BLAS pool is one.  The child runs only the
-            # text parser, never BLAS, and OpenBLAS shuts its pool down across a fork.
+            # On Python >= 3.12 fork warns (DeprecationWarning) in a process with other
+            # threads, and numpy's BLAS pool is one.  A child only parses or formats
+            # text, never calls BLAS, and OpenBLAS shuts its pool down across a fork.
             pids.append(os.fork())
-            if pids[-1] == 0:  # the child: its own handle on the same file
+            if pids[-1] == 0:
                 try:
-                    with open(path) as own:
-                        same = _FILE_IDENTITY(os.fstat(own.fileno())) == ident
-                        ok = same and fill(own, k, skip=7 + rows[k] * n_u)
+                    ok = run(k)
                 finally:
                     os._exit(0 if ok else 1)
-        ok = fill(fh, 0)
-    except Exception:  # the serial read repeats the work and raises its own error
+        ok = run(0)
+    except Exception:  # the serial path repeats the work and raises its own error
         pass
     finally:
         for pid in pids:
             if not ok:
                 os.kill(pid, signal.SIGKILL)
             ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
-    return values if ok else None
+    return result if ok else None
+
+
+def _parallel_values(path: str | Path, fh, n_u: int, n_v: int) -> np.ndarray | None:
+    """The body as _body_values gives it, parsed in row ranges into one shared
+    array, a child's range from its own handle.  None if that does not pay or fails."""
+
+    def prepare(rows):
+        values = np.frombuffer(mmap.mmap(-1, 24 * n_u * n_v)).reshape(3, n_v, n_u)
+        ident = _FILE_IDENTITY(os.fstat(fh.fileno()))
+
+        def run(k: int) -> bool:  # the last range reads to the end
+            lo, hi, skip = rows[k], rows[k + 1], 7 + rows[k] * n_u if k else 0
+            with open(path) if k else contextlib.nullcontext(fh) as own:  # a child's own handle
+                lines = itertools.islice(own, skip, skip + (hi - lo) * n_u if hi < n_v else None)
+                same = _FILE_IDENTITY(os.fstat(own.fileno())) == ident
+                return same and _body_values(lines, n_u, hi - lo, out=values[:, lo:hi]) is not None
+
+        return run, values
+
+    return _forked_ranges(n_u, n_v, prepare)
 
 
 def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
@@ -220,14 +237,37 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
     return SurfaceSample(domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells)
 
 
-def _faces(n_u: int, n_v: int):
-    """The OBJ "f" lines of an n_u x n_v lattice, one row of cells at a time."""
+def _faces(n_u: int, n_v: int, lo: int = 0, hi: int | None = None):
+    """The OBJ "f" lines of cell rows [lo, hi) (default: all) of an n_u x n_v lattice,
+    one row at a time: a fixed list of separators whose slots take the index texts
+    of lattice rows j and j + 1, so each index is formatted once."""
     if n_u < 2 or n_v < 2:
         raise ValueError("OBJ export needs at least a 2 x 2 grid")
-    a = np.arange(1, n_u)  # 1-based index of the (i, j) corner of each cell, j = 0
-    corners = np.stack((a, a + 1, a + n_u + 1, a, a + n_u + 1, a + n_u), axis=1).ravel()
-    template = "f %d %d %d\nf %d %d %d\n" * (n_u - 1)
-    return (template % tuple((corners + j * n_u).tolist()) for j in range(n_v - 1))
+    # per cell "f a b c\nf a c d\n", a the 1-based index of its (i, j) corner
+    parts = ["f "] + ["", " ", "", " ", "", "\nf ", "", " ", "", " ", "", "\nf "] * (n_u - 1)
+    parts[-1] = "\n"
+
+    def rows(above: list[str]):
+        for j in range(lo, n_v - 1 if hi is None else hi):
+            below, above = above, list(map(str, range((j + 1) * n_u + 1, (j + 2) * n_u + 1)))
+            parts[1::12] = parts[7::12] = below[:-1]
+            parts[3::12] = below[1:]
+            parts[5::12] = parts[9::12] = above[1:]
+            parts[11::12] = above[:-1]
+            yield "".join(parts)
+
+    return rows(list(map(str, range(lo * n_u + 1, (lo + 1) * n_u + 1))))
+
+
+def _append(dst, src) -> None:
+    """Append all of the flushed file src to dst, within the kernel where it can."""
+    dst.flush()
+    done = 0
+    with contextlib.suppress(OSError):
+        while n := os.copy_file_range(src.fileno(), dst.fileno(), 1 << 30, done):
+            done += n
+    src.seek(done)
+    shutil.copyfileobj(src, dst)  # what copy_file_range left, if anything
 
 
 def export_obj(sample: SurfaceSample, path: str | Path) -> None:
@@ -252,27 +292,57 @@ def write_surface(
     (n_u n_v), H, one free-form provenance line, end marker.  Body: one record
     per node in row major order (v outermost, u fastest), each a triple
     "x y ell" with 17 significant digits.  The OBJ vertices are the same
-    records, as export_obj writes them.
+    records, as export_obj writes them.  Where it pays, forked children format
+    row ranges 1..W-1 into unnamed temp files that are then appended in order;
+    any failure writes both files again, serially, with the same bytes.
     """
     if "\n" in provenance or not provenance:
         raise ValueError("provenance must be one non-empty line")
     dom, (n_v, n_u) = sample.domain, sample.ell.shape
-    header = [
+    header = "\n".join([
         GRID_MAGIC,
         "kind surface",
         f"domain {_fmt(dom.x_min)} {_fmt(dom.x_max)} {_fmt(dom.y_min)} {_fmt(dom.y_max)}",
         f"shape {n_u} {n_v}",
         f"H {_fmt(sample.H)}",
         f"provenance {provenance}",
-        "end_header",
-    ]
-    faces = _faces(n_u, n_v)
-    with open(obj_path, "w") as obj, open(grid_path, "w") as grid:
-        grid.write("\n".join(header) + "\n")
-        for records in _records(sample.x, sample.y, sample.ell):
+        "end_header\n",
+    ])
+    _faces(n_u, n_v)  # rejects a lattice too small for a mesh before a file opens
+
+    def write(rows, files, k: int) -> bool:  # files[k] takes range k's records, "v", "f" lines
+        (lo, hi), (grid, obj, faces) = rows[k : k + 2], files[k]
+        for records in _records(sample.x[lo:hi], sample.y[lo:hi], sample.ell[lo:hi]):
             grid.write(records)
             obj.write(_vertices(records))
-        obj.writelines(faces)
+        faces.writelines(_faces(n_u, n_v, lo, min(hi, n_v - 1)))
+        for fh in files[k]:  # a child ends through os._exit, which flushes nothing
+            fh.flush()
+        return True
+
+    with open(obj_path, "w") as obj, open(grid_path, "w") as grid, contextlib.ExitStack() as temps:
+
+        def prepare(rows):
+            def temp(path):
+                return temps.enter_context(tempfile.TemporaryFile("w+", dir=Path(path).parent))
+
+            grid.write(header)
+            files = [[grid, obj, temp(obj_path)]]
+            files += [[temp(grid_path), temp(obj_path), temp(obj_path)] for _ in rows[2:]]
+            return (lambda k: write(rows, files, k)), files
+
+        files = _forked_ranges(n_u, n_v, prepare)
+        if files is not None:
+            with contextlib.suppress(OSError):
+                for dst, i, ranges in ((grid, 0, files[1:]), (obj, 1, files[1:]), (obj, 2, files)):
+                    for range_files in ranges:
+                        _append(dst, range_files[i])
+                return
+        for fh in (grid, obj):  # the serial write, also after a failed parallel one
+            fh.seek(0)
+            fh.truncate()
+        grid.write(header)
+        write([0, n_v], [[grid, obj, obj]], 0)
 
 
 @dataclass

@@ -469,6 +469,24 @@ def test_lift_of_a_binomial_power_keeps_its_digits(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "h2, exact",
+    [
+        # ell = Re 2((z+1)^256 - 1) / 256 and Re ((z+1)^256 - 1) / 256 + x
+        pytest.param("2*(z+1)^255", lambda s: np.full_like(s.x, -2 / 256), id="multiple"),
+        pytest.param("(z+1)^255 + 1", lambda s: s.x - 1 / 256, id="sum"),
+        pytest.param(
+            "-(z+1)^255/2 - 3*(z+1)^255", lambda s: np.full_like(s.x, 3.5 / 256), id="combination"
+        ),
+    ],
+)
+def test_lift_of_a_combination_of_binomial_powers_keeps_its_digits(tmp_path, h2, exact):
+    argv = ("--h2", h2, "--omega", "1", "--domain=-1.5:-0.5:-0.5:0.5", "--grid", "21x21")
+    assert run(tmp_path, "lift", *argv) == 0
+    s = io_mesh.read_grid(tmp_path / "lift.grid")
+    assert np.max(np.abs(s.ell - exact(s))) <= 1e-12
+
+
+@pytest.mark.parametrize(
     "h2, code, message",
     [
         # |z+1|^1101 passes the float range on the square
@@ -492,9 +510,40 @@ def test_pde_rejects_complex_height_expressions(tmp_path, capsys):
 
 
 def test_bad_domain_or_grid_spec(tmp_path):
+    # a value that parses but is invalid is a runtime error; text that does not
+    # parse is a usage error (see test_malformed_option_text_is_a_usage_error)
     assert (
         run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--domain", "1:0:0:1") == 1
     )
     assert (
-        run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5by5") == 1
+        run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5by5") == 2
     )
+    assert (
+        run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "1x5") == 1
+    )
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("lift", "--grid", "5x"),
+        ("lift", "--grid", "ax5"),
+        ("lift", "--grid", "5x5x5"),
+        ("lift", "--grid", "5.0x5"),
+        ("lift", "--domain", "1:2:3"),
+        ("lift", "--domain", "-1:1::1"),
+        ("sweep", "--H-list", "1,x"),
+        ("sweep", "--H-list", "1,,2"),
+        ("sweep", "--H-list", ""),
+        ("vdist", "--radii", "1,,10"),
+        ("vdist", "--radii", "1,ten"),
+    ],
+)
+def test_malformed_option_text_is_a_usage_error(tmp_path, capsys, command, option, value):
+    argv = (command, "--h2", "z", "--omega", "1", "--grid", "5x5", f"{option}={value}")
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"isocmc {command}: error: argument {option}: expected" in err and repr(value) in err
+    assert "invalid literal" not in err and "could not convert" not in err
+    assert not list(tmp_path.iterdir())
+

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocmc import weierstrass
+from isocmc import holo, weierstrass
 from isocmc.graphgeo import (
     GridTooSmallError,
     Rect,
@@ -231,6 +231,36 @@ def test_quadratic_test_on_normal_form():
     assert ok
     assert coeffs[3] == pytest.approx(1.5, abs=1e-10)
     assert coeffs[5] == pytest.approx(-0.5, abs=1e-10)
+
+
+def column_stack_fit(f, x, y):
+    """The coefficients of the C-order column_stack design that quadratic_test replaced."""
+    xs, ys = np.ravel(x), np.ravel(y)
+    design = np.column_stack([np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys])
+    return np.linalg.lstsq(design, f.values.ravel(), rcond=None)[0]
+
+
+def fit_cases():
+    rng = np.random.default_rng(7)
+    rect = Rect(-1.0, 1.3, -0.7, 2.0)
+    for n in (7, 9, 31, 101, 201):
+        xx, yy = rect.mesh(n, n)
+        c = rng.normal(size=8)
+        quad = c[0] + c[1] * xx + c[2] * yy + c[3] * xx * xx + c[4] * xx * yy + c[5] * yy * yy
+        yield pytest.param(ScalarField(rect, quad), xx, yy, id=f"quadric-{n}")
+        cubic = quad + c[6] * xx**3 + c[7] * xx * yy * yy
+        yield pytest.param(ScalarField(rect, cubic), xx, yy, id=f"cubic-{n}")
+    chart = weierstrass.synthesize(
+        weierstrass.WeierstrassData(holo.Variable("z"), holo.Exp(holo.Variable("z"))),
+        weierstrass.LiftParams(0.5, SQUARE, 41, 37),
+    )
+    yield pytest.param(*chart.height_chart(), id="chart-41x37")
+
+
+@pytest.mark.parametrize("f, x, y", fit_cases())
+def test_quadratic_fit_matches_the_column_stack_design_bitwise(f, x, y):
+    _, coeffs = quadratic_test(f, x, y)
+    assert coeffs.tobytes() == column_stack_fit(f, x, y).tobytes()
 
 
 def test_quadratic_test_needs_seven_nodes():

@@ -1,6 +1,7 @@
 """Grid text format, OBJ export, JSON reports."""
 
 import dataclasses
+import errno
 import gc
 import json
 import os
@@ -677,6 +678,133 @@ def test_children_are_reaped_when_the_parent_range_is_interrupted(
     with pytest.raises(KeyboardInterrupt):
         read_grid(path)
     assert len(forks) == 2
+
+
+# ---------------------------------------------------------------------------
+# the parallel write, forced on small lattices: the per-value writers' bytes
+
+
+def force_parallel_write(monkeypatch, workers):
+    """force_parallel for write_surface.
+
+    Returns the forks made by this process and the row counts of the
+    _records calls it made; a serial write formats every lattice row in one call.
+    """
+    forks, _ = force_parallel(monkeypatch, workers)
+    rows, parent, records = [], os.getpid(), io_mesh._records
+
+    def spied_records(x, y, ell):
+        if os.getpid() == parent:
+            rows.append(len(ell))
+        return records(x, y, ell)
+
+    monkeypatch.setattr(io_mesh, "_records", spied_records)
+    return forks, rows
+
+
+def write_checked(s, out_dir, raises=None):
+    """write_surface(s) into out_dir; no ResourceWarning and no file but the two."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if raises is None:
+            write_surface(s, out_dir / "s.grid", out_dir / "s.obj", provenance="ref check")
+        else:
+            with pytest.raises(raises):
+                write_surface(s, out_dir / "s.grid", out_dir / "s.obj", provenance="ref check")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["s.grid", "s.obj"]
+
+
+def assert_reference_bytes(s, out_dir):
+    assert (out_dir / "s.grid").read_bytes() == reference_grid_text(s, "ref check").encode()
+    assert (out_dir / "s.obj").read_bytes() == reference_obj_text(s).encode()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("obj", identity_cases() + [pytest.param(graph(7, 12), id="graph-7x12")])
+def test_parallel_write_matches_the_per_value_writers(
+    tmp_path, monkeypatch, no_child_left, obj, workers
+):
+    n_v = obj.ell.shape[0]
+    forks, rows = force_parallel_write(monkeypatch, workers)
+    write_checked(obj, tmp_path)
+    assert len(forks) == min(workers, n_v) - 1 and n_v not in rows
+    assert_reference_bytes(obj, tmp_path)
+
+
+def fail_in_range(monkeypatch, failure):
+    """Make a range write fail, through _faces: a child's range raises
+    ("child-raises"), a child is SIGKILLed ("child-killed"), or this
+    process's range is interrupted ("parent-interrupted")."""
+    parent, faces = os.getpid(), io_mesh._faces
+
+    def failing(n_u, n_v, *rows):
+        if rows and os.getpid() != parent and failure == "child-raises":
+            raise ValueError("a range failed")
+        if rows and os.getpid() != parent and failure == "child-killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if rows and os.getpid() == parent and failure == "parent-interrupted":
+            raise KeyboardInterrupt
+        return faces(n_u, n_v, *rows)
+
+    monkeypatch.setattr(io_mesh, "_faces", failing)
+
+
+def no_copy_file_range(*args):
+    raise OSError(errno.EXDEV, "no copy_file_range across these files")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failure", ["child-raises", "child-killed"])
+def test_a_failed_range_ends_in_the_serial_bytes(
+    tmp_path, monkeypatch, no_child_left, failure, workers
+):
+    s = plant(lifted(6, 12))
+    forks, rows = force_parallel_write(monkeypatch, workers)
+    fail_in_range(monkeypatch, failure)
+    write_checked(s, tmp_path)
+    assert len(forks) == workers - 1 and 12 in rows  # the serial write ran
+    assert_reference_bytes(s, tmp_path)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ranges_are_appended_without_copy_file_range(
+    tmp_path, monkeypatch, no_child_left, workers
+):
+    s = plant(lifted(6, 12))
+    forks, rows = force_parallel_write(monkeypatch, workers)
+    monkeypatch.setattr(os, "copy_file_range", no_copy_file_range)
+    write_checked(s, tmp_path)
+    assert len(forks) == workers - 1 and 12 not in rows  # no serial write
+    assert_reference_bytes(s, tmp_path)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_interrupted_parallel_write_reaps_its_children(
+    tmp_path, monkeypatch, no_child_left, workers
+):
+    forks, rows = force_parallel_write(monkeypatch, workers)
+    fail_in_range(monkeypatch, "parent-interrupted")
+    write_checked(graph(5, 12), tmp_path, raises=KeyboardInterrupt)
+    assert len(forks) == workers - 1 and 12 not in rows
+
+
+def reference_faces(n_u, n_v):
+    """The %d-template face formatter that _faces replaced, one row of cells at a time."""
+    a = np.arange(1, n_u)  # 1-based index of the (i, j) corner of each cell, j = 0
+    corners = np.stack((a, a + 1, a + n_u + 1, a, a + n_u + 1, a + n_u), axis=1).ravel()
+    template = "f %d %d %d\nf %d %d %d\n" * (n_u - 1)
+    return [template % tuple((corners + j * n_u).tolist()) for j in range(n_v - 1)]
+
+
+@pytest.mark.parametrize("n_u, n_v", [(2, 2), (7, 2), (2, 9), (5, 3), (11, 11)])
+def test_faces_match_the_template_formatter(n_u, n_v):
+    want = reference_faces(n_u, n_v)  # at 11 x 11 the indices cross from 2 to 3 digits
+    assert list(io_mesh._faces(n_u, n_v)) == want
+    for lo in range(n_v):
+        for hi in range(lo, n_v):
+            assert list(io_mesh._faces(n_u, n_v, lo, hi)) == want[lo:hi]
 
 
 # ---------------------------------------------------------------------------
