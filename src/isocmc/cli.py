@@ -48,8 +48,7 @@ def _parse_domain(text: str) -> Rect:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    n_u, n_v = (int(p) for p in text.lower().split("x"))
-    return n_u, n_v
+    return tuple(int(p) for p in text.lower().split("x"))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -74,12 +73,6 @@ def _resolve_tols(args, parser) -> dict:
     return tols
 
 
-def _const_tol(tols: dict, h: float) -> float:
-    if tols["const"] is not None:
-        return tols["const"]
-    return 1e-6 * (1.0 + abs(h))
-
-
 def _data_from_args(args) -> weierstrass.WeierstrassData:
     return weierstrass.WeierstrassData(holo.parse(args.h2), holo.parse(args.omega))
 
@@ -99,14 +92,6 @@ def _field_from_args(args) -> ScalarField:
     return ScalarField(rect, vals.real)
 
 
-def _inputs_block(args, tols: dict, **extra) -> dict:
-    keys = ("h2", "omega", "f", "grid_file", "H", "domain", "grid")
-    block = {key: getattr(args, key, None) for key in keys}
-    block["tolerances"] = {k: tols[k] for k in sorted(tols)}
-    block.update(extra)
-    return block
-
-
 def _out_path(args, name: str) -> Path:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -114,19 +99,28 @@ def _out_path(args, name: str) -> Path:
 
 
 def _stats(values: np.ndarray) -> dict:
-    return {
-        "min": float(np.min(values)),
-        "max": float(np.max(values)),
-        "mean": float(np.mean(values)),
-    }
+    with np.errstate(over="ignore"):
+        mean = np.mean(values)
+    if not np.isfinite(mean):  # the sum overflowed; the mean of finite values is finite
+        mean = np.sum(values / values.size)
+    return {"min": float(np.min(values)), "max": float(np.max(values)), "mean": float(mean)}
 
 
-def _synthesize(args, tols) -> weierstrass.SurfaceSample:
+def _report(args, tols: dict, inputs: dict | None = None, **sections) -> None:
+    """Write the run's .json report: the options it echoes, its tolerances and
+    any further inputs, then its sections (see io_mesh.write_report)."""
+    keys = ("h2", "omega", "f", "grid_file", "H", "domain", "grid")
+    block = {key: getattr(args, key, None) for key in keys}
+    block["tolerances"] = {k: tols[k] for k in sorted(tols)}
+    io_mesh.write_report(_out_path(args, f"{args.out}.json"), block | (inputs or {}), **sections)
+
+
+def _synthesize(args, tols, h_values: list[float]) -> list[weierstrass.SurfaceSample]:
+    """One sample per H of the --h2/--omega pair on the --domain/--grid lattice."""
     data = _data_from_args(args)
     rect = _parse_domain(args.domain)
     n_u, n_v = _parse_grid(args.grid)
-    params = weierstrass.LiftParams(args.H, rect, n_u, n_v)
-    return weierstrass.synthesize(data, params, tol=tols["quadrature"])
+    return weierstrass.synthesize_family(data, h_values, rect, n_u, n_v, tol=tols["quadrature"])
 
 
 def _height_source(args, parser, tols) -> weierstrass.SurfaceSample | ScalarField | None:
@@ -134,7 +128,9 @@ def _height_source(args, parser, tols) -> weierstrass.SurfaceSample | ScalarFiel
 
     The sources are --f, --grid-file and --h2/--omega, plus --K in classify,
     as far as the subcommand has them.  None or two of them are a usage
-    error.  --K names constants, not heights, and gives None.
+    error.  --K names constants, not heights, and gives None.  Of --H,
+    --domain and --grid, those the source does not read become None, so the
+    report echoes them as null.
     """
     sources = {"--grid-file": args.grid_file, "--h2/--omega": args.h2 or args.omega}
     if hasattr(args, "f"):
@@ -143,13 +139,18 @@ def _height_source(args, parser, tols) -> weierstrass.SurfaceSample | ScalarFiel
         sources["--K"] = args.K is not None
     if sum(bool(named) for named in sources.values()) != 1:
         parser.error(f"{args.command} needs exactly one of {', '.join(sources)}")
-    if sources.get("--K"):
-        return None
     if sources["--h2/--omega"]:
         if not (args.h2 and args.omega):
             parser.error("--h2 and --omega go together")
-        return _synthesize(args, tols)
-    return _field_from_args(args) if sources.get("--f") else io_mesh.read_grid(args.grid_file)
+        return _synthesize(args, tols, [args.H])[0]
+    if sources.get("--K"):
+        args.domain = args.grid = None
+        return None
+    args.H = None  # --f has no H, and a grid file's header holds its own
+    if sources.get("--f"):
+        return _field_from_args(args)
+    args.domain = args.grid = None
+    return io_mesh.read_grid(args.grid_file)
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +158,17 @@ def _height_source(args, parser, tols) -> weierstrass.SurfaceSample | ScalarFiel
 
 
 def cmd_lift(args, parser, tols: dict) -> int:
-    sample = _synthesize(args, tols)
+    (sample,) = _synthesize(args, tols, [args.H])
     k = sample.analytic_gauss()  # before any file is written: K may overflow
-    report = io_mesh.ReportDoc(
-        inputs=_inputs_block(args, tols),
-        curvature={
-            "H_input": float(args.H),
-            "K_analytic": _stats(k),
-            "umbilic_count": int(np.count_nonzero(sample.umbilic_flags(tols["umbilic"]))),
-        },
-    )
+    curvature = {
+        "H_input": float(args.H),
+        "K_analytic": _stats(k),
+        "umbilic_count": int(np.count_nonzero(sample.umbilic_flags(tols["umbilic"]))),
+    }
     obj_path = _out_path(args, f"{args.out}.obj")
     grid_path = _out_path(args, f"{args.out}.grid")
     io_mesh.write_surface(sample, grid_path, obj_path, provenance=f"lift H={args.H:g}")
-    io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
+    _report(args, tols, curvature=curvature)
     print(f"lift: wrote {obj_path}, {grid_path}; K in [{k.min():g}, {k.max():g}]")
     return 0
 
@@ -192,14 +190,10 @@ def cmd_analyze(args, parser, tols: dict) -> int:
     }
     if sample.phi is not None:
         k_true = sample.analytic_gauss()
-        interior = k_true[1:-1, 1:-1]
         block["K_analytic"] = _stats(k_true)
-        block["max_dev_K"] = float(np.max(np.abs(k_fd - interior)))
-        block["umbilic_count"] = int(
-            np.count_nonzero(sample.umbilic_flags(tols["umbilic"]))
-        )
-    report = io_mesh.ReportDoc(inputs=_inputs_block(args, tols), curvature=block)
-    io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
+        block["max_dev_K"] = float(np.max(np.abs(k_fd - k_true[1:-1, 1:-1])))
+        block["umbilic_count"] = int(np.count_nonzero(sample.umbilic_flags(tols["umbilic"])))
+    _report(args, tols, curvature=block)
     dev = block["max_dev_K"]
     dev_note = f", max |K_fd - K| = {dev:.3e}" if dev is not None else ""
     print(
@@ -211,17 +205,11 @@ def cmd_analyze(args, parser, tols: dict) -> int:
 
 def cmd_classify(args, parser, tols: dict) -> int:
     source = _height_source(args, parser, tols)
-    extra: dict = {}
     if source is None:
-        result = classify.label_from_constants(args.H, args.K, tols["zero"])
-        extra = {"K": args.K}
+        result, inputs = classify.label_from_constants(args.H, args.K, tols["zero"]), {"K": args.K}
     else:
-        result = classify.classify_sample(source, tols["zero"], tols["fit"])
-    report = io_mesh.ReportDoc(
-        inputs=_inputs_block(args, tols, **extra),
-        classification=io_mesh.classification_block(result),
-    )
-    io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
+        result, inputs = classify.classify_sample(source, tols["zero"], tols["fit"]), None
+    _report(args, tols, inputs, classification=result)
     if result.label is classify.SurfaceClass.NON_QUADRIC:
         print(f"classify: {result.label.value}")
     else:
@@ -238,12 +226,7 @@ def cmd_sweep(args, parser, tols: dict) -> int:
     clashes = [h for h, name in zip(h_values, names) if names.count(name) > 1]
     if clashes:
         parser.error(f"--H-list values {clashes} would write the same {args.out}_H*.obj file")
-    data = _data_from_args(args)
-    rect = _parse_domain(args.domain)
-    n_u, n_v = _parse_grid(args.grid)
-    samples = weierstrass.synthesize_family(
-        data, h_values, rect, n_u, n_v, tol=tols["quadrature"]
-    )
+    samples = _synthesize(args, tols, h_values)
     base = samples[0]
     planar_identical = all(
         np.array_equal(s.x, base.x) and np.array_equal(s.y, base.y) for s in samples
@@ -255,19 +238,14 @@ def cmd_sweep(args, parser, tols: dict) -> int:
     ]
     per_h = []
     for s, name, resid in zip(samples, names, residuals):
-        io_mesh.export_obj(s, _out_path(args, name))
+        io_mesh.write_surface(s, None, _out_path(args, name))
         per_h.append({"H": float(s.H), "obj": name, "height_shift_residual": resid})
-    report = io_mesh.ReportDoc(
-        inputs=_inputs_block(args, tols, H_list=h_values),
-        extra={
-            "sweep": {
-                "planar_map_identical": bool(planar_identical),
-                "max_height_shift_residual": max(residuals),
-                "surfaces": per_h,
-            }
-        },
-    )
-    io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
+    sweep = {
+        "planar_map_identical": bool(planar_identical),
+        "max_height_shift_residual": max(residuals),
+        "surfaces": per_h,
+    }
+    _report(args, tols, {"H_list": h_values}, sweep=sweep)
     print(
         f"sweep: {len(samples)} surfaces, planar map identical: {planar_identical}, "
         f"max height-shift residual {max(residuals):.3e}"
@@ -279,18 +257,9 @@ def cmd_vdist(args, parser, tols: dict) -> int:
     data = _data_from_args(args)
     radii = _parse_floats(args.radii)
     rep = vdist.sample_k_image(
-        data,
-        args.H,
-        radii,
-        samples_per_radius=args.samples,
-        margin=tols["margin"],
-        umbilic_tol=tols["umbilic"],
+        data, args.H, radii, args.samples, margin=tols["margin"], umbilic_tol=tols["umbilic"]
     )
-    report = io_mesh.ReportDoc(
-        inputs=_inputs_block(args, tols, radii=radii, samples=args.samples),
-        vdist=io_mesh.vdist_block(rep),
-    )
-    io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
+    _report(args, tols, {"radii": radii, "samples": args.samples}, vdist=rep)
     print(
         f"vdist: {rep.verdict.value}; K_max = {rep.k_max[-1]:g} vs sup H^2 = "
         f"{rep.sup_bound:g}; {len(rep.umbilic_points)} umbilic(s)"
@@ -301,23 +270,19 @@ def cmd_vdist(args, parser, tols: dict) -> int:
 def cmd_pde(args, parser, tols: dict) -> int:
     source = _height_source(args, parser, tols)
     field, x, y = source.height_chart()
-    rep = graphgeo.pde_analyze(field, x, y, _const_tol(tols, getattr(source, "H", 0.0)))
+    const_tol = tols["const"] or 1e-6 * (1.0 + abs(getattr(source, "H", 0.0)))
+    rep = graphgeo.pde_analyze(field, x, y, const_tol)
     is_quad, _ = graphgeo.quadratic_test(field, x, y, tols["fit"])
     lap, hess = _stats(rep.laplacian), _stats(rep.hessian_det)
-    report = io_mesh.ReportDoc(
-        inputs=_inputs_block(args, tols),
-        extra={
-            "pde": {
-                "laplacian": lap,
-                "hessian_det": hess,
-                "is_constant_laplacian": rep.is_constant_laplacian,
-                "const_tol": rep.const_tol,
-                "hessian_interval": [hess["min"], hess["max"]],
-                "is_quadratic": bool(is_quad),
-            }
-        },
-    )
-    io_mesh.write_report(report, _out_path(args, f"{args.out}.json"))
+    pde = {
+        "laplacian": lap,
+        "hessian_det": hess,
+        "is_constant_laplacian": rep.is_constant_laplacian,
+        "const_tol": rep.const_tol,
+        "hessian_interval": [hess["min"], hess["max"]],
+        "is_quadratic": bool(is_quad),
+    }
+    _report(args, tols, pde=pde)
     print(
         f"pde: laplacian in [{lap['min']:g}, {lap['max']:g}] "
         f"(constant: {rep.is_constant_laplacian}), hessian det in "
@@ -347,19 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen = argparse.ArgumentParser(add_help=False)
     gen.add_argument("--h2", help="generator expression h2(z)")
     gen.add_argument("--omega", help="generator expression omega(z), nowhere zero")
+    lattice = argparse.ArgumentParser(add_help=False)  # every subcommand but vdist
     domain, grid = _syntax("umin:umax:vmin:vmax", ":", 4), _syntax("NxM", "x", 2, int)
-    gen.add_argument("--domain", default="-1:1:-1:1", type=domain, help="umin:umax:vmin:vmax")
-    gen.add_argument("--grid", default="201x201", type=grid, help="nodes per axis, NxM")
+    lattice.add_argument("--domain", default="-1:1:-1:1", type=domain, help="umin:umax:vmin:vmax")
+    lattice.add_argument("--grid", default="201x201", type=grid, help="nodes per axis, NxM")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lift", parents=[common, gen], help="synthesize one surface")
+    p = sub.add_parser("lift", parents=[common, gen, lattice], help="synthesize one surface")
     p.add_argument("--H", type=float, default=0.0, help="mean curvature")
     p.add_argument("-o", "--out", default="lift", help="output base name")
     p.set_defaults(func=cmd_lift, required_gen=True)
 
     p = sub.add_parser(
-        "analyze", parents=[common, gen], help="finite-difference curvature check"
+        "analyze", parents=[common, gen, lattice], help="finite-difference curvature check"
     )
     p.add_argument("--H", type=float, default=0.0)
     p.add_argument("--grid-file", help="analyze a stored surface instead")
@@ -367,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze, required_gen=False)
 
     p = sub.add_parser(
-        "classify", parents=[common, gen], help="name the quadric, if it is one"
+        "classify", parents=[common, gen, lattice], help="name the quadric, if it is one"
     )
     p.add_argument("--H", type=float, default=0.0)
     p.add_argument("--K", type=float, default=None, help="classify the pair (H, K)")
@@ -377,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify, required_gen=False)
 
     p = sub.add_parser(
-        "sweep", parents=[common, gen], help="one family, several H values"
+        "sweep", parents=[common, gen, lattice], help="one family, several H values"
     )
     numbers = _syntax("comma separated numbers", ",")
     p.add_argument("--H-list", dest="H_list", required=True, type=numbers, help="comma separated")
@@ -394,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default="vdist")
 
     p = sub.add_parser(
-        "pde", parents=[common, gen], help="laplacian / hessian determinant view"
+        "pde", parents=[common, gen, lattice], help="laplacian / hessian determinant view"
     )
     p.add_argument("--H", type=float, default=0.0)
     p.add_argument("--grid-file")

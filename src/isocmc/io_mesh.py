@@ -9,6 +9,7 @@ identical invocations produce identical reports.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import mmap
@@ -18,7 +19,7 @@ import shutil
 import signal
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Union
 
@@ -270,31 +271,21 @@ def _append(dst, src) -> None:
     shutil.copyfileobj(src, dst)  # what copy_file_range left, if anything
 
 
-def export_obj(sample: SurfaceSample, path: str | Path) -> None:
-    """Write the sample as a triangulated Wavefront OBJ mesh.
-
-    Vertices appear in row major order (v outermost, u fastest) as
-    "v x y ell"; every grid cell becomes two triangles split along the
-    (i, j) -> (i+1, j+1) diagonal, with 1-based vertex indices.
-    """
-    faces = _faces(*sample.ell.shape[::-1])
-    with open(path, "w") as fh:
-        fh.writelines(map(_vertices, _records(sample.x, sample.y, sample.ell)))
-        fh.writelines(faces)
-
-
 def write_surface(
-    sample: SurfaceSample, grid_path: str | Path, obj_path: str | Path, provenance: str = "-"
+    sample: SurfaceSample, grid_path: str | Path | None, obj_path: str | Path, provenance: str = "-"
 ) -> None:
-    """Write the sample's grid file and OBJ mesh in one pass, formatting each record once.
+    """Write the sample's grid file and OBJ mesh in one pass, formatting each record once;
+    with grid_path None, the mesh alone.
 
     Grid header:  magic line, "kind surface", domain rectangle, shape
     (n_u n_v), H, one free-form provenance line, end marker.  Body: one record
     per node in row major order (v outermost, u fastest), each a triple
     "x y ell" with 17 significant digits.  The OBJ vertices are the same
-    records, as export_obj writes them.  Where it pays, forked children format
-    row ranges 1..W-1 into unnamed temp files that are then appended in order;
-    any failure writes both files again, serially, with the same bytes.
+    records with "v " in front, and every grid cell becomes two triangles split
+    along the (i, j) -> (i+1, j+1) diagonal, with 1-based vertex indices.  Where
+    it pays, forked children format row ranges 1..W-1 into unnamed temp files
+    that are then appended in order; any failure writes the files again,
+    serially, with the same bytes.
     """
     if "\n" in provenance or not provenance:
         raise ValueError("provenance must be one non-empty line")
@@ -312,87 +303,60 @@ def write_surface(
 
     def write(rows, files, k: int) -> bool:  # files[k] takes range k's records, "v", "f" lines
         (lo, hi), (grid, obj, faces) = rows[k : k + 2], files[k]
+        if grid and not lo:  # range 0 starts the grid file
+            grid.write(header)
         for records in _records(sample.x[lo:hi], sample.y[lo:hi], sample.ell[lo:hi]):
-            grid.write(records)
+            if grid:
+                grid.write(records)
             obj.write(_vertices(records))
         faces.writelines(_faces(n_u, n_v, lo, min(hi, n_v - 1)))
-        for fh in files[k]:  # a child ends through os._exit, which flushes nothing
+        for fh in filter(None, files[k]):  # a child ends through os._exit, which flushes nothing
             fh.flush()
         return True
 
-    with open(obj_path, "w") as obj, open(grid_path, "w") as grid, contextlib.ExitStack() as temps:
+    with contextlib.ExitStack() as stack:
+        obj = stack.enter_context(open(obj_path, "w"))
+        grid = None if grid_path is None else stack.enter_context(open(grid_path, "w"))
 
         def prepare(rows):
             def temp(path):
-                return temps.enter_context(tempfile.TemporaryFile("w+", dir=Path(path).parent))
+                return stack.enter_context(tempfile.TemporaryFile("w+", dir=Path(path).parent))
 
-            grid.write(header)
             files = [[grid, obj, temp(obj_path)]]
-            files += [[temp(grid_path), temp(obj_path), temp(obj_path)] for _ in rows[2:]]
+            files += [[grid and temp(grid_path), temp(obj_path), temp(obj_path)] for _ in rows[2:]]
             return (lambda k: write(rows, files, k)), files
 
         files = _forked_ranges(n_u, n_v, prepare)
         if files is not None:
             with contextlib.suppress(OSError):
                 for dst, i, ranges in ((grid, 0, files[1:]), (obj, 1, files[1:]), (obj, 2, files)):
-                    for range_files in ranges:
+                    for range_files in ranges if dst else ():
                         _append(dst, range_files[i])
                 return
-        for fh in (grid, obj):  # the serial write, also after a failed parallel one
+        for fh in filter(None, (grid, obj)):  # the serial write, also after a failed parallel one
             fh.seek(0)
             fh.truncate()
-        grid.write(header)
         write([0, n_v], [[grid, obj, obj]], 0)
 
 
-@dataclass
-class ReportDoc:
-    """Analysis report; sections absent from a run stay None (JSON null)."""
-
-    inputs: dict
-    curvature: dict | None = None
-    classification: dict | None = None
-    vdist: dict | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        from isocmc import __version__
-
-        doc = {
-            "version": {"schema": REPORT_SCHEMA_VERSION, "tool": __version__},
-            "input": self.inputs,
-            "curvature": self.curvature,
-            "classification": self.classification,
-            "vdist": self.vdist,
-        }
-        doc.update(self.extra)
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+def _plain(obj):
+    """A report value json cannot write itself: a dataclass as its fields in
+    order, an Enum as its value, a complex number as [real, imag]."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} has no report form")
 
 
-def write_report(report: ReportDoc, path: str | Path) -> None:
-    Path(path).write_text(report.to_json())
+def write_report(path: str | Path, inputs: dict, **sections) -> None:
+    """Write a run's JSON report: the version, the inputs, then the curvature,
+    classification and vdist sections (null where the run has none), then any
+    other section in the order given.  Non-finite numbers are an error."""
+    from isocmc import __version__
 
-
-def classification_block(result) -> dict:
-    return {
-        "label": result.label.value,
-        "alpha": result.alpha,
-        "beta": result.beta,
-        "H": result.H,
-        "K": result.K,
-        "rotation_angle": result.rotation_angle,
-    }
-
-
-def vdist_block(report) -> dict:
-    return {
-        "H": report.H,
-        "sup_bound": report.sup_bound,
-        "radii": report.radii,
-        "k_min": report.k_min,
-        "k_max": report.k_max,
-        "umbilic_points": [[z.real, z.imag] for z in report.umbilic_points],
-        "verdict": report.verdict.value,
-        "const_tol": report.const_tol,
-        "margin": report.margin,
-    }
+    doc = {"version": {"schema": REPORT_SCHEMA_VERSION, "tool": __version__}, "input": inputs}
+    doc |= {"curvature": None, "classification": None, "vdist": None} | sections
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False, default=_plain) + "\n")

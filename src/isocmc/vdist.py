@@ -46,12 +46,12 @@ class VdistReport:
     """Cumulative K extremes per radius plus the verdict they support."""
 
     H: float
+    sup_bound: float
     radii: list[float]
     k_min: list[float]
     k_max: list[float]
     umbilic_points: list[complex]
     verdict: Verdict
-    sup_bound: float
     const_tol: float
     margin: float
 
@@ -146,12 +146,12 @@ def sample_k_image(
         verdict = Verdict.INCONCLUSIVE
     return VdistReport(
         H=H,
+        sup_bound=sup,
         radii=radii,
         k_min=k_min,
         k_max=k_max,
         umbilic_points=umbilics,
         verdict=verdict,
-        sup_bound=sup,
         const_tol=const_tol,
         margin=margin,
     )

@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isocmc import holo, io_mesh, weierstrass
+from isocmc import graphgeo, holo, io_mesh, weierstrass
 from isocmc.cli import main
 from isocmc.graphgeo import Rect, ScalarField
 
@@ -133,6 +134,11 @@ GOLDEN_RUNS = {
                    ("chart_lift.grid", "chart_lift.obj", "chart_lift.json")),
     "sweep": (("sweep", "--h2", "z^2", "--omega", "1", "--H-list=0,1", "--grid", "5x5"),
               ("sweep_H0.obj", "sweep_H1.obj", "sweep.json")),
+    # an umbilic at 0 realizes sup K = H^2: ClosedAtSup
+    "vdist": (("vdist", "--h2", "z^3", "--omega", "1", "--H", "1", "--samples", "400",
+               "-o", "z3_vdist"), ("z3_vdist.json",)),
+    "classify-constants": (("classify", "--H", "1", "--K", "-1", "-o", "constants_classify"),
+                           ("constants_classify.json",)),
 }
 
 
@@ -191,7 +197,7 @@ def test_lift_writes_what_the_separate_writers_write(tmp_path):
         weierstrass.WeierstrassData(holo.parse(argv[1]), holo.parse(argv[3])),
         weierstrass.LiftParams(-0.75, Rect(-1.0, 1.0, -1.0, 1.0), 23, 17),
     )
-    io_mesh.export_obj(sample, tmp_path / "two.obj")
+    io_mesh.write_surface(sample, None, tmp_path / "two.obj")
     assert (tmp_path / "one.obj").read_bytes() == (tmp_path / "two.obj").read_bytes()
     assert (tmp_path / "one.obj").read_text() == reference_obj_text(sample)
     assert (tmp_path / "one.grid").read_text() == reference_grid_text(sample, "lift H=-0.75")
@@ -272,17 +278,63 @@ def test_tolerance_overrides_are_echoed(tmp_path):
     assert tols["quadrature"] == 1e-8
 
 
+DETERMINISM_RUNS = [
+    ("lift", "--h2", "z", "--omega", "1", "--H", "2", "--grid", "21x21"),
+    ("analyze", "--h2", "exp(z)", "--omega", "1", "--H", "0.5", "--grid", "21x21"),
+    ("classify", "--f", "x^2 + x*y - 0.5*y^2", "--grid", "21x21"),
+    ("sweep", "--h2", "z^2", "--omega", "1/(z+4)", "--H-list", "0,1.5", "--grid", "21x21"),
+    ("vdist", "--h2", "z^3", "--omega", "1", "--H", "1", "--samples", "400"),
+    ("pde", "--h2", "z^2", "--omega", "exp(z)", "--H", "0.5", "--grid", "21x21"),
+]
+
+
 def test_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
-        assert (
-            main(["lift", "--out-dir", str(d), "--h2", "z", "--omega", "1",
-                  "--H", "2", "--grid", "21x21"])
-            == 0
-        )
-    assert (a / "lift.json").read_bytes() == (b / "lift.json").read_bytes()
-    assert (a / "lift.grid").read_bytes() == (b / "lift.grid").read_bytes()
-    assert (a / "lift.obj").read_bytes() == (b / "lift.obj").read_bytes()
+        for argv in DETERMINISM_RUNS:
+            assert main([argv[0], "--out-dir", str(d), *argv[1:]]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted([
+        "lift.grid", "lift.obj", "lift.json", "analyze.json", "classify.json",
+        "sweep_H0.obj", "sweep_H1.5.obj", "sweep.json", "vdist.json", "pde.json",
+    ])
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+LIFT_31X21 = ("--h2", "z^2", "--omega", "1", "--H", "0.5", "--grid", "31x21")
+NOT_READ = (None, None, None)
+
+
+@pytest.mark.parametrize(
+    "command, argv, echoed",
+    [
+        pytest.param("lift", LIFT_31X21, (0.5, "-1:1:-1:1", "31x21"), id="lift"),
+        pytest.param("analyze", ("--grid-file", "lift.grid"), NOT_READ, id="analyze-grid-file"),
+        pytest.param("classify", ("--grid-file", "lift.grid"), NOT_READ, id="classify-grid-file"),
+        pytest.param("pde", ("--grid-file", "lift.grid", "--H", "2", "--grid", "5x5"), NOT_READ,
+                     id="pde-grid-file"),
+        pytest.param("classify", ("--H", "1", "--K", "-1", "--grid", "5x5"), (1.0, None, None),
+                     id="classify-constants"),
+        pytest.param("classify", ("--f", "x^2", "--H", "2", "--grid", "9x7"),
+                     (None, "-1:1:-1:1", "9x7"), id="classify-f"),
+        pytest.param("pde", ("--f", "x^2", "--grid", "9x7"), (None, "-1:1:-1:1", "9x7"),
+                     id="pde-f"),
+        pytest.param("sweep", ("--h2", "z", "--omega", "1", "--H-list", "0,1", "--grid", "5x5"),
+                     (None, "-1:1:-1:1", "5x5"), id="sweep"),
+        pytest.param("vdist", ("--h2", "z^2", "--omega", "1", "--H", "1", "--samples", "400"),
+                     (1.0, None, None), id="vdist"),
+    ],
+)
+def test_inputs_echo_null_for_options_the_run_did_not_read(
+    tmp_path, monkeypatch, command, argv, echoed
+):
+    monkeypatch.chdir(tmp_path)
+    assert run(tmp_path, "lift", *LIFT_31X21) == 0
+    assert run(tmp_path, command, *argv, "-o", "echo") == 0
+    inputs = load_report(tmp_path, "echo.json")["input"]
+    assert (inputs["H"], inputs["domain"], inputs["grid"]) == echoed
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +487,36 @@ def test_analyze_curvature_overflow_is_a_named_error(tmp_path, capsys):
     assert not (tmp_path / "analyze.json").exists()
 
 
+# K = -|exp(z)|^2 is about -5e307 per node: finite, but its sum is not
+EXTREME_K = ("--h2", "exp(z)", "--omega", "1", "--domain=354:354.5:-0.1:0.1", "--grid", "11x11")
+
+
+def assert_mean_of(stats, values):
+    want = math.fsum((values / values.size).ravel())
+    assert stats["min"] <= stats["mean"] <= stats["max"]
+    assert abs(stats["mean"] - want) <= 1e-12 * abs(want)
+
+
+def test_a_mean_whose_sum_overflows_is_reported(tmp_path, capsys):
+    for command in ("lift", "analyze"):
+        assert run_quietly(tmp_path, command, *EXTREME_K) == (0, [])
+    grid_file = ("--grid-file", str(tmp_path / "lift.grid"))
+    assert run_quietly(tmp_path, "pde", *grid_file) == (0, [])
+    sample = weierstrass.synthesize(
+        weierstrass.exp_data(), weierstrass.LiftParams(0.0, Rect(354.0, 354.5, -0.1, 0.1), 11, 11)
+    )
+    k = sample.analytic_gauss()
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(k))
+    k_fd = graphgeo.pde_analyze(*sample.height_chart()).hessian_det
+    stored = graphgeo.pde_analyze(*io_mesh.read_grid(tmp_path / "lift.grid").height_chart())
+    assert_mean_of(load_report(tmp_path, "lift.json")["curvature"]["K_analytic"], k)
+    assert_mean_of(load_report(tmp_path, "analyze.json")["curvature"]["K_analytic"], k)
+    assert_mean_of(load_report(tmp_path, "analyze.json")["curvature"]["K_fd"], k_fd)
+    assert_mean_of(load_report(tmp_path, "pde.json")["pde"]["hessian_det"], stored.hessian_det)
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("H, K", [("nan", "0"), ("inf", "1"), ("0", "nan")])
 def test_classify_rejects_non_finite_constants(tmp_path, capsys, H, K):
     assert run(tmp_path, "classify", "--H", H, "--K", K) == 1
@@ -448,6 +530,13 @@ def test_vdist_rejects_a_non_finite_h(tmp_path, capsys, H):
     assert run(tmp_path, "vdist", "--h2", "z^2", "--omega", "1", "--H", H) == 1
     err = capsys.readouterr().err
     assert "error: H must be finite" in err and "overflow" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option", ["--domain=-2:2:-2:2", "--grid=11x11"])
+def test_vdist_takes_no_lattice_options(tmp_path, capsys, option):
+    assert run(tmp_path, "vdist", "--h2", "z^2", "--omega", "1", option) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -14,16 +14,7 @@ import pytest
 
 from isocmc import holo, io_mesh, weierstrass
 from isocmc.graphgeo import Rect, ScalarField
-from isocmc.io_mesh import (
-    GridFormatError,
-    ReportDoc,
-    classification_block,
-    export_obj,
-    read_grid,
-    vdist_block,
-    write_report,
-    write_surface,
-)
+from isocmc.io_mesh import GridFormatError, read_grid, write_report, write_surface
 
 from util_grid import reference_grid_text, reference_obj_text
 
@@ -184,7 +175,7 @@ def test_missing_file_is_an_error(tmp_path):
 
 def obj_lines(tmp_path, s, name="m.obj"):
     path = tmp_path / name
-    export_obj(s, path)
+    write_surface(s, None, path)
     return path.read_text().splitlines()
 
 
@@ -229,7 +220,7 @@ def test_obj_needs_a_real_grid():
         ell=s.ell[:1],
     )
     with pytest.raises(ValueError):
-        export_obj(tiny, "/dev/null")
+        write_surface(tiny, None, "/dev/null")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +307,8 @@ def test_grid_writer_matches_the_per_value_writer(tmp_path, obj):
 
 @pytest.mark.parametrize("obj", identity_cases())
 def test_obj_writer_matches_the_per_value_writer(tmp_path, obj):
-    export_obj(obj, tmp_path / "m.obj")
+    write_surface(obj, None, tmp_path / "m.obj")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.obj"]
     assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(obj).encode()
 
 
@@ -702,18 +694,20 @@ def force_parallel_write(monkeypatch, workers):
     return forks, rows
 
 
-def write_checked(s, out_dir, raises=None):
-    """write_surface(s) into out_dir; no ResourceWarning and no file but the two."""
+def write_checked(s, out_dir, raises=None, grid=True):
+    """write_surface(s) into out_dir, the mesh alone if not grid; no
+    ResourceWarning and no file but the ones written."""
+    paths = (out_dir / "s.grid" if grid else None, out_dir / "s.obj")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if raises is None:
-            write_surface(s, out_dir / "s.grid", out_dir / "s.obj", provenance="ref check")
+            write_surface(s, *paths, provenance="ref check")
         else:
             with pytest.raises(raises):
-                write_surface(s, out_dir / "s.grid", out_dir / "s.obj", provenance="ref check")
+                write_surface(s, *paths, provenance="ref check")
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    assert sorted(p.name for p in out_dir.iterdir()) == ["s.grid", "s.obj"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["s.grid", "s.obj"][not grid :]
 
 
 def assert_reference_bytes(s, out_dir):
@@ -731,6 +725,18 @@ def test_parallel_write_matches_the_per_value_writers(
     write_checked(obj, tmp_path)
     assert len(forks) == min(workers, n_v) - 1 and n_v not in rows
     assert_reference_bytes(obj, tmp_path)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("obj", identity_cases())
+def test_parallel_mesh_only_write_matches_the_per_value_writer(
+    tmp_path, monkeypatch, no_child_left, obj, workers
+):
+    n_v = obj.ell.shape[0]
+    forks, rows = force_parallel_write(monkeypatch, workers)
+    write_checked(obj, tmp_path, grid=False)
+    assert len(forks) == min(workers, n_v) - 1 and n_v not in rows
+    assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(obj).encode()
 
 
 def fail_in_range(monkeypatch, failure):
@@ -766,6 +772,19 @@ def test_a_failed_range_ends_in_the_serial_bytes(
     write_checked(s, tmp_path)
     assert len(forks) == workers - 1 and 12 in rows  # the serial write ran
     assert_reference_bytes(s, tmp_path)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failure", ["child-raises", "child-killed"])
+def test_a_failed_range_of_a_mesh_only_write_ends_in_the_serial_bytes(
+    tmp_path, monkeypatch, no_child_left, failure, workers
+):
+    s = plant(lifted(6, 12))
+    forks, rows = force_parallel_write(monkeypatch, workers)
+    fail_in_range(monkeypatch, failure)
+    write_checked(s, tmp_path, grid=False)
+    assert len(forks) == workers - 1 and 12 in rows  # the serial write ran
+    assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(s).encode()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -811,8 +830,14 @@ def test_faces_match_the_template_formatter(n_u, n_v):
 # reports
 
 
-def test_report_nulls_for_absent_sections():
-    doc = json.loads(ReportDoc(inputs={"seed": 0}).to_json())
+def report(tmp_path, inputs, **sections):
+    path = tmp_path / "r.json"
+    write_report(path, inputs, **sections)
+    return path.read_text()
+
+
+def test_report_nulls_for_absent_sections(tmp_path):
+    doc = json.loads(report(tmp_path, {"seed": 0}))
     assert doc["curvature"] is None
     assert doc["classification"] is None
     assert doc["vdist"] is None
@@ -820,41 +845,49 @@ def test_report_nulls_for_absent_sections():
     assert doc["input"] == {"seed": 0}
 
 
-def test_report_classification_only():
+def test_report_classification_only(tmp_path):
     from isocmc import classify
 
-    block = classification_block(classify.label_from_constants(1.0, -1.0))
-    doc = json.loads(ReportDoc(inputs={}, classification=block).to_json())
+    result = classify.label_from_constants(1.0, -1.0)
+    doc = json.loads(report(tmp_path, {}, classification=result))
     assert doc["classification"]["label"] == "HyperbolicParaboloid"
+    assert list(doc["classification"]) == ["label", "alpha", "beta", "H", "K", "rotation_angle"]
     assert doc["vdist"] is None
 
 
-def test_report_vdist_block_shape():
+def test_report_vdist_block_shape(tmp_path):
     from isocmc.vdist import sample_k_image
 
     rep = sample_k_image(
         weierstrass.enneper_data(3), 1.0, [1.0], samples_per_radius=500
     )
-    block = vdist_block(rep)
+    block = json.loads(report(tmp_path, {}, vdist=rep))["vdist"]
     assert block["verdict"] == "ClosedAtSup"
     assert block["umbilic_points"] == [[pytest.approx(0.0, abs=1e-9)] * 2]
     assert len(block["k_min"]) == 1
+    assert list(block) == [
+        "H", "sup_bound", "radii", "k_min", "k_max", "umbilic_points", "verdict", "const_tol",
+        "margin",
+    ]
+
+
+def test_report_sections_follow_the_fixed_ones_in_order(tmp_path):
+    doc = json.loads(report(tmp_path, {}, sweep={"a": 1}, curvature={"K": 0.0}, pde={}))
+    assert list(doc) == [
+        "version", "input", "curvature", "classification", "vdist", "sweep", "pde"
+    ]
+    assert doc["curvature"] == {"K": 0.0}
 
 
 def test_report_determinism(tmp_path):
-    def make():
-        return ReportDoc(
-            inputs={"h2": "z^2", "H": 1.0},
-            curvature={"K": {"min": -3.0, "max": 1.0}},
-        ).to_json()
+    def make(name):
+        path = tmp_path / name
+        write_report(path, {"h2": "z^2", "H": 1.0}, curvature={"K": {"min": -3.0, "max": 1.0}})
+        return path.read_bytes()
 
-    assert make() == make()
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(ReportDoc(inputs={"x": 1}), p1)
-    write_report(ReportDoc(inputs={"x": 1}), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert make("a.json") == make("b.json")
 
 
-def test_report_rejects_non_finite_numbers():
+def test_report_rejects_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
-        ReportDoc(inputs={"bad": float("inf")}).to_json()
+        write_report(tmp_path / "bad.json", {"bad": float("inf")})
