@@ -375,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # the subcommand's usage line, where parse_args would print the top level's
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.required_gen and not (args.h2 and args.omega):
             args.parser.error("this command requires --h2 and --omega")
         return args.func(args, args.parser, _resolve_tols(args, args.parser))

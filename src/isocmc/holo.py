@@ -204,7 +204,10 @@ class IntPow(Expr):
         b = self.base._eval(env)
         if self.n < 0 and _min_abs(b) < DIV_EPS:
             raise SingularityError("negative power of a vanishing base")
-        return b ** self.n
+        try:
+            return b ** self.n
+        except OverflowError:  # a Python scalar raises where an array overflows to inf
+            raise NonFiniteError("evaluation overflowed to a non-finite value") from None
 
     def _diff(self):
         return mul(

@@ -223,6 +223,12 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
             domain = Rect(*dom_vals)
         except ValueError as exc:
             raise GridFormatError(f"bad domain: {exc}") from None
+        left = os.fstat(fh.fileno()).st_size - fh.tell()  # a record takes >= 6 bytes, "0 0 0\n"
+        if left < 6 * n_u * n_v - 1:  # the last one may lack its newline
+            fits = (left + 1) // 6
+            raise GridFormatError(
+                f"record count mismatch: expected {n_u * n_v}, but {left} bytes hold at most {fits}"
+            )
         values = _parallel_values(path, fh, n_u, n_v)
     for as_text in (True, False):  # serial: as text, then as floats if a text was cut
         if values is None:
@@ -235,7 +241,7 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
         if lattice_gap > 1e-9 * (1.0 + float(np.max(np.abs(xx)))):
             raise GridFormatError("field records do not sit on the header lattice")
         return ScalarField(domain, ells)
-    return SurfaceSample(domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells)
+    return SurfaceSample(domain=domain, H=h, x=xs, y=ys, ell=ells)
 
 
 def _faces(n_u: int, n_v: int, lo: int = 0, hi: int | None = None):

@@ -4,7 +4,7 @@ A pair (h2, omega_hat) of holomorphic expressions in z, with omega_hat
 nowhere vanishing on the sampled region, generates a one-parameter family
 of surfaces, one for every mean curvature value H:
 
-    W(z)   = integral of omega_hat from the base point to z
+    W(z)   = integral of omega_hat from 0 to z
     x + iy = W(z)
     ell(z) = (H/2) * |W(z)|^2 + Re integral of h2 * omega_hat
 
@@ -51,37 +51,16 @@ class WeierstrassData:
 
     h2: holo.Expr
     omega_hat: holo.Expr
-    base_point: complex = 0j
 
     def __post_init__(self):
         for name, e in (("h2", self.h2), ("omega_hat", self.omega_hat)):
             tags = holo.variables(e)
             if tags - {"z"}:
                 raise ValueError(f"{name} must be an expression in z only")
-        bp = complex(self.base_point)
-        if not np.isfinite(bp):
-            raise ValueError("base point must be finite")
-        object.__setattr__(self, "base_point", bp)
 
     def phi(self) -> holo.Expr:
         """Curvature potential h2' / omega_hat."""
         return holo.div(holo.derivative(self.h2), self.omega_hat)
-
-
-@dataclass(frozen=True)
-class LiftParams:
-    """Mean curvature, parameter rectangle, and grid resolution."""
-
-    H: float
-    domain: Rect
-    n_u: int
-    n_v: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.H):
-            raise ValueError("H must be finite")
-        if self.n_u < 2 or self.n_v < 2:
-            raise ValueError("grid needs at least 2 nodes per axis")
 
 
 @dataclass
@@ -93,8 +72,6 @@ class SurfaceSample:
     """
 
     domain: Rect
-    n_u: int
-    n_v: int
     H: float
     x: np.ndarray
     y: np.ndarray
@@ -146,60 +123,48 @@ def _segment_integrals(e: holo.Expr, za, zb, tol: float) -> np.ndarray:
     return out
 
 
-def _cumulative_integrals(
-    e: holo.Expr, base: complex, grid: np.ndarray, tol: float
-) -> np.ndarray:
-    """Integral of e from base to every grid node, by cumulative segments.
+def _cumulative_integrals(e: holo.Expr, grid: np.ndarray, tol: float) -> np.ndarray:
+    """Integral of e from 0 to every grid node, by cumulative segments.
 
     Used only when no symbolic antiderivative exists.  The path runs from
-    the base point to the first node, down the first column, then along
-    each row.  Each of the three legs is one batched quadrature call, and
-    running sums join the segments.  Every segment is integrated to `tol`
-    on its own, so a node's error is at most (n_u + n_v - 1) * tol.
+    0 to the first node, down the first column, then along each row.
+    Each of the three legs is one batched quadrature call, and running
+    sums join the segments.  Every segment is integrated to `tol` on its
+    own, so a node's error is at most (n_u + n_v - 1) * tol.
     """
-    start = _segment_integrals(e, base, grid[:1, 0], tol)
+    start = _segment_integrals(e, 0j, grid[:1, 0], tol)
     column = _segment_integrals(e, grid[:-1, 0], grid[1:, 0], tol)
     rows = _segment_integrals(e, grid[:, :-1], grid[:, 1:], tol)
     firsts = np.cumsum(np.concatenate((start, column)))
     return np.cumsum(np.concatenate((firsts[:, None], rows), axis=1), axis=1)
 
 
-def _integral_field(
-    e: holo.Expr, base: complex, grid: np.ndarray, tol: float
-) -> np.ndarray:
-    """Integral of e from base to every grid node, closed form if possible."""
+def _integral_field(e: holo.Expr, grid: np.ndarray, tol: float) -> np.ndarray:
+    """Integral of e from 0 to every grid node, closed form if possible."""
     primitive = holo.antiderivative(e)
     if primitive is not None:
-        at_base = holo.evaluate(primitive, {"z": base})
-        return holo.evaluate(primitive, {"z": grid}) - at_base
-    return _cumulative_integrals(e, base, grid, tol)
-
-
-def synthesize(
-    data: WeierstrassData,
-    params: LiftParams,
-    tol: float = holo.DEFAULT_QUAD_TOL,
-) -> SurfaceSample:
-    """Sample the CMC-H surface of the pair over the parameter rectangle.
-
-    Deterministic: the same inputs always give bit-identical arrays, and
-    the (x, y) arrays do not depend on H at all.  A node where omega_hat
-    vanishes is a hard error naming the node.
-    """
-    family = synthesize_family(data, [params.H], params.domain, params.n_u, params.n_v, tol)
-    return family[0]
+        # subtracted even when zero: a -0 here turns the -0 values of the field into +0
+        at_zero = holo.evaluate(primitive, {"z": 0j})
+        return holo.evaluate(primitive, {"z": grid}) - at_zero
+    return _cumulative_integrals(e, grid, tol)
 
 
 def synthesize_family(
     data: WeierstrassData, h_values: list[float], domain: Rect, n_u: int, n_v: int,
     tol: float = holo.DEFAULT_QUAD_TOL,
 ) -> list[SurfaceSample]:
-    """One sample per H, each as synthesize gives it, sharing x, y and phi.
+    """Sample the CMC-H surface of the pair over the parameter rectangle, one per H.
 
-    W, the height integral and phi are computed once; only the bowl term
-    (H/2)|W|^2 of ell depends on H.
+    W, the height integral and phi are computed once and shared, so (x, y)
+    do not depend on H at all; only the bowl term (H/2)|W|^2 of ell does.
+    Deterministic: the same inputs always give bit-identical arrays.  A
+    node where omega_hat vanishes is a hard error naming the node.
     """
-    family = [LiftParams(h, domain, n_u, n_v) for h in h_values]
+    for h in h_values:  # each H's checks in turn, so the first failing one names the error
+        if not np.isfinite(h):
+            raise ValueError("H must be finite")
+        if n_u < 2 or n_v < 2:
+            raise ValueError("grid needs at least 2 nodes per axis")
     uu, vv = domain.mesh(n_u, n_v)
     grid = uu + 1j * vv
 
@@ -211,31 +176,12 @@ def synthesize_family(
             f"omega_hat vanishes at node (u={i}, v={j}), z = {grid[j, i]}"
         )
 
-    w = _integral_field(data.omega_hat, data.base_point, grid, tol)
-    t = _integral_field(
-        holo.mul(data.h2, data.omega_hat), data.base_point, grid, tol
-    )
+    w = _integral_field(data.omega_hat, grid, tol)
+    t = _integral_field(holo.mul(data.h2, data.omega_hat), grid, tol)
     x = np.ascontiguousarray(w.real)
     y = np.ascontiguousarray(w.imag)
-    ells = [0.5 * params.H * (x * x + y * y) + t.real for params in family]
+    ells = [0.5 * h * (x * x + y * y) + t.real for h in h_values]
     if not (all(np.all(np.isfinite(ell)) for ell in ells) and np.all(np.isfinite(x))):
         raise ValueError("synthesized surface contains non-finite values")
     phi_vals = holo.evaluate(data.phi(), {"z": grid})
-    return [
-        SurfaceSample(domain, n_u, n_v, params.H, x, y, ell, phi=phi_vals)
-        for params, ell in zip(family, ells)
-    ]
-
-
-def enneper_data(n: int) -> WeierstrassData:
-    """Generator pair (z^(n-1), 1) of the degree-n polynomial family."""
-    if n < 2:
-        raise ValueError("the polynomial family starts at n = 2")
-    return WeierstrassData(
-        holo.intpow(holo.Variable("z"), n - 1), holo.Constant(1)
-    )
-
-
-def exp_data() -> WeierstrassData:
-    """Generator pair (exp(z), 1), whose curvature never reaches its sup."""
-    return WeierstrassData(holo.Exp(holo.Variable("z")), holo.Constant(1))
+    return [SurfaceSample(domain, h, x, y, ell, phi=phi_vals) for h, ell in zip(h_values, ells)]

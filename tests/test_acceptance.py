@@ -19,9 +19,8 @@ from isocmc.graphgeo import (
     quadratic_test,
 )
 from isocmc.vdist import Verdict, sample_k_image, umbilic_scan
-from isocmc.weierstrass import LiftParams, enneper_data, exp_data, synthesize
 
-from util_expr import quadric_field, random_expr
+from util_expr import enneper_data, exp_data, lift_one, quadric_field, random_expr
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -37,7 +36,7 @@ def test_criterion_1_constant_curvature_family():
     worst_fd = 0.0
     label = None
     for H in (0.0, 1.0, 2.0):
-        sample = synthesize(enneper_data(2), LiftParams(H, SQUARE, 201, 201))
+        sample = lift_one(enneper_data(2), H, SQUARE, 201, 201)
         want = H * H - 1.0
         worst_analytic = max(worst_analytic, float(np.max(np.abs(sample.analytic_gauss() - want))))
         k_fd = pde_analyze(*sample.height_chart()).hessian_det
@@ -63,7 +62,7 @@ def test_criterion_1_constant_curvature_family():
 def test_criterion_2_exponential_family():
     start = time.perf_counter()
     H = 0.5
-    sample = synthesize(exp_data(), LiftParams(H, SQUARE, 201, 201))
+    sample = lift_one(exp_data(), H, SQUARE, 201, 201)
     want = H * H - np.exp(2.0 * sample.x)
     dev_analytic = float(np.max(np.abs(sample.analytic_gauss() - want)))
     k_fd = pde_analyze(*sample.height_chart()).hessian_det
@@ -108,7 +107,7 @@ def test_criterion_3_classification_table():
 def test_criterion_4_isometric_family():
     h_list = (0.0, 1.5, 10.0)
     samples = [
-        synthesize(enneper_data(3), LiftParams(H, SQUARE, 201, 201)) for H in h_list
+        lift_one(enneper_data(3), H, SQUARE, 201, 201) for H in h_list
     ]
     base = samples[0]
     planar_identical = all(
@@ -181,7 +180,7 @@ def test_criterion_6_pde_views():
         quad_ok &= quadratic_test(*field.height_chart())[0]
     cubic_like_rejected = True
     for n in (3, 4):
-        sample = synthesize(enneper_data(n), LiftParams(1.0, SQUARE, 41, 41))
+        sample = lift_one(enneper_data(n), 1.0, SQUARE, 41, 41)
         cubic_like_rejected &= not quadratic_test(*sample.height_chart())[0]
     ok = const_ok and worst_lap < 1e-8 and worst_hess < 1e-8 and quad_ok and cubic_like_rejected
     verdict(
@@ -227,9 +226,9 @@ def test_criterion_7_numerics_properties():
     # (d) K never exceeds H^2
     analytic_ok = True
     for data, H in [(enneper_data(2), 1.0), (enneper_data(3), 0.5), (exp_data(), 2.0)]:
-        sample = synthesize(data, LiftParams(H, SQUARE, 101, 101))
+        sample = lift_one(data, H, SQUARE, 101, 101)
         analytic_ok &= float(np.max(sample.analytic_gauss())) <= H * H
-    exp_sample = synthesize(exp_data(), LiftParams(0.5, SQUARE, 201, 201))
+    exp_sample = lift_one(exp_data(), 0.5, SQUARE, 201, 201)
     field, x, y = exp_sample.height_chart()
     fd_bound = 0.25 + 10.0 * field.h_x * field.h_x
     fd_ok = float(np.max(pde_analyze(field, x, y).hessian_det)) <= fd_bound

@@ -11,7 +11,7 @@ from isocmc import holo, weierstrass
 from isocmc.classify import SurfaceClass, classify_sample, label_from_constants
 from isocmc.graphgeo import Rect, ScalarField
 
-from util_expr import quadric_field
+from util_expr import enneper_data, lift_one, quadric_field
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -160,9 +160,7 @@ def test_classify_ignores_ambient_translations():
 
 
 def test_classify_accepts_surface_samples():
-    sample = weierstrass.synthesize(
-        weierstrass.enneper_data(2), weierstrass.LiftParams(1.0, SQUARE, 31, 31)
-    )
+    sample = lift_one(enneper_data(2), 1.0, SQUARE, 31, 31)
     assert classify_sample(sample).label is SurfaceClass.CYLINDER
 
 
@@ -170,7 +168,7 @@ def test_classify_fits_over_a_curved_chart():
     # omega = exp(z) maps the square onto an annular sector; the height over it
     # is (x^2 + y^2)/2 + x, a bowl with H = 1 and K = 1
     data = weierstrass.WeierstrassData(holo.parse("1"), holo.parse("exp(z)"))
-    sample = weierstrass.synthesize(data, weierstrass.LiftParams(1.0, SQUARE, 31, 31))
+    sample = lift_one(data, 1.0, SQUARE, 31, 31)
     result = classify_sample(sample)
     assert result.label is SurfaceClass.CIRCULAR_PARABOLOID
     assert result.H == pytest.approx(1.0, abs=1e-9)
@@ -178,9 +176,7 @@ def test_classify_fits_over_a_curved_chart():
 
 
 def test_classify_cubic_lift_is_not_a_quadric():
-    sample = weierstrass.synthesize(
-        weierstrass.enneper_data(3), weierstrass.LiftParams(1.0, SQUARE, 31, 31)
-    )
+    sample = lift_one(enneper_data(3), 1.0, SQUARE, 31, 31)
     result = classify_sample(sample)
     assert result.label is SurfaceClass.NON_QUADRIC
     assert result.alpha is None and result.K is None and result.H is None

@@ -12,6 +12,7 @@ from isocmc import graphgeo, holo, io_mesh, weierstrass
 from isocmc.cli import main
 from isocmc.graphgeo import Rect, ScalarField
 
+from util_expr import exp_data, lift_one
 from util_grid import reference_grid_text, reference_obj_text
 
 
@@ -193,10 +194,8 @@ def test_sweep_reports_isometry(tmp_path):
 def test_lift_writes_what_the_separate_writers_write(tmp_path):
     argv = ("--h2", "z^3 - 0.5*i*z", "--omega", "1", "--H", "-0.75", "--grid", "23x17")
     assert run(tmp_path, "lift", *argv, "-o", "one") == 0
-    sample = weierstrass.synthesize(
-        weierstrass.WeierstrassData(holo.parse(argv[1]), holo.parse(argv[3])),
-        weierstrass.LiftParams(-0.75, Rect(-1.0, 1.0, -1.0, 1.0), 23, 17),
-    )
+    data = weierstrass.WeierstrassData(holo.parse(argv[1]), holo.parse(argv[3]))
+    sample = lift_one(data, -0.75, Rect(-1.0, 1.0, -1.0, 1.0), 23, 17)
     io_mesh.write_surface(sample, None, tmp_path / "two.obj")
     assert (tmp_path / "one.obj").read_bytes() == (tmp_path / "two.obj").read_bytes()
     assert (tmp_path / "one.obj").read_text() == reference_obj_text(sample)
@@ -265,6 +264,14 @@ def test_classify_and_pde_read_the_same_fit_tolerance(tmp_path, capsys, tol, qua
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "isocmc" in capsys.readouterr().out
+
+
+def test_help_prints_the_usage_of_its_level(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: isocmc [-h] [--version] {lift,")
+    assert main(["lift", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: isocmc lift [-h]") and "--grid GRID" in out and not err
 
 
 def test_tolerance_overrides_are_echoed(tmp_path):
@@ -398,6 +405,8 @@ def usage_error_cases():
         pytest.param("pde", ("--f", "x^2", "--grid-file", "surface.grid"), id="pde-two-sources"),
         pytest.param("analyze", ("--grid-file", "field.grid"), id="analyze-field-grid"),
         pytest.param("sweep", (*lift, "--H-list", ","), id="sweep-empty-H-list"),
+        pytest.param("lift", (*lift, "--bogus", "1"), id="lift-unknown-option"),
+        pytest.param("vdist", (*lift, "--grid", "5x5"), id="vdist-lattice-option"),
     ]
 
 
@@ -433,6 +442,28 @@ def test_corrupt_grid_file_is_a_runtime_error(tmp_path, capsys):
     bad.write_text("not a grid at all\n")
     assert run(tmp_path, "analyze", "--grid-file", str(bad)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option, message",
+    [
+        ("lift", "--grid=1x5", "grid needs at least 2 nodes per axis"),
+        ("lift", "--H=nan", "H must be finite"),
+        ("sweep", "--H-list=1,nan", "H must be finite"),
+    ],
+)
+def test_lift_checks_end_the_run_before_any_file(tmp_path, capsys, command, option, message):
+    assert run(tmp_path, command, "--h2", "z", "--omega", "1", option) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_scalar_power_overflow_is_a_named_error(tmp_path, capsys):
+    # the constant (40^12)^40 is a Python complex, whose ** raises OverflowError
+    argv = ("lift", "--h2", "1", "--omega", "((40)^12)^40", "--grid", "5x5")
+    assert run_quietly(tmp_path, *argv) == (1, [])
+    assert capsys.readouterr().err == "error: evaluation overflowed to a non-finite value\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_vdist_curvature_overflow_is_a_named_error(tmp_path, capsys):
@@ -473,10 +504,7 @@ def test_lift_curvature_overflow_writes_nothing(tmp_path, capsys):
 
 
 def test_analyze_curvature_overflow_is_a_named_error(tmp_path, capsys):
-    sample = weierstrass.synthesize(
-        weierstrass.exp_data(),
-        weierstrass.LiftParams(1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11),
-    )
+    sample = lift_one(exp_data(), 1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11)
     io_mesh.write_surface(sample, tmp_path / "huge.grid", tmp_path / "huge.obj")
     for argv in (OVERFLOW_GEN, ("--grid-file", str(tmp_path / "huge.grid"))):
         code, runtime_warnings = run_quietly(tmp_path, "analyze", *argv)
@@ -502,9 +530,7 @@ def test_a_mean_whose_sum_overflows_is_reported(tmp_path, capsys):
         assert run_quietly(tmp_path, command, *EXTREME_K) == (0, [])
     grid_file = ("--grid-file", str(tmp_path / "lift.grid"))
     assert run_quietly(tmp_path, "pde", *grid_file) == (0, [])
-    sample = weierstrass.synthesize(
-        weierstrass.exp_data(), weierstrass.LiftParams(0.0, Rect(354.0, 354.5, -0.1, 0.1), 11, 11)
-    )
+    sample = lift_one(exp_data(), 0.0, Rect(354.0, 354.5, -0.1, 0.1), 11, 11)
     k = sample.analytic_gauss()
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(k))

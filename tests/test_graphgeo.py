@@ -17,7 +17,7 @@ from isocmc.graphgeo import (
     quadratic_test,
 )
 
-from util_expr import quadric_field
+from util_expr import enneper_data, exp_data, lift_one, quadric_field
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -94,19 +94,15 @@ def test_fd_curvatures_on_random_quadratics(d, e, g, b, c):
 
 def test_fd_mean_curvature_recovers_lift_H():
     # cross-module oracle: a synthesized cubic graph carries its input H
-    data = weierstrass.enneper_data(3)
-    sample = weierstrass.synthesize(
-        data, weierstrass.LiftParams(1.5, SQUARE, 101, 101)
-    )
+    data = enneper_data(3)
+    sample = lift_one(data, 1.5, SQUARE, 101, 101)
     h = 0.5 * pde_analyze(*sample.height_chart()).laplacian
     assert np.max(np.abs(h - 1.5)) < 1e-10
 
 
 def test_fd_gauss_curvature_on_exponential_graph():
-    data = weierstrass.exp_data()
-    sample = weierstrass.synthesize(
-        data, weierstrass.LiftParams(0.5, SQUARE, 201, 201)
-    )
+    data = exp_data()
+    sample = lift_one(data, 0.5, SQUARE, 201, 201)
     k_fd = pde_analyze(*sample.height_chart()).hessian_det
     k_true = 0.25 - np.exp(2.0 * sample.x[1:-1, 1:-1])
     assert np.max(np.abs(k_fd - k_true)) < 1e-4
@@ -193,10 +189,7 @@ def test_pde_analyze_overflow_is_a_named_error():
 
 def test_fd_curvatures_overflow_is_a_named_error(recwarn):
     # Re exp(z) near Re z = 400 is about 5e173, so f_xx * f_yy is past the float range
-    sample = weierstrass.synthesize(
-        weierstrass.exp_data(),
-        weierstrass.LiftParams(1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11),
-    )
+    sample = lift_one(exp_data(), 1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11)
     for field, x, y in (sample.height_chart(), sample.as_height_field().height_chart()):
         with pytest.raises(StencilOverflowError, match="float range"):
             pde_analyze(field, x, y)
@@ -250,10 +243,8 @@ def fit_cases():
         yield pytest.param(ScalarField(rect, quad), xx, yy, id=f"quadric-{n}")
         cubic = quad + c[6] * xx**3 + c[7] * xx * yy * yy
         yield pytest.param(ScalarField(rect, cubic), xx, yy, id=f"cubic-{n}")
-    chart = weierstrass.synthesize(
-        weierstrass.WeierstrassData(holo.Variable("z"), holo.Exp(holo.Variable("z"))),
-        weierstrass.LiftParams(0.5, SQUARE, 41, 37),
-    )
+    z = holo.Variable("z")
+    chart = lift_one(weierstrass.WeierstrassData(z, holo.Exp(z)), 0.5, SQUARE, 41, 37)
     yield pytest.param(*chart.height_chart(), id="chart-41x37")
 
 

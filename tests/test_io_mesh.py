@@ -16,15 +16,14 @@ from isocmc import holo, io_mesh, weierstrass
 from isocmc.graphgeo import Rect, ScalarField
 from isocmc.io_mesh import GridFormatError, read_grid, write_report, write_surface
 
+from util_expr import enneper_data, exp_data, lift_one
 from util_grid import reference_grid_text, reference_obj_text
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
 
 def sample(n=7, H=0.5):
-    return weierstrass.synthesize(
-        weierstrass.enneper_data(3), weierstrass.LiftParams(H, SQUARE, n, n)
-    )
+    return lift_one(enneper_data(3), H, SQUARE, n, n)
 
 
 def a_field(n=5):
@@ -75,6 +74,16 @@ def test_truncated_body_is_a_count_error(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(GridFormatError, match="record"):
+        read_grid(path)
+
+
+def test_a_body_too_small_for_its_header_is_rejected_by_its_size(tmp_path):
+    head = "".join(reference_grid_text(sample()).splitlines(keepends=True)[:7])
+    path = tmp_path / "z.grid"
+    path.write_text(head.replace("shape 7 7", "shape 2 2") + "0 0 0\n" * 3 + "0 0 0")
+    assert read_grid(path).ell.tolist() == [[0.0, 0.0], [0.0, 0.0]]  # the fewest bytes: 23
+    path.write_text(head.replace("shape 7 7", "shape 2 2") + "0 0 0\n" * 3 + "0 0")
+    with pytest.raises(GridFormatError, match="expected 4, but 21 bytes hold at most 3"):
         read_grid(path)
 
 
@@ -197,9 +206,7 @@ def test_obj_counts_four_quads(tmp_path):
 
 
 def test_obj_vertices_reimport_to_the_saddle(tmp_path):
-    s = weierstrass.synthesize(
-        weierstrass.enneper_data(2), weierstrass.LiftParams(0.0, SQUARE, 9, 9)
-    )
+    s = lift_one(enneper_data(2), 0.0, SQUARE, 9, 9)
     lines = obj_lines(tmp_path, s)
     verts = np.array(
         [[float(t) for t in l.split()[1:]] for l in lines if l.startswith("v ")]
@@ -210,15 +217,7 @@ def test_obj_vertices_reimport_to_the_saddle(tmp_path):
 
 def test_obj_needs_a_real_grid():
     s = sample(n=3)
-    tiny = weierstrass.SurfaceSample(
-        domain=s.domain,
-        n_u=3,
-        n_v=1,
-        H=s.H,
-        x=s.x[:1],
-        y=s.y[:1],
-        ell=s.ell[:1],
-    )
+    tiny = weierstrass.SurfaceSample(domain=s.domain, H=s.H, x=s.x[:1], y=s.y[:1], ell=s.ell[:1])
     with pytest.raises(ValueError):
         write_surface(tiny, None, "/dev/null")
 
@@ -245,16 +244,12 @@ def plant(s):
 
 def lifted(n_u, n_v, H=-0.75):
     rect = Rect(-1.0, 0.5, -0.25, 2.0)
-    return weierstrass.synthesize(
-        weierstrass.exp_data(), weierstrass.LiftParams(H, rect, n_u, n_v)
-    )
+    return lift_one(exp_data(), H, rect, n_u, n_v)
 
 
 def graph(n_u, n_v):
     """A lift with omega = 1: x repeats row 0 and y is constant along each row."""
-    return weierstrass.synthesize(
-        weierstrass.enneper_data(3), weierstrass.LiftParams(0.5, SQUARE, n_u, n_v)
-    )
+    return lift_one(enneper_data(3), 0.5, SQUARE, n_u, n_v)
 
 
 def signed_zeros(s):
@@ -277,7 +272,7 @@ def near_graphs():
 def identity_cases():
     s53, s22, wide = lifted(5, 3), lifted(2, 2), lifted(9, 5)
     strided = dataclasses.replace(  # non-contiguous views of a larger lattice
-        wide, n_u=5, n_v=3, x=wide.x[::2, ::2], y=wide.y[::2, ::2], ell=wide.ell[::2, ::2]
+        wide, x=wide.x[::2, ::2], y=wide.y[::2, ::2], ell=wide.ell[::2, ::2]
     )
     flipped, bent = near_graphs()
     cases = {
@@ -325,7 +320,7 @@ def test_one_pass_writer_validates_before_writing(tmp_path):
     paths = tmp_path / "s.grid", tmp_path / "s.obj"
     with pytest.raises(ValueError, match="provenance"):
         write_surface(s, *paths, provenance="two\nlines")
-    one_row = dataclasses.replace(s, n_v=1, x=s.x[:1], y=s.y[:1], ell=s.ell[:1])
+    one_row = dataclasses.replace(s, x=s.x[:1], y=s.y[:1], ell=s.ell[:1])
     with pytest.raises(ValueError, match="2 x 2"):
         write_surface(one_row, *paths)
     assert not any(p.exists() for p in paths)
@@ -391,15 +386,13 @@ def reference_read_grid(path):
         if lattice_gap > 1e-9 * (1.0 + float(np.max(np.abs(xx)))):
             raise GridFormatError("field records do not sit on the header lattice")
         return ScalarField(domain, ells)
-    return weierstrass.SurfaceSample(
-        domain=domain, n_u=n_u, n_v=n_v, H=h, x=xs, y=ys, ell=ells
-    )
+    return weierstrass.SurfaceSample(domain=domain, H=h, x=xs, y=ys, ell=ells)
 
 
 def non_graph(n_u, n_v):
     z = holo.Variable("z")
     data = weierstrass.WeierstrassData(z, holo.Exp(z))
-    return weierstrass.synthesize(data, weierstrass.LiftParams(0.5, SQUARE, n_u, n_v))
+    return lift_one(data, 0.5, SQUARE, n_u, n_v)
 
 
 def with_tokens(text, edits):
@@ -440,7 +433,7 @@ def assert_bitwise(got, want):
         pairs = [(got.values, want.values)]
     else:
         assert isinstance(got, weierstrass.SurfaceSample)
-        assert (got.domain, got.n_u, got.n_v, got.H) == (want.domain, want.n_u, want.n_v, want.H)
+        assert (got.domain, got.H) == (want.domain, want.H)
         pairs = [(got.x, want.x), (got.y, want.y), (got.ell, want.ell)]
     for g, w in pairs:
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -591,6 +584,11 @@ def test_parallel_read_matches_the_one_call_reader(
     assert_bitwise(got, reference_read_grid(path))
 
 
+# Files too small for the records their header promises: read_grid rejects
+# them from the file size alone, before either body read starts.
+BEYOND_THE_FILE = {"header-only", "header-and-blank-lines", "shape-beyond-the-file"}
+
+
 def malformed_files():
     good, small = reference_grid_text(sample()), reference_grid_text(graph(5, 4))
     tall = reference_grid_text(graph(3, 6000))
@@ -599,12 +597,17 @@ def malformed_files():
     ]
     files += [pytest.param(with_tokens(small, p.values[0]), id=p.id) for p in MALFORMED_TEXTS]
     files += [pytest.param(with_tokens(tall, p.values[0]), id=p.id) for p in INF_IN_A_LATER_BLOCK]
-    return files + [pytest.param("".join(good.splitlines(keepends=True)[:-1]), id="truncated-body")]
+    files += [pytest.param("".join(good.splitlines(keepends=True)[:-1]), id="truncated-body")]
+    huge = "".join(small.replace("shape 5 4", "shape 100000 100000").splitlines(keepends=True)[:8])
+    files += [pytest.param(huge, id="shape-beyond-the-file")]
+    return [pytest.param(*p.values, p.id not in BEYOND_THE_FILE, id=p.id) for p in files]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("text", malformed_files())
-def test_parallel_read_raises_the_serial_error(tmp_path, monkeypatch, no_child_left, text, workers):
+@pytest.mark.parametrize("text, reads_body", malformed_files())
+def test_parallel_read_raises_the_serial_error(
+    tmp_path, monkeypatch, no_child_left, text, reads_body, workers
+):
     path = tmp_path / "m.grid"
     path.write_text(text)
     with pytest.raises(GridFormatError) as want:
@@ -612,7 +615,7 @@ def test_parallel_read_raises_the_serial_error(tmp_path, monkeypatch, no_child_l
     forks, serial = force_parallel(monkeypatch, workers)
     with pytest.raises(GridFormatError) as got:
         read_grid(path)
-    assert len(forks) == workers - 1 and serial
+    assert (len(forks), bool(serial)) == ((workers - 1, True) if reads_body else (0, False))
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
@@ -859,7 +862,7 @@ def test_report_vdist_block_shape(tmp_path):
     from isocmc.vdist import sample_k_image
 
     rep = sample_k_image(
-        weierstrass.enneper_data(3), 1.0, [1.0], samples_per_radius=500
+        enneper_data(3), 1.0, [1.0], samples_per_radius=500
     )
     block = json.loads(report(tmp_path, {}, vdist=rep))["vdist"]
     assert block["verdict"] == "ClosedAtSup"

@@ -9,6 +9,8 @@ from isocmc import holo, weierstrass
 from isocmc.graphgeo import Rect
 from isocmc.vdist import Verdict, sample_k_image, umbilic_scan
 
+from util_expr import enneper_data, exp_data
+
 Z = holo.Variable("z")
 ONE = holo.Constant(1)
 
@@ -30,7 +32,7 @@ def brute_force_k_min(data, H, radius, n=401):
 
 def test_constant_curvature_family():
     report = sample_k_image(
-        weierstrass.enneper_data(2), 1.0, [1.0, 2.0, 4.0], samples_per_radius=2000
+        enneper_data(2), 1.0, [1.0, 2.0, 4.0], samples_per_radius=2000
     )
     assert report.verdict is Verdict.CONSTANT_K
     assert report.umbilic_points == []
@@ -42,7 +44,7 @@ def test_constant_curvature_family():
 def test_closed_at_sup_family():
     H = 1.0
     report = sample_k_image(
-        weierstrass.enneper_data(3), H, [1.0, 2.0, 4.0], samples_per_radius=10_000
+        enneper_data(3), H, [1.0, 2.0, 4.0], samples_per_radius=10_000
     )
     assert report.verdict is Verdict.CLOSED_AT_SUP
     assert len(report.umbilic_points) == 1
@@ -50,13 +52,13 @@ def test_closed_at_sup_family():
     for r, k_min in zip(report.radii, report.k_min):
         want = H * H - 4.0 * r * r
         assert abs(k_min - want) <= 0.01 * abs(want)
-        oracle = brute_force_k_min(weierstrass.enneper_data(3), H, r)
+        oracle = brute_force_k_min(enneper_data(3), H, r)
         assert abs(k_min - oracle) <= 0.01 * abs(oracle)
 
 
 def test_open_below_sup_family():
     report = sample_k_image(
-        weierstrass.exp_data(), 0.0, [1.0, 10.0], samples_per_radius=4000
+        exp_data(), 0.0, [1.0, 10.0], samples_per_radius=4000
     )
     assert report.verdict is Verdict.OPEN_BELOW_SUP
     assert report.umbilic_points == []
@@ -67,14 +69,14 @@ def test_open_below_sup_family():
 
 def test_small_disk_is_inconclusive():
     report = sample_k_image(
-        weierstrass.exp_data(), 0.0, [0.25], samples_per_radius=2000
+        exp_data(), 0.0, [0.25], samples_per_radius=2000
     )
     assert report.verdict is Verdict.INCONCLUSIVE
 
 
 def test_extremes_are_cumulative():
     report = sample_k_image(
-        weierstrass.enneper_data(4), 0.5, [0.5, 1.0, 2.0, 3.0], samples_per_radius=1000
+        enneper_data(4), 0.5, [0.5, 1.0, 2.0, 3.0], samples_per_radius=1000
     )
     assert all(a >= b for a, b in zip(report.k_min, report.k_min[1:]))
     assert all(a <= b for a, b in zip(report.k_max, report.k_max[1:]))
@@ -82,16 +84,16 @@ def test_extremes_are_cumulative():
 
 def test_k_never_exceeds_the_sup():
     for data, H in [
-        (weierstrass.enneper_data(2), 1.0),
-        (weierstrass.enneper_data(3), 0.5),
-        (weierstrass.exp_data(), 2.0),
+        (enneper_data(2), 1.0),
+        (enneper_data(3), 0.5),
+        (exp_data(), 2.0),
     ]:
         report = sample_k_image(data, H, [1.0, 3.0], samples_per_radius=1000)
         assert report.k_max[-1] <= H * H
 
 
 @pytest.mark.parametrize(
-    "data", [weierstrass.enneper_data(3), weierstrass.exp_data()]
+    "data", [enneper_data(3), exp_data()]
 )
 def test_unbounded_families_decay_by_decades(data):
     # K_min must fall at least tenfold per decade of radius
@@ -102,7 +104,7 @@ def test_unbounded_families_decay_by_decades(data):
 
 def test_report_echoes_inputs_and_defaults():
     report = sample_k_image(
-        weierstrass.enneper_data(2), 2.0, [1.0, 2.0], samples_per_radius=500
+        enneper_data(2), 2.0, [1.0, 2.0], samples_per_radius=500
     )
     assert report.H == 2.0 and report.radii == [1.0, 2.0]
     assert report.const_tol == pytest.approx(1e-9 * 5.0)
@@ -110,7 +112,7 @@ def test_report_echoes_inputs_and_defaults():
 
 
 def test_sampling_validation():
-    data = weierstrass.enneper_data(2)
+    data = enneper_data(2)
     with pytest.raises(ValueError):
         sample_k_image(data, 1.0, [])
     with pytest.raises(ValueError):
@@ -130,7 +132,7 @@ def test_sampling_validation():
 
 
 def test_scan_finds_the_central_zero():
-    pts = umbilic_scan(weierstrass.enneper_data(3), Rect(-1, 1, -1, 1), (41, 41))
+    pts = umbilic_scan(enneper_data(3), Rect(-1, 1, -1, 1), (41, 41))
     assert len(pts) == 1 and abs(pts[0]) < 1e-12
 
 
@@ -145,11 +147,11 @@ def test_scan_finds_symmetric_zero_pair():
 
 
 def test_scan_is_empty_for_exponential_potential():
-    assert umbilic_scan(weierstrass.exp_data(), Rect(-2, 2, -2, 2), (101, 101)) == []
+    assert umbilic_scan(exp_data(), Rect(-2, 2, -2, 2), (101, 101)) == []
 
 
 def test_scan_is_empty_for_constant_nonzero_potential():
-    assert umbilic_scan(weierstrass.enneper_data(2), Rect(-2, 2, -2, 2), (41, 41)) == []
+    assert umbilic_scan(enneper_data(2), Rect(-2, 2, -2, 2), (41, 41)) == []
 
 
 def test_scan_reports_one_representative_for_identically_zero_potential():
@@ -160,4 +162,4 @@ def test_scan_reports_one_representative_for_identically_zero_potential():
 
 def test_scan_needs_three_nodes():
     with pytest.raises(ValueError):
-        umbilic_scan(weierstrass.enneper_data(3), Rect(-1, 1, -1, 1), (2, 41))
+        umbilic_scan(enneper_data(3), Rect(-1, 1, -1, 1), (2, 41))

@@ -8,16 +8,14 @@ import pytest
 from isocmc import holo, weierstrass
 from isocmc.graphgeo import Rect, pde_analyze
 from isocmc.weierstrass import (
-    LiftParams,
     NonGraphSampleError,
     SingularNodeError,
     WeierstrassData,
-    enneper_data,
-    exp_data,
     gauss_curvature,
-    synthesize,
     synthesize_family,
 )
+
+from util_expr import enneper_data, exp_data, lift_one
 
 Z = holo.Variable("z")
 ONE = holo.Constant(1)
@@ -29,8 +27,6 @@ def test_data_validation():
         WeierstrassData(holo.parse("x^2"), ONE)
     with pytest.raises(ValueError):
         WeierstrassData(Z, holo.parse("y"))
-    with pytest.raises(ValueError):
-        WeierstrassData(Z, ONE, base_point=complex("nan"))
 
 
 def test_curvature_potential_structure():
@@ -50,7 +46,7 @@ def test_enneper_data_starts_at_two():
 def lattice(data, H, rect=SQUARE, n_u=9, n_v=7):
     """The sample of the pair on rect, and its parameter nodes z."""
     uu, vv = rect.mesh(n_u, n_v)
-    return synthesize(data, LiftParams(H, rect, n_u, n_v)), uu + 1j * vv
+    return lift_one(data, H, rect, n_u, n_v), uu + 1j * vv
 
 
 def test_planar_map_identity():
@@ -147,7 +143,7 @@ def test_induced_metric():
     flat, bowl = synthesize_family(data, [0.0, 2.0], Rect(-0.5, 0.5, -0.5, 0.5), 21, 21)
     jacs = [pde_analyze(*s.height_chart()).jacobian for s in (flat, bowl)]
     assert np.array_equal(jacs[0], jacs[1])
-    sample = synthesize(exp_data(), LiftParams(1.0, SQUARE, 21, 21))
+    sample = lift_one(exp_data(), 1.0, SQUARE, 21, 21)
     jac = pde_analyze(*sample.height_chart()).jacobian
     assert np.max(np.abs(jac - 1.0)) < 1e-13
 
@@ -157,13 +153,12 @@ def test_induced_metric():
 
 
 def test_synthesize_saddle_plus_bowl_is_a_cylinder():
-    sample = synthesize(enneper_data(2), LiftParams(1.0, SQUARE, 11, 11))
+    sample = lift_one(enneper_data(2), 1.0, SQUARE, 11, 11)
     assert np.max(np.abs(sample.ell - sample.x**2)) < 1e-12
 
 
 def test_synthesize_unit_form_keeps_the_parameter_lattice():
-    params = LiftParams(0.7, SQUARE, 9, 13)
-    sample = synthesize(enneper_data(3), params)
+    sample = lift_one(enneper_data(3), 0.7, SQUARE, 9, 13)
     uu, vv = np.meshgrid(SQUARE.x_nodes(9), SQUARE.y_nodes(13))
     assert np.array_equal(sample.x, uu)
     assert np.array_equal(sample.y, vv)
@@ -171,10 +166,9 @@ def test_synthesize_unit_form_keeps_the_parameter_lattice():
 
 def test_synthesize_family_is_isometric():
     # identical (x, y) bit for bit; heights differ by the H-bowl alone
-    params0 = LiftParams(0.0, SQUARE, 33, 33)
-    base = synthesize(enneper_data(3), params0)
+    base = lift_one(enneper_data(3), 0.0, SQUARE, 33, 33)
     for H in (1.5, 10.0):
-        lifted = synthesize(enneper_data(3), LiftParams(H, SQUARE, 33, 33))
+        lifted = lift_one(enneper_data(3), H, SQUARE, 33, 33)
         assert np.array_equal(base.x, lifted.x)
         assert np.array_equal(base.y, lifted.y)
         bowl = 0.5 * H * (base.x**2 + base.y**2)
@@ -182,13 +176,11 @@ def test_synthesize_family_is_isometric():
 
 
 def per_h_synthesis(data, H, rect, n, tol=holo.DEFAULT_QUAD_TOL):
-    """(x, y, ell) as synthesize computed them one H at a time."""
+    """(x, y, ell) computed for one H alone."""
     uu, vv = rect.mesh(n, n)
     grid = uu + 1j * vv
-    w = weierstrass._integral_field(data.omega_hat, data.base_point, grid, tol)
-    t = weierstrass._integral_field(
-        holo.mul(data.h2, data.omega_hat), data.base_point, grid, tol
-    )
+    w = weierstrass._integral_field(data.omega_hat, grid, tol)
+    t = weierstrass._integral_field(holo.mul(data.h2, data.omega_hat), grid, tol)
     x, y = w.real, w.imag
     return x, y, 0.5 * H * (x * x + y * y) + t.real
 
@@ -206,7 +198,7 @@ def test_synthesize_family_matches_per_h_synthesis(data):
         x, y, ell = per_h_synthesis(data, s.H, SQUARE, 17)
         assert s.x.tobytes() == x.tobytes() and s.y.tobytes() == y.tobytes()
         assert s.ell.tobytes() == ell.tobytes()
-        single = synthesize(data, LiftParams(s.H, SQUARE, 17, 17))
+        single = lift_one(data, s.H, SQUARE, 17, 17)
         assert single.ell.tobytes() == s.ell.tobytes()
         assert single.phi.tobytes() == s.phi.tobytes()
     with pytest.raises(ValueError, match="finite"):
@@ -214,21 +206,21 @@ def test_synthesize_family_matches_per_h_synthesis(data):
 
 
 def test_synthesize_is_deterministic():
-    a = synthesize(exp_data(), LiftParams(0.5, SQUARE, 21, 21))
-    b = synthesize(exp_data(), LiftParams(0.5, SQUARE, 21, 21))
+    a = lift_one(exp_data(), 0.5, SQUARE, 21, 21)
+    b = lift_one(exp_data(), 0.5, SQUARE, 21, 21)
     assert np.array_equal(a.ell, b.ell) and np.array_equal(a.x, b.x)
 
 
 def test_synthesize_names_the_singular_node():
     data = WeierstrassData(ONE, Z)  # omega vanishes at the origin
     with pytest.raises(SingularNodeError, match=r"\(u=2, v=2\), z = 0j"):
-        synthesize(data, LiftParams(0.0, SQUARE, 5, 5))
+        lift_one(data, 0.0, SQUARE, 5, 5)
 
 
 def test_synthesize_quadrature_only_pair():
     data = WeierstrassData(ONE, holo.parse("exp(z^2)"))
     rect = Rect(0.0, 1.0, 0.0, 0.5)
-    sample = synthesize(data, LiftParams(0.0, rect, 5, 3))
+    sample = lift_one(data, 0.0, rect, 5, 3)
     # the (u=last, v=0) corner is reached along the real axis
     assert sample.x[0, -1] == pytest.approx(1.4626517459071815, abs=1e-9)
     assert sample.y[0, 0] == 0.0
@@ -241,7 +233,7 @@ def test_synthesize_quadrature_oracle():
     data = WeierstrassData(Z, holo.parse("1/(z+4)"))
     assert holo.antiderivative(data.omega_hat) is None
     n, tol = 41, holo.DEFAULT_QUAD_TOL
-    sample = synthesize(data, LiftParams(0.0, SQUARE, n, n), tol)
+    sample = lift_one(data, 0.0, SQUARE, n, n, tol)
     uu, vv = np.meshgrid(SQUARE.x_nodes(n), SQUARE.y_nodes(n))
     z = uu + 1j * vv
     bound = (n + n) * tol
@@ -250,7 +242,7 @@ def test_synthesize_quadrature_oracle():
 
 
 def test_umbilic_flags_and_gauss_grid():
-    sample = synthesize(enneper_data(3), LiftParams(1.0, SQUARE, 21, 21))
+    sample = lift_one(enneper_data(3), 1.0, SQUARE, 21, 21)
     flags = sample.umbilic_flags()
     assert flags[10, 10] and np.count_nonzero(flags) == 1
     k = sample.analytic_gauss()
@@ -259,7 +251,7 @@ def test_umbilic_flags_and_gauss_grid():
 
 
 def test_as_height_field_for_graph_samples():
-    sample = synthesize(enneper_data(3), LiftParams(2.0, SQUARE, 11, 11))
+    sample = lift_one(enneper_data(3), 2.0, SQUARE, 11, 11)
     field = sample.as_height_field()
     assert field.domain == SQUARE
     assert np.array_equal(field.values, sample.ell)
@@ -267,7 +259,7 @@ def test_as_height_field_for_graph_samples():
 
 def test_as_height_field_rejects_curved_charts():
     data = WeierstrassData(ONE, holo.Exp(Z))
-    sample = synthesize(data, LiftParams(0.0, Rect(-0.5, 0.5, -0.5, 0.5), 9, 9))
+    sample = lift_one(data, 0.0, Rect(-0.5, 0.5, -0.5, 0.5), 9, 9)
     with pytest.raises(NonGraphSampleError):
         sample.as_height_field()
 
@@ -275,7 +267,7 @@ def test_as_height_field_rejects_curved_charts():
 def test_coordinate_fields_carry_the_conformal_factor():
     data = WeierstrassData(ONE, holo.Exp(Z))
     rect = Rect(-0.5, 0.5, -0.5, 0.5)
-    sample = synthesize(data, LiftParams(0.0, rect, 51, 51))
+    sample = lift_one(data, 0.0, rect, 51, 51)
     jac = pde_analyze(*sample.height_chart()).jacobian
     # a conformal chart has det J = |omega_hat|^2
     uu, vv = rect.mesh(51, 51)
@@ -285,7 +277,7 @@ def test_coordinate_fields_carry_the_conformal_factor():
 
 
 def test_lift_params_validation():
-    with pytest.raises(ValueError):
-        LiftParams(0.0, SQUARE, 1, 5)
-    with pytest.raises(ValueError):
-        LiftParams(float("inf"), SQUARE, 5, 5)
+    with pytest.raises(ValueError, match="grid needs at least 2 nodes per axis"):
+        synthesize_family(enneper_data(2), [0.0], SQUARE, 1, 5)
+    with pytest.raises(ValueError, match="H must be finite"):
+        synthesize_family(enneper_data(2), [0.0, float("inf")], SQUARE, 5, 5)

@@ -1,5 +1,5 @@
-"""Seeded random expression trees for round-trip and calculus tests, and
-sampled normal-form quadrics.
+"""Seeded random expression trees for round-trip and calculus tests,
+sampled normal-form quadrics, and the generator pairs the tests lift.
 
 Trees are built through the folding constructors, so they are already in
 the shape the parser produces and ``parse(to_text(e)) == e`` is a fair
@@ -13,6 +13,7 @@ import numpy as np
 from isocmc import holo
 from isocmc.classify import label_from_constants
 from isocmc.graphgeo import Rect, ScalarField
+from isocmc.weierstrass import SurfaceSample, WeierstrassData, synthesize_family
 
 _WRAPPERS = (holo.Exp, holo.Sin, holo.Cos, holo.Sinh, holo.Cosh)
 
@@ -89,3 +90,23 @@ def quadric_field(H: float, K: float, domain: Rect, n_x: int, n_y: int) -> Scala
     form = label_from_constants(H, K)
     xx, yy = domain.mesh(n_x, n_y)
     return ScalarField(domain, form.alpha * xx * xx + form.beta * yy * yy)
+
+
+def enneper_data(n: int) -> WeierstrassData:
+    """Generator pair (z^(n-1), 1) of the degree-n polynomial family."""
+    if n < 2:
+        raise ValueError("the polynomial family starts at n = 2")
+    return WeierstrassData(holo.intpow(holo.Variable("z"), n - 1), holo.Constant(1))
+
+
+def exp_data() -> WeierstrassData:
+    """Generator pair (exp(z), 1), whose curvature never reaches its sup."""
+    return WeierstrassData(holo.Exp(holo.Variable("z")), holo.Constant(1))
+
+
+def lift_one(
+    data: WeierstrassData, H: float, domain: Rect, n_u: int, n_v: int,
+    tol: float = holo.DEFAULT_QUAD_TOL,
+) -> SurfaceSample:
+    """The one-H member of the pair's family."""
+    return synthesize_family(data, [H], domain, n_u, n_v, tol)[0]
