@@ -67,6 +67,8 @@ def label_from_constants(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     disc = H * H - K
+    if not math.isfinite(disc):
+        raise ValueError(f"H^2 - K leaves the float range at H = {H:g}, K = {K:g}")
     if disc < -tol:
         raise ValueError(
             f"K = {K:g} exceeds H^2 = {H * H:g}; no spacelike graph carries that pair"

@@ -232,10 +232,10 @@ def cmd_sweep(args, parser, tols: dict) -> int:
         np.array_equal(s.x, base.x) and np.array_equal(s.y, base.y) for s in samples
     )
     shift = 0.5 * (base.x * base.x + base.y * base.y)
-    residuals = [
-        float(np.max(np.abs(s.ell - base.ell - (s.H - base.H) * shift)))
-        for s in samples
-    ]
+    with np.errstate(all="ignore"):  # a residual beyond the float range is named below
+        residuals = [float(abs(s.ell - base.ell - (s.H - base.H) * shift).max()) for s in samples]
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("height-shift residual leaves the float range; narrow --H-list")
     per_h = []
     for s, name, resid in zip(samples, names, residuals):
         io_mesh.write_surface(s, None, _out_path(args, name))

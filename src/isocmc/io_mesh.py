@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import mmap
 import operator
@@ -19,9 +18,9 @@ import shutil
 import signal
 import tempfile
 import threading
+import warnings
 from enum import Enum
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -32,7 +31,7 @@ GRID_MAGIC = "# cmcgrid v1"
 REPORT_SCHEMA_VERSION = "2"
 # Nodes per block of records that the reader parses with one numpy.loadtxt call.
 _BLOCK_NODES = 1 << 13
-# Fewest nodes per process for which a parallel body read repays its fork and skip.
+# Fewest nodes per process for which a parallel body read repays its fork.
 _PARALLEL_NODES = 1 << 15
 _FILE_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 # A record with x and y as text in bytes 0-24 and 25-49 (%.17g writes <= 24).
@@ -65,71 +64,82 @@ def _records(x: np.ndarray, y: np.ndarray, ell: np.ndarray):
             yield template % tuple(row.tolist())
 
 
-def _vertices(records: str) -> str:
-    """The OBJ "v x y ell" lines of a run of grid record lines."""
-    return "v " + records[:-1].replace("\n", "\nv ") + "\n"
-
-
 def _header_value(lines: list[str], idx: int, key: str) -> str:
     if not lines[idx].startswith(key + " "):
         raise GridFormatError(f"malformed header: expected '{key} ...' on line {idx + 1}")
     return lines[idx][len(key) + 1 :]
 
 
-def _body_lines(fh, expected: int):
-    """Yield the `expected` record lines left in fh; blank lines may only trail."""
-    found = 0
-    for line in fh:
-        if line.isspace():
-            break
-        found += 1
-        yield line
-    if any(not rest.isspace() for rest in fh):
-        raise GridFormatError("malformed record: blank line inside the body")
-    if found != expected:
-        raise GridFormatError(f"record count mismatch: expected {expected}, found {found}")
+def _loadtxt(source, dtype=float) -> np.ndarray:
+    """numpy.loadtxt, 2-D, of an array of texts or of source = (fh, n), the next n lines of a
+    binary handle; a line with no data, which loadtxt would skip, raises UserWarning."""
+    lines, n = (source, None) if isinstance(source, np.ndarray) else source
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        return np.loadtxt(lines, dtype, comments=None, ndmin=2, max_rows=n, encoding="utf-8")
 
 
-def _loadtxt(lines, dtype=float) -> np.ndarray:
-    """numpy.loadtxt of record lines, or of single texts; floats come back 2-D."""
-    try:
-        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2 if dtype is float else 1)
-    except GridFormatError:
-        raise
-    except ValueError as exc:
-        raise GridFormatError(f"malformed record: {exc}") from None
-
-
-def _body_values(fh, n_u: int, n_v: int, as_text: bool = True, out=None) -> np.ndarray | None:
-    """x, y and ell of the records left in fh, shape (3, n_v, n_u), in `out` if
-    given; None if a text filled its 25 bytes, since it may have been cut short."""
-    body, values = _body_lines(fh, n_u * n_v), np.empty((3, n_v, n_u)) if out is None else out
+def _body_values(fh, n_u: int, rows: list, k=0, as_text=True, out=None) -> np.ndarray | None:
+    """x, y and ell of lattice rows rows[k] to rows[k + 1] - 1, shape (3, rows[k + 1] - rows[k],
+    n_u), in `out` if given, parsed off the binary handle fh from the first line of row rows[k];
+    None if a text filled its 25 bytes or does not convert.  Only blank lines may end the body."""
+    lo, hi, expected = rows[k], rows[k + 1], n_u * rows[-1]
+    values, found, rest = np.empty((3, hi - lo, n_u)) if out is None else out, n_u * hi, b""
     step, x0 = max(1, _BLOCK_NODES // n_u), None  # row 0's x (bytes, values)
-    for j in range(0, n_v, step):
-        block = values[:, j : j + step]
-        records = itertools.islice(body, block[0].size)
+    for j in range(lo, hi, step):
+        block, start = values[:, j - lo : j - lo + step], fh.tell()
+        try:
+            rec = _loadtxt((fh, block[0].size), _TEXT_RECORD if as_text else float)
+        except (UserWarning, ValueError) as exc:  # at a line that fh has just read
+            size = fh.tell() - start
+            fh.seek(start)
+            found = j * n_u + fh.read(size).count(b"\n", 0, size - 1)  # the records before it
+            if isinstance(exc, ValueError):
+                why = str(exc).split(" at row ")[0]  # numpy counts rows from the block's first
+                raise GridFormatError(f"malformed record on line {8 + found}: {why}") from None
+            rest = b"\n"  # the line had no data
+            break
+        if len(rec) < block[0].size:
+            found = j * n_u + len(rec)
+            break
         if as_text:  # until a block's x rows differ from row 0 or a y row varies
-            rec = _loadtxt(records, _TEXT_RECORD).reshape(block[0].shape)
+            rec = rec.reshape(block[0].shape)
             raw = rec.view(np.uint8).reshape(*rec.shape, -1)
             if raw[..., 24].any() or raw[..., 49].any():
                 return None
             x, y = raw[..., :25], raw[..., 25:50]
-            x0 = x0 or (x[0], _loadtxt(rec["x"][0])[:, 0])
-            as_text = bool(np.all(x == x0[0]) and np.all(y == y[:, :1]))
-            if as_text:
-                block[0], block[1] = x0[1], _loadtxt(rec["y"][:, 0])
-            else:
-                block[0], block[1] = (_loadtxt(rec[k].ravel()).reshape(rec.shape) for k in "xy")
+            try:
+                x0 = x0 or (x[0], _loadtxt(rec["x"][0])[:, 0])
+                as_text = bool(np.all(x == x0[0]) and np.all(y == y[:, :1]))
+                if as_text:
+                    block[0], block[1] = x0[1], _loadtxt(rec["y"][:, 0])
+                else:
+                    block[0], block[1] = (_loadtxt(rec[c].ravel()).reshape(rec.shape) for c in "xy")
+            except ValueError:
+                return None
             block[2] = rec["ell"]
         else:
-            flat = _loadtxt(records)
-            if flat.shape[1] != 3:
+            if rec.shape[1] != 3:
                 raise GridFormatError("malformed record: expected three numbers per line")
-            block[:] = flat.T.reshape(block.shape)
+            block[:] = rec.T.reshape(block.shape)
         if not np.all(np.isfinite(block)):
             raise GridFormatError("non-finite value in records")
-    list(body)  # runs the blank-line and record-count checks to the end
+    rest += fh.read() if hi == rows[-1] else b""  # what follows the last record or blank line
+    if found < n_u * hi or rest.strip():  # lines up to a blank one count as records
+        lines = rest.splitlines()
+        blank = next((i for i, line in enumerate(lines) if not line.strip()), len(lines))
+        if b"".join(lines[blank:]).strip():
+            raise GridFormatError("malformed record: blank line inside the body")
+        raise GridFormatError(f"record count mismatch: expected {expected}, found {found + blank}")
     return values
+
+
+def _line_start(fh, count: int) -> int:
+    """Seek fh just past the count-th newline ahead, count > 0, counted 1 MiB at a time."""
+    while (chunk := fh.read(1 << 20)) and chunk.count(b"\n") < count:
+        count -= chunk.count(b"\n")
+    newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+    return fh.seek(int(newlines[count - 1]) + 1 - len(chunk), os.SEEK_CUR)  # IndexError at EOF
 
 
 def _forked_ranges(n_u: int, n_v: int, prepare):
@@ -167,38 +177,12 @@ def _forked_ranges(n_u: int, n_v: int, prepare):
     return result if ok else None
 
 
-def _parallel_values(path: str | Path, fh, n_u: int, n_v: int) -> np.ndarray | None:
-    """The body as _body_values gives it, parsed in row ranges into one shared
-    array, a child's range from its own handle.  None if that does not pay or fails."""
-
-    def prepare(rows):
-        values = np.frombuffer(mmap.mmap(-1, 24 * n_u * n_v)).reshape(3, n_v, n_u)
-        ident = _FILE_IDENTITY(os.fstat(fh.fileno()))
-
-        def run(k: int) -> bool:  # the last range reads to the end
-            lo, hi, skip = rows[k], rows[k + 1], 7 + rows[k] * n_u if k else 0
-            with open(path) if k else contextlib.nullcontext(fh) as own:  # a child's own handle
-                lines = itertools.islice(own, skip, skip + (hi - lo) * n_u if hi < n_v else None)
-                same = _FILE_IDENTITY(os.fstat(own.fileno())) == ident
-                return same and _body_values(lines, n_u, hi - lo, out=values[:, lo:hi]) is not None
-
-        return run, values
-
-    return _forked_ranges(n_u, n_v, prepare)
-
-
-def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
-    """Parse a grid file back into a sample or height field.
-
-    Validates the header shape, the record count, and finiteness of every
-    value.  Surface files come back as SurfaceSample without a curvature
-    potential; field files additionally check that the stored (x, y) match
-    the header lattice.  The body is parsed by numpy.loadtxt; on a repeating
-    lattice (x repeats row 0's texts, y one text per row) x and y stay text
-    and each distinct text is converted once.
-    """
-    with open(path) as fh:
-        lines = [fh.readline().rstrip("\n") for _ in range(7)]
+def read_grid(path: str | Path) -> SurfaceSample | ScalarField:
+    """Parse a grid file back into a sample (no curvature potential) or a height field, whose
+    (x, y) must sit on the header lattice.  Checks the header, the record count and that every
+    value is finite.  The body is one row range of _body_values, or one per CPU where it pays."""
+    with open(path, "rb") as fh:
+        lines = [fh.readline().decode().rstrip("\r\n") for _ in range(7)]
         if lines[0] != GRID_MAGIC:
             raise GridFormatError(f"not a grid file: expected leading '{GRID_MAGIC}'")
         kind = _header_value(lines, 1, "kind")
@@ -223,17 +207,31 @@ def read_grid(path: str | Path) -> Union[SurfaceSample, ScalarField]:
             domain = Rect(*dom_vals)
         except ValueError as exc:
             raise GridFormatError(f"bad domain: {exc}") from None
-        left = os.fstat(fh.fileno()).st_size - fh.tell()  # a record takes >= 6 bytes, "0 0 0\n"
-        if left < 6 * n_u * n_v - 1:  # the last one may lack its newline
-            fits = (left + 1) // 6
-            raise GridFormatError(
-                f"record count mismatch: expected {n_u * n_v}, but {left} bytes hold at most {fits}"
-            )
-        values = _parallel_values(path, fh, n_u, n_v)
+        stat, body = os.fstat(fh.fileno()), fh.tell()
+        left = stat.st_size - body  # a record takes >= 6 bytes ("0 0 0\n"), the last >= 5
+        if (fits := (left + 1) // 6) < n_u * n_v:
+            msg = f"expected {n_u * n_v}, but {left} bytes hold at most {fits}"
+            raise GridFormatError(f"record count mismatch: {msg}")
+
+        def prepare(rows):  # range k opens the file at the first line of row rows[k]
+            values = np.frombuffer(mmap.mmap(-1, 24 * n_u * n_v)).reshape(3, n_v, n_u)
+            starts = [body, *(_line_start(fh, n_u * (b - a)) for a, b in zip(rows, rows[1:-1]))]
+
+            def run(k: int) -> bool:
+                with open(path, "rb") as own:
+                    own.seek(starts[k])
+                    same = _FILE_IDENTITY(os.fstat(own.fileno())) == _FILE_IDENTITY(stat)
+                    out = values[:, rows[k] : rows[k + 1]]
+                    return same and _body_values(own, n_u, rows, k, out=out) is not None
+
+            return run, values
+
+        values = _forked_ranges(n_u, n_v, prepare)
     for as_text in (True, False):  # serial: as text, then as floats if a text was cut
         if values is None:
-            with open(path) as fh:
-                values = _body_values(itertools.islice(fh, 7, None), n_u, n_v, as_text)
+            with open(path, "rb") as fh:
+                fh.seek(body)
+                values = _body_values(fh, n_u, [0, n_v], as_text=as_text)
     xs, ys, ells = values
     if kind == "field":
         xx, yy = domain.mesh(n_u, n_v)
@@ -314,7 +312,7 @@ def write_surface(
         for records in _records(sample.x[lo:hi], sample.y[lo:hi], sample.ell[lo:hi]):
             if grid:
                 grid.write(records)
-            obj.write(_vertices(records))
+            obj.write("v " + records[:-1].replace("\n", "\nv ") + "\n")  # "v x y ell" lines
         faces.writelines(_faces(n_u, n_v, lo, min(hi, n_v - 1)))
         for fh in filter(None, files[k]):  # a child ends through os._exit, which flushes nothing
             fh.flush()

@@ -551,6 +551,23 @@ def test_classify_rejects_non_finite_constants(tmp_path, capsys, H, K):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("H, K", [("1e200", "0"), ("1e160", "1e300"), ("1e154", "-1.7e308")])
+def test_classify_rejects_constants_whose_discriminant_overflows(tmp_path, capsys, H, K):
+    # finite H and K, but H^2 - K is not: alpha would be inf in the report
+    assert run_quietly(tmp_path, "classify", "--H", H, f"--K={K}") == (1, [])
+    want = f"error: H^2 - K leaves the float range at H = {float(H):g}, K = {float(K):g}\n"
+    assert capsys.readouterr().err == want
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_sweep_height_shift_overflow_writes_nothing(tmp_path, capsys):
+    argv = ("sweep", "--h2", "z", "--omega", "1", "--H-list=1e308,-1e308", "--grid", "5x5")
+    assert run_quietly(tmp_path, *argv) == (1, [])
+    err = capsys.readouterr().err
+    assert err == "error: height-shift residual leaves the float range; narrow --H-list\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("H", ["nan", "inf"])
 def test_vdist_rejects_a_non_finite_h(tmp_path, capsys, H):
     assert run(tmp_path, "vdist", "--h2", "z^2", "--omega", "1", "--H", H) == 1

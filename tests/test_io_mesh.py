@@ -2,15 +2,19 @@
 
 import dataclasses
 import errno
+import functools
 import gc
 import json
 import os
 import signal
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocmc import holo, io_mesh, weierstrass
 from isocmc.graphgeo import Rect, ScalarField
@@ -142,6 +146,19 @@ def test_reader_rejects_malformed_bodies(tmp_path, edit):
     path.write_text(body_with(reference_grid_text(sample()).splitlines(), edit))
     with pytest.raises(GridFormatError):
         read_grid(path)
+
+
+@pytest.mark.parametrize("action", ["ignore", "always"])
+def test_a_blank_line_is_an_error_under_any_warning_filter(tmp_path, action):
+    # numpy.loadtxt only warns when it skips a line with no data
+    path = tmp_path / "b.grid"
+    lines = reference_grid_text(sample()).splitlines()
+    path.write_text(body_with(lines, lambda r: r[:20] + ["  \t"] + r[20:]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(GridFormatError, match="^malformed record: blank line inside the body$"):
+            read_grid(path)
+    assert not caught
 
 
 def test_reader_accepts_crlf_and_trailing_blank_lines(tmp_path):
@@ -589,6 +606,19 @@ def test_parallel_read_matches_the_one_call_reader(
 BEYOND_THE_FILE = {"header-only", "header-and-blank-lines", "shape-beyond-the-file"}
 
 
+def bad_lines():
+    """{case: (grid text with "x1" in one field of one record, the file line of the record)}"""
+    tall = reference_grid_text(graph(3, 6000))  # record 15000 is in block 2 of 8190
+    big = reference_grid_text(graph(3, 22000))  # 66000 nodes: a forked read on two CPUs
+    return {
+        "x1-in-the-ell-of-record-15000": (with_tokens(tall, [(15000, 2, "x1")]), 15008),
+        "x1-in-the-x-of-record-60000": (with_tokens(big, [(60000, 0, "x1")]), 60008),
+    }
+
+
+BAD_LINES = bad_lines()
+
+
 def malformed_files():
     good, small = reference_grid_text(sample()), reference_grid_text(graph(5, 4))
     tall = reference_grid_text(graph(3, 6000))
@@ -598,6 +628,7 @@ def malformed_files():
     files += [pytest.param(with_tokens(small, p.values[0]), id=p.id) for p in MALFORMED_TEXTS]
     files += [pytest.param(with_tokens(tall, p.values[0]), id=p.id) for p in INF_IN_A_LATER_BLOCK]
     files += [pytest.param("".join(good.splitlines(keepends=True)[:-1]), id="truncated-body")]
+    files += [pytest.param(text, id=name) for name, (text, _) in BAD_LINES.items()]
     huge = "".join(small.replace("shape 5 4", "shape 100000 100000").splitlines(keepends=True)[:8])
     files += [pytest.param(huge, id="shape-beyond-the-file")]
     return [pytest.param(*p.values, p.id not in BEYOND_THE_FILE, id=p.id) for p in files]
@@ -617,6 +648,21 @@ def test_parallel_read_raises_the_serial_error(
         read_grid(path)
     assert (len(forks), bool(serial)) == ((workers - 1, True) if reads_body else (0, False))
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("text, line", BAD_LINES.values(), ids=BAD_LINES.keys())
+def test_a_malformed_record_names_its_file_line(
+    tmp_path, monkeypatch, no_child_left, text, line, workers
+):
+    path = tmp_path / "m.grid"
+    path.write_text(text)
+    forks, _ = force_parallel(monkeypatch, workers)
+    with pytest.raises(GridFormatError) as got:
+        read_grid(path)
+    assert len(forks) == workers - 1
+    want = f"malformed record on line {line}: could not convert string 'x1' to float64"
+    assert str(got.value) == want
 
 
 def test_a_killed_child_ends_in_the_serial_read(tmp_path, monkeypatch, no_child_left):
@@ -673,6 +719,82 @@ def test_children_are_reaped_when_the_parent_range_is_interrupted(
     with pytest.raises(KeyboardInterrupt):
         read_grid(path)
     assert len(forks) == 2
+
+
+# ---------------------------------------------------------------------------
+# generative: small graph and chart grids, each with one edit of EDITS, read serially and
+# on 2 and 3 processes, against the one-call reader
+
+
+@functools.lru_cache
+def small_grid_lines(chart, n_u, n_v):
+    return tuple(reference_grid_text((non_graph if chart else graph)(n_u, n_v)).splitlines())
+
+
+EDITS = ["none", "blank-line", "drop", "duplicate", "bad-token", "long-token", "crlf", "no-eol"]
+BAD_TOKENS = ["x1", "1_0", "nan", "-inf", "1e400", "--1", "0x1p3", "١"]
+
+
+@st.composite
+def edited_grids(draw, edit):
+    """The bytes of a small surface grid file whose body went through one edit of EDITS."""
+    chart, n_u, n_v = draw(st.booleans()), draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    lines = list(small_grid_lines(chart, n_u, n_v))
+    records, at = lines[7:], draw(st.integers(0, n_u * n_v - 1))
+    if edit == "blank-line":  # inside the body or after it
+        records.insert(draw(st.integers(0, len(records))), draw(st.text(" \t\f\v", max_size=3)))
+    elif edit == "drop":
+        del records[at]
+    elif edit == "duplicate":
+        records.insert(at, records[at])
+    elif edit in ("bad-token", "long-token"):  # a long token is a number text of 25+ bytes
+        fields, c = records[at].split(), draw(st.integers(0, 2))
+        long = f"{float(fields[c]):.40e}"
+        fields[c] = draw(st.sampled_from(BAD_TOKENS)) if edit == "bad-token" else long
+        records[at] = " ".join(fields)
+    text = "\n".join(lines[:7] + records) + ("" if edit == "no-eol" else "\n")
+    return (text.replace("\n", "\r\n") if edit == "crlf" else text).encode()
+
+
+def read_on(path, workers):
+    """read_grid(path) on `workers` processes, 1 for the serial read, or its GridFormatError."""
+    cpus = set(range(workers))
+    with mock.patch.object(os, "sched_getaffinity", create=True, return_value=cpus), \
+            mock.patch.object(io_mesh, "_PARALLEL_NODES", 1):
+        try:
+            return read_grid(path)
+        except GridFormatError as exc:
+            return exc
+
+
+@pytest.fixture(scope="module")
+def generated_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "g.grid"
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@given(data=st.data(), block=st.sampled_from([1, 5, io_mesh._BLOCK_NODES]))
+@settings(max_examples=12, deadline=None)
+def test_reader_agrees_with_the_one_call_reader(generated_path, edit, data, block):
+    generated_path.write_bytes(data.draw(edited_grids(edit)))
+    try:
+        want = reference_read_grid(generated_path)
+    except GridFormatError as exc:
+        want = exc
+    with mock.patch.object(io_mesh, "_BLOCK_NODES", block):  # 1 and 5: a row or two per block
+        serial, *forked = (read_on(generated_path, workers) for workers in (1, 2, 3))
+    if " at row " in str(want):  # numpy's conversion error, at a row counted from 0
+        row = int(str(want).split(" at row ")[1].split(",")[0])
+        assert str(serial).startswith(f"malformed record on line {8 + row}: could not convert")
+    elif isinstance(want, GridFormatError):
+        assert str(serial) == str(want)
+    for got in (serial, *forked):
+        if isinstance(want, GridFormatError):
+            assert isinstance(got, GridFormatError) and str(got) == str(serial)
+        else:
+            assert_bitwise(got, want)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
