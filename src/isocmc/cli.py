@@ -383,6 +383,9 @@ def main(argv=None) -> int:
         return args.func(args, args.parser, _resolve_tols(args, args.parser))
     except SystemExit as exc:  # a usage error, --help or --version
         return int(exc.code or 0)
+    except RecursionError:  # only expression trees and their parser recurse this deep
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ unique canonical text form that parses back to the identical tree.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -107,59 +108,47 @@ class Variable(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """`left symbol right`; subclasses set `symbol`, `op` and `_diff` and add no fields,
+    so the dataclass equality (same class, same operands), hash and repr hold for each."""
+
     left: Expr
     right: Expr
+    symbol = ""
+    op = None
 
     def _eval(self, env):
-        return self.left._eval(env) + self.right._eval(env)
+        return self.op(self.left._eval(env), self.right._eval(env))
+
+    def _text(self):
+        return f"({self.left._text()}{self.symbol}{self.right._text()})"
+
+
+class Add(_Binary):
+    symbol, op = "+", operator.add
 
     def _diff(self):
         return add(self.left._diff(), self.right._diff())
 
-    def _text(self):
-        return f"({self.left._text()}+{self.right._text()})"
 
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def _eval(self, env):
-        return self.left._eval(env) - self.right._eval(env)
+class Sub(_Binary):
+    symbol, op = "-", operator.sub
 
     def _diff(self):
         return sub(self.left._diff(), self.right._diff())
 
-    def _text(self):
-        return f"({self.left._text()}-{self.right._text()})"
 
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-    def _eval(self, env):
-        return self.left._eval(env) * self.right._eval(env)
+class Mul(_Binary):
+    symbol, op = "*", operator.mul
 
     def _diff(self):
-        return add(
-            mul(self.left._diff(), self.right),
-            mul(self.left, self.right._diff()),
-        )
-
-    def _text(self):
-        return f"({self.left._text()}*{self.right._text()})"
+        return add(mul(self.left._diff(), self.right), mul(self.left, self.right._diff()))
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Div(_Binary):
+    symbol = "/"
 
-    def _eval(self, env):
+    def _eval(self, env):  # the denominator first, so a vanishing one is named
         den = self.right._eval(env)
         if _min_abs(den) < DIV_EPS:
             raise SingularityError("division by a vanishing denominator")
@@ -167,15 +156,9 @@ class Div(Expr):
 
     def _diff(self):
         return div(
-            sub(
-                mul(self.left._diff(), self.right),
-                mul(self.left, self.right._diff()),
-            ),
+            sub(mul(self.left._diff(), self.right), mul(self.left, self.right._diff())),
             intpow(self.right, 2),
         )
-
-    def _text(self):
-        return f"({self.left._text()}/{self.right._text()})"
 
 
 @dataclass(frozen=True)
@@ -512,6 +495,8 @@ def _integrate_poly(coeffs: list[complex]) -> Expr:
 # Most nonzero terms a polynomial may expand to: its primitive is an Add chain
 # of one link per term, which must stay far below the recursion limit.
 MAX_POLY_TERMS = 256
+# Highest degree a polynomial may expand to; a power of a*z past it integrates whole.
+MAX_POLY_DEGREE = 20_000
 
 
 def _capped(coeffs: list) -> list | None:
@@ -519,12 +504,12 @@ def _capped(coeffs: list) -> list | None:
 
 
 def _poly_coeffs(e: Expr) -> list[complex] | None:
-    """Coefficient list (index = degree) of a polynomial in z of <= MAX_POLY_TERMS terms."""
+    """Coefficient list (index = degree) of a polynomial in z within the two caps above."""
     if isinstance(e, Constant):
         return [e.value]
     if isinstance(e, Variable):
         return [0, 1]
-    if isinstance(e, Add) or isinstance(e, Sub):
+    if isinstance(e, (Add, Sub)):
         l, r = _poly_coeffs(e.left), _poly_coeffs(e.right)
         if l is None or r is None:
             return None
@@ -535,7 +520,7 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
         return None if c is None else [-v for v in c]
     if isinstance(e, Mul):
         l, r = _poly_coeffs(e.left), _poly_coeffs(e.right)
-        if l is None or r is None:
+        if l is None or r is None or len(l) + len(r) - 2 > MAX_POLY_DEGREE:
             return None
         return _capped(list(np.convolve(l, r)))
     if isinstance(e, Div):
@@ -544,14 +529,16 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
             return None if l is None else [v / e.right.value for v in l]
         return None
     if isinstance(e, IntPow):
-        if isinstance(e.base, Variable) and e.n >= 0:
-            return [0] * e.n + [1]
         base = _poly_coeffs(e.base)
         if base is None:
             return None
         if e.n < 0:
             invertible = len(base) == 1 and abs(base[0]) >= DIV_EPS
             return [base[0] ** e.n] if invertible else None
+        if e.n * (len(base) - 1) > MAX_POLY_DEGREE:
+            return None
+        if isinstance(e.base, Variable):
+            return [0] * e.n + [1]
         out = [complex(1)]
         for bit in bin(e.n)[2:]:  # square and multiply, leading bit first
             square = np.convolve(out, out)
@@ -713,42 +700,22 @@ def _format_complex(v: complex) -> str:
     return f"({_format_float(re_)}+{_format_float(im)}*i)"
 
 
-_TOKEN_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_TOKEN_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token per match, after any whitespace: a number, an identifier, an
+# operator, the end of the input, or else the one character no token starts with.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.))"
+)
 
 
-@dataclass
-class _Token:
-    kind: str  # "num", "ident", an operator character, or "end"
-    text: str
-    pos: int
-    value: float = 0.0
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tuples; kind is "num", "ident", the operator itself or "end"."""
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        m = _TOKEN_NUMBER.match(src, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i, value=float(m.group())))
-            i = m.end()
-            continue
-        m = _TOKEN_IDENT.match(src, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(src):
+        kind, text, pos = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        tokens.append((text if kind == "op" else kind, text, pos))
     return tokens
 
 
@@ -761,95 +728,91 @@ class _Parser:
     literals (optionally signed or parenthesized).
     """
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, src: str):
+        self.tokens = _tokenize(src)
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
+    def next(self) -> tuple[str, str, int]:
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.next()
+    def expect(self, kind: str) -> None:
+        found, text, pos = self.next()
+        if found != kind:
+            raise ParseError(f"expected {kind!r}, found {text or 'end of input'!r}", pos)
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
             rhs = self.parse_term()
             node = add(node, rhs) if op == "+" else sub(node, rhs)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+        while self.peek()[0] in ("*", "/"):
+            op = self.next()[0]
             rhs = self.parse_factor()
             node = mul(node, rhs) if op == "*" else div(node, rhs)
         return node
 
     def parse_factor(self) -> Expr:
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.next()
             return neg(self.parse_factor())
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             self.next()
             return intpow(base, self.parse_exponent())
         return base
 
     def parse_exponent(self) -> int:
-        paren = self.peek().kind == "("
+        paren = self.peek()[0] == "("
         if paren:
             self.next()
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.next()
             sign = -1
-        tok = self.peek()
-        if tok.kind != "num":
-            raise ParseError("expected an integer exponent", tok.pos)
-        self.next()
-        if tok.value != int(tok.value):
-            raise ParseError(f"non-integer exponent {tok.text}", tok.pos)
+        kind, text, pos = self.next()
+        if kind != "num":
+            raise ParseError("expected an integer exponent", pos)
+        value = float(text)
+        if math.isinf(value):
+            raise ParseError(f"non-finite exponent {text}", pos)
+        if value != int(value):
+            raise ParseError(f"non-integer exponent {text}", pos)
         if paren:
             self.expect(")")
-        return sign * int(tok.value)
+        return sign * int(value)
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return Constant(tok.value)
-        if tok.kind == "(":
-            self.next()
+        kind, text, pos = self.next()
+        if kind == "num":
+            return Constant(float(text))
+        if kind == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
-        if tok.kind == "ident":
-            self.next()
-            name = tok.text
-            if name == "i":
+        if kind == "ident":
+            if text == "i":
                 return Constant(1j)
-            if name in ("z", "x", "y"):
-                return Variable(name)
-            if name in _FUNCTIONS:
+            if text in ("z", "x", "y"):
+                return Variable(text)
+            if text in _FUNCTIONS:
                 self.expect("(")
                 arg = self.parse_expr()
                 self.expect(")")
-                return _FUNCTIONS[name](arg)
-            raise ParseError(f"unknown identifier {name!r}", tok.pos)
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
+                return _FUNCTIONS[text](arg)
+            raise ParseError(f"unknown identifier {text!r}", pos)
+        raise ParseError(f"expected a value, found {text or 'end of input'!r}", pos)
 
 
 def parse(src: str) -> Expr:
@@ -867,11 +830,11 @@ def parse(src: str) -> Expr:
     The complex variable z never mixes with the real pair x, y in one tree.
     Errors carry the byte offset of the offending token.
     """
-    parser = _Parser(_tokenize(src))
+    parser = _Parser(src)
     node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+    kind, text, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", pos)
     tags = variables(node)
     if "z" in tags and tags & {"x", "y"}:
         raise ParseError("an expression may use either z or x/y, not both", 0)

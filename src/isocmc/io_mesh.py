@@ -192,7 +192,9 @@ def read_grid(path: str | Path) -> SurfaceSample | ScalarField:
             dom_vals = [float(t) for t in _header_value(lines, 2, "domain").split()]
             n_u, n_v = (int(t) for t in _header_value(lines, 3, "shape").split())
             h = float(_header_value(lines, 4, "H"))
-        except (ValueError, GridFormatError) as exc:
+        except GridFormatError:  # _header_value's message has the prefix already
+            raise
+        except ValueError as exc:
             raise GridFormatError(f"malformed header: {exc}") from None
         if len(dom_vals) != 4:
             raise GridFormatError("malformed header: domain needs 4 numbers")

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -626,6 +629,11 @@ def test_lift_of_a_combination_of_binomial_powers_keeps_its_digits(tmp_path, h2,
         ("(z/2+0.5)^1100", 0, "lift: wrote"),
         # about 1e105 on the square: converges on the relative panel tolerance
         ("(z^2+1)^300", 0, "lift: wrote"),
+        ("z^1e400", 1, "error: non-finite exponent 1e400 (offset 2)"),
+        # past holo.MAX_POLY_DEGREE a power of a*z takes its direct primitive at once
+        ("z^1e30", 1, "error: evaluation overflowed to a non-finite value"),
+        ("z^100000000", 1, "error: evaluation overflowed to a non-finite value"),
+        ("(i*z)^100000", 1, "error: evaluation overflowed to a non-finite value"),
     ],
 )
 def test_lift_of_a_power_past_the_term_cap(tmp_path, capsys, h2, code, message):
@@ -634,6 +642,25 @@ def test_lift_of_a_power_past_the_term_cap(tmp_path, capsys, h2, code, message):
     out, err = capsys.readouterr()
     assert message in out + err
     assert "recursion" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize(
+    "h2", ["+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200], ids=["sum", "parentheses"]
+)
+def test_a_deeply_nested_expression_is_a_named_error(tmp_path, capsys, h2):
+    assert run(tmp_path, "lift", "--h2", h2, "--omega", "1", "--grid", "5x5") == 1
+    assert capsys.readouterr().err == "error: expression nested too deeply\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_long_sums_and_deep_parentheses_still_lift(tmp_path):
+    # in a fresh interpreter, whose stack does not start under pytest's frames
+    script = "import sys; from isocmc.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
+    for h2 in ("+".join(["z"] * 330), "(" * 150 + "z" + ")" * 150):
+        argv = ["lift", "--out-dir", str(tmp_path), "--h2", h2, "--omega", "1", "--grid", "5x5"]
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stdout.startswith("lift: wrote"), done.stderr
 
 
 def test_pde_rejects_complex_height_expressions(tmp_path, capsys):

@@ -9,13 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isocmc import holo
 from isocmc.holo import (
+    Add,
     Constant,
     Contour,
     Cos,
     Cosh,
+    Div,
     Exp,
     IntPow,
     Mul,
@@ -83,6 +87,62 @@ def test_parse_errors_carry_offsets(src, offset):
     with pytest.raises(ParseError) as err:
         parse(src)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "src, message, offset",
+    [
+        ("z # 1", "unexpected character '#'", 2),
+        ("z\u00a0+ $", "unexpected character '$'", 4),
+        ("2z", "unexpected trailing input 'z'", 1),
+        ("(z))", "unexpected trailing input ')'", 3),
+        ("foo(z)", "unknown identifier 'foo'", 0),
+        ("2 * zz", "unknown identifier 'zz'", 4),
+        ("(z", "expected ')', found 'end of input'", 2),
+        ("exp(z z)", "expected ')', found 'z'", 6),
+        ("exp z", "expected '(', found 'z'", 4),
+        ("z^(2", "expected ')', found 'end of input'", 4),
+        ("z^z", "expected an integer exponent", 2),
+        ("z^-(2)", "expected an integer exponent", 3),
+        ("z^1.5", "non-integer exponent 1.5", 2),
+        ("z^(-2.5e-1)", "non-integer exponent 2.5e-1", 4),
+        ("z^(-1e400)", "non-finite exponent 1e400", 4),
+        ("", "expected a value, found 'end of input'", 0),
+        ("z+", "expected a value, found 'end of input'", 2),
+        ("*z", "expected a value, found '*'", 0),
+        ("z + x", "an expression may use either z or x/y, not both", 0),
+    ],
+)
+def test_parse_error_messages(src, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == f"{message} (offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_parse_takes_unicode_spaces_and_digits():
+    assert parse("z + 1") == Add(Z, Constant(1))
+    assert parse("\u00a0z\t+\n1 ") == Add(Z, Constant(1))
+    assert parse("\u0663*z") == Mul(Constant(3), Z)  # ARABIC-INDIC DIGIT THREE
+
+
+# Pieces of the grammar's alphabet, a few of them outside it.
+PIECES = list("0123456789.eE+-*/^()zxyi ") + [
+    "exp(", "sin(", "cosh(", "1e3", "\u00a0", "\t", "\u0663", "#", "_", "q",
+]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_parse_round_trips_or_names_an_offset(src):
+    try:
+        tree = parse(src)
+    except ParseError as err:
+        assert 0 <= err.offset <= len(src)
+        return
+    text = to_text(tree)
+    assume("inf" not in text and "nan" not in text)  # a constant that left the float range
+    assert parse(text) == tree
 
 
 def test_parse_non_integer_exponent_message():
@@ -309,9 +369,31 @@ def test_entire_function_calculus_trees(name, d_dz, primitive):
     assert to_text(node(Z)) == f"{name}(z)"
 
 
+@pytest.mark.parametrize("node, symbol, op", [
+    (Add, "+", lambda a, b: a + b),
+    (Sub, "-", lambda a, b: a - b),
+    (Mul, "*", lambda a, b: a * b),
+    (Div, "/", lambda a, b: a / b),
+])
+def test_binary_nodes_compare_by_class_and_operands(node, symbol, op):
+    two = Constant(2)
+    # equal operands do not make different operations equal
+    assert all(node(Z, two) != other(Z, two) for other in (Add, Sub, Mul, Div) if other is not node)
+    assert node(Z, two) == node(Z, two) and hash(node(Z, two)) == hash(node(Z, two))
+    assert node(Z, two) != node(two, Z)
+    assert repr(node(Z, two)) == (
+        f"{node.__name__}(left=Variable(tag='z'), right=Constant(value=(2+0j)))"
+    )
+    assert to_text(node(Z, two)) == f"(z{symbol}2.0)"
+    assert evaluate(node(Z, two), {"z": 3 + 1j}) == op(3 + 1j, 2)
+    with pytest.raises(AttributeError):
+        node(Z, two).left = two
+
+
 def test_antiderivative_of_a_huge_monomial():
     # z^n maps to its coefficient list directly, not through n convolutions
     primitive = antiderivative(parse("z^20000"))
+    assert primitive == Mul(Constant(1 / 20001), IntPow(Z, 20001))  # expanded, not Div
     for z in (0.5, 1.0, -1.0):
         assert evaluate(primitive, {"z": z}) == pytest.approx(z**20001 / 20001, rel=1e-12)
 
@@ -337,6 +419,25 @@ def test_polynomials_past_the_term_cap():
     # other bases past the cap are left to quadrature
     assert antiderivative(parse("(z^2+1)^300")) is None
     assert antiderivative(IntPow(z, 20000)) is not None  # one term
+
+
+def test_powers_past_the_degree_cap_are_not_expanded():
+    n = holo.MAX_POLY_DEGREE
+    assert len(holo._poly_coeffs(parse(f"z^{n}"))) == n + 1
+    assert len(holo._poly_coeffs(parse(f"(i*z)^{n // 2}*z^{n // 2}"))) == n + 1
+    for src in (f"z^{n + 1}", f"(z^2+1)^{n // 2 + 1}", f"z^{n}*z", "z^100000000", "(i*z)^1e30"):
+        assert holo._poly_coeffs(parse(src)) is None
+    # a huge power of a*z takes its direct primitive z^(n+1) / (a*(n+1))
+    assert antiderivative(parse("z^100000000")) == holo.Div(IntPow(Z, 100000001), Constant(100000001))
+    n = int(1e30)
+    assert antiderivative(parse("(2*z)^1e30")) == holo.Div(
+        IntPow(parse("2*z"), n + 1), Constant(2 * (n + 1))
+    )
+    # and the sum of one with a polynomial integrates term by term
+    m = holo.MAX_POLY_DEGREE + 1
+    assert antiderivative(parse(f"z^{m}+z")) == Add(
+        holo.Div(IntPow(Z, m + 1), Constant(m + 1)), Mul(Constant(0.5), IntPow(Z, 2))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,24 @@ def test_bad_headers_are_rejected(tmp_path):
             read_grid(path)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("kind surface", "knid surface", "malformed header: expected 'kind ...' on line 2"),
+        ("domain ", "domian ", "malformed header: expected 'domain ...' on line 3"),
+        ("shape 7 7", "shape 7", "malformed header: not enough values to unpack (expected 2, got 1)"),
+        ("H ", "h ", "malformed header: expected 'H ...' on line 5"),
+        ("provenance ", "origin ", "malformed header: expected 'provenance ...' on line 6"),
+    ],
+)
+def test_a_malformed_header_names_its_fault_once(tmp_path, old, new, message):
+    path = tmp_path / "h.grid"
+    path.write_text(reference_grid_text(sample()).replace(old, new, 1))
+    with pytest.raises(GridFormatError) as err:
+        read_grid(path)
+    assert str(err.value) == message
+
+
 def test_malformed_records_are_rejected(tmp_path):
     good = reference_grid_text(sample()).splitlines()
     path = tmp_path / "m.grid"
