@@ -167,7 +167,7 @@ def cmd_lift(args, parser, tols: dict) -> int:
     }
     obj_path = _out_path(args, f"{args.out}.obj")
     grid_path = _out_path(args, f"{args.out}.grid")
-    io_mesh.write_surface(sample, grid_path, obj_path, provenance=f"lift H={args.H:g}")
+    io_mesh.write_surface([sample], [grid_path], [obj_path], provenance=f"lift H={args.H:g}")
     _report(args, tols, curvature=curvature)
     print(f"lift: wrote {obj_path}, {grid_path}; K in [{k.min():g}, {k.max():g}]")
     return 0
@@ -236,10 +236,11 @@ def cmd_sweep(args, parser, tols: dict) -> int:
         residuals = [float(abs(s.ell - base.ell - (s.H - base.H) * shift).max()) for s in samples]
     if not np.all(np.isfinite(residuals)):
         raise ValueError("height-shift residual leaves the float range; narrow --H-list")
-    per_h = []
-    for s, name, resid in zip(samples, names, residuals):
-        io_mesh.write_surface(s, None, _out_path(args, name))
-        per_h.append({"H": float(s.H), "obj": name, "height_shift_residual": resid})
+    io_mesh.write_surface(samples, None, [_out_path(args, name) for name in names])
+    per_h = [
+        {"H": float(s.H), "obj": name, "height_shift_residual": resid}
+        for s, name, resid in zip(samples, names, residuals)
+    ]
     sweep = {
         "planar_map_identical": bool(planar_identical),
         "max_height_shift_residual": max(residuals),

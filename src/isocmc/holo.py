@@ -475,11 +475,16 @@ def _anti_linear(e: Expr) -> Expr | None:
 
 
 def _has_shifted_power(e: Expr) -> bool:
-    """Whether e holds a power (a*z+b)^n with a, b != 0 and n >= 0."""
-    lin = _linear_coeffs(e.base) if isinstance(e, IntPow) and e.n >= 0 else None
-    return (lin is not None and 0 not in lin) or any(
-        _has_shifted_power(c) for c in vars(e).values() if isinstance(c, Expr)
-    )
+    """Whether e holds a power (a*z+b)^n with a, b != 0 and n >= 0; walked on a stack of
+    its own, a node before its children, so nesting costs no frames here."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        lin = _linear_coeffs(node.base) if isinstance(node, IntPow) and node.n >= 0 else None
+        if lin is not None and 0 not in lin:
+            return True
+        stack.extend(reversed([c for c in vars(node).values() if isinstance(c, Expr)]))
+    return False
 
 
 def _integrate_poly(coeffs: list[complex]) -> Expr:
@@ -533,8 +538,12 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
         if base is None:
             return None
         if e.n < 0:
-            invertible = len(base) == 1 and abs(base[0]) >= DIV_EPS
-            return [base[0] ** e.n] if invertible else None
+            if len(base) != 1 or abs(base[0]) < DIV_EPS:
+                return None
+            try:
+                return [base[0] ** e.n]
+            except OverflowError:  # as in IntPow._eval
+                raise NonFiniteError("evaluation overflowed to a non-finite value") from None
         if e.n * (len(base) - 1) > MAX_POLY_DEGREE:
             return None
         if isinstance(e.base, Variable):
@@ -637,7 +646,7 @@ def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None
     panel pushes its left half, then its right half, like a one-segment loop.
     """
     n = za.size
-    coarse = _gl_panels(expr, za, dz, np.zeros((n, 1)), np.ones((n, 1)))[:, 0]
+    coarse = _gl_panels((expr,), za, dz, np.zeros((n, 1)), np.ones((n, 1)))[0, :, 0]
     stack = np.zeros((n, 8, 4), dtype=np.complex128)
     stack[:, 0] = np.stack((np.zeros(n), np.ones(n), coarse, budget), axis=1)
     depth = np.ones(n, dtype=np.intp)
@@ -652,8 +661,8 @@ def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None
         t0, t1, share = t0.real, t1.real, share.real
         tm = 0.5 * (t0 + t1)
         left, right = _gl_panels(
-            expr, za[live], dz[live], np.stack((t0, tm), 1), np.stack((tm, t1), 1)
-        ).T
+            (expr,), za[live], dz[live], np.stack((t0, tm), 1), np.stack((tm, t1), 1)
+        )[0].T
         fine = left + right
         done = np.abs(fine - coarse) <= np.maximum(share, QUAD_REL_TOL * np.abs(fine))
         acc[live[done]] += fine[done]
@@ -665,15 +674,51 @@ def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None
         stack[rows, row_top + 1] = np.stack((tm, t1, right, 0.5 * share), 1)[~done]
 
 
-def _gl_panels(expr, za, dz, t0, t1) -> np.ndarray:
-    """GL10 integrals over the (k, m) panels [t0, t1] of za -> za + dz.
+def _line_integrals(exprs, lines, tol) -> np.ndarray:
+    """Integral of each expression over every edge lines[:, i] -> lines[:, i + 1] of the
+    rows of collinear points `lines` (m, L), shape (len(exprs), m, L - 1); 0 on a point edge.
+
+    Edges 2k and 2k + 1 of a row make a pair.  An edge's value is its GL10 rule, the
+    coarse rule of _adaptive_panels, and one GL10 rule over the pair checks the sum of
+    the two as a panel's halves are checked: within `tol` (one edge's share) or within
+    QUAD_REL_TOL of the sum.  A batch of pairs forms its nodes once for all expressions.
+    Edges of failed pairs and an unpaired last edge go through contour_integral.
+    """
+    za, zb = lines[:, :-1], lines[:, 1:]
+    out = np.zeros((len(exprs), *za.shape), dtype=np.complex128)
+    done = np.zeros(out.shape, dtype=bool)
+    per_row = za.shape[1] // 2
+    batch = MAX_EVAL_NODES // (3 * _gauss_legendre()[0].size)
+    for lo in range(0, za.shape[0] * per_row, batch):
+        row, k = np.divmod(np.arange(lo, min(lo + batch, za.shape[0] * per_row)), per_row)
+        a, b, c = (lines[row, 2 * k + i] for i in range(3))
+        starts, steps = np.stack((a, b, a), 1).ravel(), np.stack((b - a, c - b, c - a), 1).ravel()
+        t0, t1 = np.zeros((starts.size, 1)), np.ones((starts.size, 1))
+        rules = _gl_panels(exprs, starts, steps, t0, t1).reshape(len(exprs), -1, 3)
+        fine = rules[..., 0] + rules[..., 1]
+        passed = np.abs(fine - rules[..., 2]) <= np.maximum(tol, QUAD_REL_TOL * np.abs(fine))
+        for i in range(2):
+            out[:, row, 2 * k + i] = rules[..., i]
+            done[:, row, 2 * k + i] = passed
+    moving = za != zb
+    out[:, ~moving] = 0
+    for e, values, redo in zip(exprs, out, ~done & moving):
+        if np.any(redo):
+            values[redo] = contour_integral(e, Contour((za[redo], zb[redo])), tol)
+    return out
+
+
+def _gl_panels(exprs, za, dz, t0, t1) -> np.ndarray:
+    """GL10 integrals of each expression over the (k, m) panels [t0, t1] of za -> za + dz,
+    shape (len(exprs), k, m), all on one set of nodes.
 
     np.dot sums each panel of the 3-d array alone, whatever the batch.
     """
     half = 0.5 * (t1 - t0)
     ts = (0.5 * (t0 + t1))[..., None] + half[..., None] * _gauss_legendre()[0]
-    vals = evaluate(expr, {"z": za[:, None, None] + ts * dz[:, None, None]})
-    return dz[:, None] * half * np.dot(vals, _gauss_legendre()[1])
+    z = za[:, None, None] + ts * dz[:, None, None]
+    scale = dz[:, None] * half
+    return np.stack([scale * np.dot(evaluate(e, {"z": z}), _gauss_legendre()[1]) for e in exprs])
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +792,17 @@ class _Parser:
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            op, _, pos = self.next()
             rhs = self.parse_term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = _finite(add(node, rhs) if op == "+" else sub(node, rhs), pos)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+            op, _, pos = self.next()
             rhs = self.parse_factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = _finite(mul(node, rhs) if op == "*" else div(node, rhs), pos)
         return node
 
     def parse_factor(self) -> Expr:
@@ -796,7 +841,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, text, pos = self.next()
         if kind == "num":
-            return Constant(float(text))
+            return _finite(Constant(float(text)), pos)
         if kind == "(":
             node = self.parse_expr()
             self.expect(")")
@@ -813,6 +858,14 @@ class _Parser:
                 return _FUNCTIONS[text](arg)
             raise ParseError(f"unknown identifier {text!r}", pos)
         raise ParseError(f"expected a value, found {text or 'end of input'!r}", pos)
+
+
+def _finite(node: Expr, pos: int) -> Expr:
+    """node, unless it is a constant past the float range, whose text would not parse back:
+    then a ParseError at pos, the offset of its literal or of the operator that folded it."""
+    if isinstance(node, Constant) and not np.isfinite(node.value):
+        raise ParseError("constant leaves the float range", pos)
+    return node
 
 
 def parse(src: str) -> Expr:

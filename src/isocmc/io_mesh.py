@@ -32,7 +32,7 @@ REPORT_SCHEMA_VERSION = "2"
 # Nodes per block of records that the reader parses with one numpy.loadtxt call.
 _BLOCK_NODES = 1 << 13
 # Fewest nodes per process for which a parallel body read repays its fork.
-_PARALLEL_NODES = 1 << 15
+_PARALLEL_NODES = 1 << 14
 _FILE_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 # A record with x and y as text in bytes 0-24 and 25-49 (%.17g writes <= 24).
 _TEXT_RECORD = np.dtype([("x", "S25"), ("y", "S25"), ("ell", "f8")])
@@ -46,22 +46,25 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _records(x: np.ndarray, y: np.ndarray, ell: np.ndarray):
-    """Yield the "x y ell" lines (as _fmt formats them) one lattice row at a time.
+def _records(x: np.ndarray, y: np.ndarray, ells: list[np.ndarray]):
+    """Yield, one lattice row at a time, the "x y ell" lines (as _fmt formats them) of
+    each height array of ells over the shared (x, y), as a list of one text per array.
 
-    A graph lattice (x rows equal row 0, y rows constant, bit for bit) puts row
-    0's x texts, formatted once, in each row's template; others use all-%.17g rows.
+    A row's x and y texts are formatted once, into a template that takes each array's
+    ell values.  A graph lattice (x rows equal row 0, y rows constant, bit for bit)
+    builds each row's template from row 0's x texts, formatted once for all rows.
     """
     xb, yb = (np.asarray(a, dtype=np.float64).view(np.uint64) for a in (x, y))
-    if np.all(xb == xb[:1]) and np.all(yb == yb[:, :1]):
-        x_texts = [_fmt(v) for v in x[0].tolist()]
-        for yj, er in zip(y[:, 0].tolist(), ell):
-            sep = f" {yj:.17g} %.17g\n"
-            yield (sep.join(x_texts) + sep) % tuple(er.tolist())
-    else:
-        template = "%.17g %.17g %.17g\n" * ell.shape[1]
-        for row in np.stack((x, y, ell), axis=-1).reshape(len(ell), -1):
-            yield template % tuple(row.tolist())
+    graph = np.all(xb == xb[:1]) and np.all(yb == yb[:, :1])
+    x_texts = [_fmt(v) for v in x[0].tolist()] if graph else None
+    for j in range(len(x)):
+        if graph:
+            sep = f" {y[j, 0]:.17g} %.17g\n"
+            template = sep.join(x_texts) + sep
+        else:  # "%%" formats to "%", so the x y texts come with a slot for each ell
+            pairs = np.stack((x[j], y[j]), axis=-1).ravel().tolist()
+            template = "%.17g %.17g %%.17g\n" * len(x[j]) % tuple(pairs)
+        yield [template % tuple(ell[j].tolist()) for ell in ells]
 
 
 def _header_value(lines: list[str], idx: int, key: str) -> str:
@@ -278,10 +281,14 @@ def _append(dst, src) -> None:
 
 
 def write_surface(
-    sample: SurfaceSample, grid_path: str | Path | None, obj_path: str | Path, provenance: str = "-"
+    family: list[SurfaceSample],
+    grid_paths: list[str | Path] | None,
+    obj_paths: list[str | Path],
+    provenance: str = "-",
 ) -> None:
-    """Write the sample's grid file and OBJ mesh in one pass, formatting each record once;
-    with grid_path None, the mesh alone.
+    """Write the grid file and OBJ mesh of every sample of a family on one (x, y) lattice
+    in one pass, formatting each x, y record text and each face line once for all of
+    them; with grid_paths None, the meshes alone.
 
     Grid header:  magic line, "kind surface", domain rectangle, shape
     (n_u n_v), H, one free-form provenance line, end marker.  Body: one record
@@ -295,54 +302,81 @@ def write_surface(
     """
     if "\n" in provenance or not provenance:
         raise ValueError("provenance must be one non-empty line")
-    dom, (n_v, n_u) = sample.domain, sample.ell.shape
-    header = "\n".join([
-        GRID_MAGIC,
-        "kind surface",
-        f"domain {_fmt(dom.x_min)} {_fmt(dom.x_max)} {_fmt(dom.y_min)} {_fmt(dom.y_max)}",
-        f"shape {n_u} {n_v}",
-        f"H {_fmt(sample.H)}",
-        f"provenance {provenance}",
-        "end_header\n",
-    ])
+    grid_paths = [None] * len(family) if grid_paths is None else list(grid_paths)
+    if not 0 < len(family) == len(grid_paths) == len(obj_paths):
+        raise ValueError("a family needs a sample or more, one path per sample for each file")
+    base, (n_v, n_u) = family[0], family[0].ell.shape
+    for s in family[1:]:
+        if not (s.ell.shape == base.ell.shape and s.x.tobytes() == base.x.tobytes()
+                and s.y.tobytes() == base.y.tobytes()):
+            raise ValueError("the samples of a family must share one (x, y) lattice")
+
+    def header(s: SurfaceSample) -> str:
+        d = s.domain
+        return "\n".join([
+            GRID_MAGIC,
+            "kind surface",
+            f"domain {_fmt(d.x_min)} {_fmt(d.x_max)} {_fmt(d.y_min)} {_fmt(d.y_max)}",
+            f"shape {n_u} {n_v}",
+            f"H {_fmt(s.H)}",
+            f"provenance {provenance}",
+            "end_header\n",
+        ])
+
     _faces(n_u, n_v)  # rejects a lattice too small for a mesh before a file opens
 
-    def write(rows, files, k: int) -> bool:  # files[k] takes range k's records, "v", "f" lines
-        (lo, hi), (grid, obj, faces) = rows[k : k + 2], files[k]
-        if grid and not lo:  # range 0 starts the grid file
-            grid.write(header)
-        for records in _records(sample.x[lo:hi], sample.y[lo:hi], sample.ell[lo:hi]):
-            if grid:
-                grid.write(records)
-            obj.write("v " + records[:-1].replace("\n", "\nv ") + "\n")  # "v x y ell" lines
-        faces.writelines(_faces(n_u, n_v, lo, min(hi, n_v - 1)))
-        for fh in filter(None, files[k]):  # a child ends through os._exit, which flushes nothing
+    def write(rows, files, k: int) -> bool:
+        """files[k] takes range k's records (grids), "v" lines (objs) and "f" lines (faces)."""
+        (lo, hi), (grids, objs, faces) = rows[k : k + 2], files[k]
+        ells = [s.ell[lo:hi] for s in family]
+        for grid, s in zip(grids, family):
+            if grid and not lo:  # range 0 starts the grid file
+                grid.write(header(s))
+        for texts in _records(base.x[lo:hi], base.y[lo:hi], ells):
+            for records, grid, obj in zip(texts, grids, objs):
+                if grid:
+                    grid.write(records)
+                obj.write("v " + records[:-1].replace("\n", "\nv ") + "\n")  # "v x y ell" lines
+        for row in _faces(n_u, n_v, lo, min(hi, n_v - 1)):
+            for fh in faces:
+                fh.write(row)
+        # a child ends through os._exit, which flushes nothing
+        for fh in filter(None, (*grids, *objs, *faces)):
             fh.flush()
         return True
 
     with contextlib.ExitStack() as stack:
-        obj = stack.enter_context(open(obj_path, "w"))
-        grid = None if grid_path is None else stack.enter_context(open(grid_path, "w"))
+        objs = [stack.enter_context(open(path, "w")) for path in obj_paths]
+        grids = [path and stack.enter_context(open(path, "w")) for path in grid_paths]
 
         def prepare(rows):
             def temp(path):
-                return stack.enter_context(tempfile.TemporaryFile("w+", dir=Path(path).parent))
+                return path and stack.enter_context(
+                    tempfile.TemporaryFile("w+", dir=Path(path).parent)
+                )
 
-            files = [[grid, obj, temp(obj_path)]]
-            files += [[grid and temp(grid_path), temp(obj_path), temp(obj_path)] for _ in rows[2:]]
+            files = [(grids, objs, [temp(obj_paths[0])])]
+            files += [
+                ([temp(p) for p in grid_paths], [temp(p) for p in obj_paths], [temp(obj_paths[0])])
+                for _ in rows[2:]
+            ]
             return (lambda k: write(rows, files, k)), files
 
         files = _forked_ranges(n_u, n_v, prepare)
         if files is not None:
             with contextlib.suppress(OSError):
-                for dst, i, ranges in ((grid, 0, files[1:]), (obj, 1, files[1:]), (obj, 2, files)):
-                    for range_files in ranges if dst else ():
-                        _append(dst, range_files[i])
+                for i, (grid, obj) in enumerate(zip(grids, objs)):
+                    for range_grids, range_objs, _ in files[1:]:
+                        if grid:
+                            _append(grid, range_grids[i])
+                        _append(obj, range_objs[i])
+                    for *_, (faces,) in files:
+                        _append(obj, faces)
                 return
-        for fh in filter(None, (grid, obj)):  # the serial write, also after a failed parallel one
+        for fh in filter(None, (*grids, *objs)):  # the serial write, also after a failed parallel one
             fh.seek(0)
             fh.truncate()
-        write([0, n_v], [[grid, obj, obj]], 0)
+        write([0, n_v], [(grids, objs, objs)], 0)
 
 
 def _plain(obj):

@@ -113,40 +113,38 @@ def gauss_curvature(H: float, phi):
     return k
 
 
-def _segment_integrals(e: holo.Expr, za, zb, tol: float) -> np.ndarray:
-    """Integral of e along every straight segment za -> zb; 0 where they meet."""
-    za, zb = np.broadcast_arrays(za, zb)
-    out = np.zeros(za.shape, dtype=np.complex128)
-    moving = za != zb
-    if np.any(moving):
-        out[moving] = holo.contour_integral(e, holo.Contour((za[moving], zb[moving])), tol)
-    return out
-
-
-def _cumulative_integrals(e: holo.Expr, grid: np.ndarray, tol: float) -> np.ndarray:
-    """Integral of e from 0 to every grid node, by cumulative segments.
+def _cumulative_integrals(exprs: list[holo.Expr], grid: np.ndarray, tol: float) -> np.ndarray:
+    """Integral of each expression from 0 to every grid node, by cumulative segments.
 
     Used only when no symbolic antiderivative exists.  The path runs from
-    0 to the first node, down the first column, then along each row.
-    Each of the three legs is one batched quadrature call, and running
-    sums join the segments.  Every segment is integrated to `tol` on its
-    own, so a node's error is at most (n_u + n_v - 1) * tol.
+    0 to the first node, down the first column, then along each row.  Each
+    of the three legs is one holo._line_integrals pass for all the
+    expressions, and running sums join the edges.  Every edge is held to
+    `tol`, in its pair or on its own, so a node's error is at most
+    (n_u + n_v - 1) * tol.
     """
-    start = _segment_integrals(e, 0j, grid[:1, 0], tol)
-    column = _segment_integrals(e, grid[:-1, 0], grid[1:, 0], tol)
-    rows = _segment_integrals(e, grid[:, :-1], grid[:, 1:], tol)
-    firsts = np.cumsum(np.concatenate((start, column)))
-    return np.cumsum(np.concatenate((firsts[:, None], rows), axis=1), axis=1)
+    start = holo._line_integrals(exprs, np.array([[0j, grid[0, 0]]]), tol)[:, 0]
+    column = holo._line_integrals(exprs, grid[None, :, 0], tol)[:, 0]
+    rows = holo._line_integrals(exprs, grid, tol)
+    firsts = np.cumsum(np.concatenate((start, column), axis=1), axis=1)
+    return np.cumsum(np.concatenate((firsts[..., None], rows), axis=2), axis=2)
 
 
-def _integral_field(e: holo.Expr, grid: np.ndarray, tol: float) -> np.ndarray:
-    """Integral of e from 0 to every grid node, closed form if possible."""
-    primitive = holo.antiderivative(e)
-    if primitive is not None:
-        # subtracted even when zero: a -0 here turns the -0 values of the field into +0
-        at_zero = holo.evaluate(primitive, {"z": 0j})
-        return holo.evaluate(primitive, {"z": grid}) - at_zero
-    return _cumulative_integrals(e, grid, tol)
+def _integral_fields(exprs: list[holo.Expr], grid: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Integral of each expression from 0 to every grid node: in closed form
+    where one exists, and the others together in one quadrature pass."""
+    primitives = [holo.antiderivative(e) for e in exprs]
+    pending = [e for e, primitive in zip(exprs, primitives) if primitive is None]
+    by_quadrature = iter(_cumulative_integrals(pending, grid, tol) if pending else ())
+    fields = []
+    for primitive in primitives:
+        if primitive is None:
+            fields.append(next(by_quadrature))
+        else:
+            # subtracted even when zero: a -0 here turns the -0 values of the field into +0
+            at_zero = holo.evaluate(primitive, {"z": 0j})
+            fields.append(holo.evaluate(primitive, {"z": grid}) - at_zero)
+    return fields
 
 
 def synthesize_family(
@@ -176,8 +174,7 @@ def synthesize_family(
             f"omega_hat vanishes at node (u={i}, v={j}), z = {grid[j, i]}"
         )
 
-    w = _integral_field(data.omega_hat, grid, tol)
-    t = _integral_field(holo.mul(data.h2, data.omega_hat), grid, tol)
+    w, t = _integral_fields([data.omega_hat, holo.mul(data.h2, data.omega_hat)], grid, tol)
     x = np.ascontiguousarray(w.real)
     y = np.ascontiguousarray(w.imag)
     ells = [0.5 * h * (x * x + y * y) + t.real for h in h_values]

@@ -199,7 +199,7 @@ def test_lift_writes_what_the_separate_writers_write(tmp_path):
     assert run(tmp_path, "lift", *argv, "-o", "one") == 0
     data = weierstrass.WeierstrassData(holo.parse(argv[1]), holo.parse(argv[3]))
     sample = lift_one(data, -0.75, Rect(-1.0, 1.0, -1.0, 1.0), 23, 17)
-    io_mesh.write_surface(sample, None, tmp_path / "two.obj")
+    io_mesh.write_surface([sample], None, [tmp_path / "two.obj"])
     assert (tmp_path / "one.obj").read_bytes() == (tmp_path / "two.obj").read_bytes()
     assert (tmp_path / "one.obj").read_text() == reference_obj_text(sample)
     assert (tmp_path / "one.grid").read_text() == reference_grid_text(sample, "lift H=-0.75")
@@ -508,7 +508,7 @@ def test_lift_curvature_overflow_writes_nothing(tmp_path, capsys):
 
 def test_analyze_curvature_overflow_is_a_named_error(tmp_path, capsys):
     sample = lift_one(exp_data(), 1.0, Rect(390.0, 400.0, -1.0, 1.0), 11, 11)
-    io_mesh.write_surface(sample, tmp_path / "huge.grid", tmp_path / "huge.obj")
+    io_mesh.write_surface([sample], [tmp_path / "huge.grid"], [tmp_path / "huge.obj"])
     for argv in (OVERFLOW_GEN, ("--grid-file", str(tmp_path / "huge.grid"))):
         code, runtime_warnings = run_quietly(tmp_path, "analyze", *argv)
         assert code == 1 and not runtime_warnings
@@ -630,6 +630,8 @@ def test_lift_of_a_combination_of_binomial_powers_keeps_its_digits(tmp_path, h2,
         # about 1e105 on the square: converges on the relative panel tolerance
         ("(z^2+1)^300", 0, "lift: wrote"),
         ("z^1e400", 1, "error: non-finite exponent 1e400 (offset 2)"),
+        ("0.5^-1100", 1, "error: evaluation overflowed to a non-finite value"),
+        ("1e200*1e200*z", 1, "error: constant leaves the float range (offset 5)"),
         # past holo.MAX_POLY_DEGREE a power of a*z takes its direct primitive at once
         ("z^1e30", 1, "error: evaluation overflowed to a non-finite value"),
         ("z^100000000", 1, "error: evaluation overflowed to a non-finite value"),
@@ -645,7 +647,7 @@ def test_lift_of_a_power_past_the_term_cap(tmp_path, capsys, h2, code, message):
 
 
 @pytest.mark.parametrize(
-    "h2", ["+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200], ids=["sum", "parentheses"]
+    "h2", ["+".join(["z"] * 3000), "(" * 200 + "z" + ")" * 200], ids=["sum", "parentheses"]
 )
 def test_a_deeply_nested_expression_is_a_named_error(tmp_path, capsys, h2):
     assert run(tmp_path, "lift", "--h2", h2, "--omega", "1", "--grid", "5x5") == 1
@@ -654,13 +656,15 @@ def test_a_deeply_nested_expression_is_a_named_error(tmp_path, capsys, h2):
 
 
 def test_long_sums_and_deep_parentheses_still_lift(tmp_path):
-    # in a fresh interpreter, whose stack does not start under pytest's frames
+    # in a fresh interpreter, whose stack does not start under pytest's frames,
+    # through main() and through `python -m`, whose runpy frames come on top
     script = "import sys; from isocmc.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
-    for h2 in ("+".join(["z"] * 330), "(" * 150 + "z" + ")" * 150):
-        argv = ["lift", "--out-dir", str(tmp_path), "--h2", h2, "--omega", "1", "--grid", "5x5"]
-        done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
-        assert done.returncode == 0 and done.stdout.startswith("lift: wrote"), done.stderr
+    for start in (["-c", script], ["-m", "isocmc.cli"]):
+        for h2 in ("+".join(["z"] * 330), "+".join(["z"] * 600), "(" * 150 + "z" + ")" * 150):
+            argv = ["lift", "--out-dir", str(tmp_path), "--h2", h2, "--omega", "1", "--grid", "5x5"]
+            done = subprocess.run([sys.executable, *start, *argv], env=env, capture_output=True, text=True)
+            assert done.returncode == 0 and done.stdout.startswith("lift: wrote"), done.stderr
 
 
 def test_pde_rejects_complex_height_expressions(tmp_path, capsys):

@@ -42,7 +42,7 @@ def a_field(n=5):
 def test_surface_roundtrip_is_bitwise(tmp_path):
     s = sample()
     path = tmp_path / "s.grid"
-    write_surface(s, path, tmp_path / "s.obj", provenance="roundtrip check")
+    write_surface([s], [path], [tmp_path / "s.obj"], provenance="roundtrip check")
     back = read_grid(path)
     assert isinstance(back, weierstrass.SurfaceSample)
     assert back.H == s.H and back.domain == s.domain
@@ -51,7 +51,7 @@ def test_surface_roundtrip_is_bitwise(tmp_path):
     assert np.array_equal(back.ell, s.ell)
     assert back.phi is None
     # write -> read -> write is byte identical
-    write_surface(back, tmp_path / "t.grid", tmp_path / "t.obj", provenance="roundtrip check")
+    write_surface([back], [tmp_path / "t.grid"], [tmp_path / "t.obj"], provenance="roundtrip check")
     assert (tmp_path / "t.grid").read_bytes() == path.read_bytes()
 
 
@@ -66,15 +66,15 @@ def test_field_roundtrip(tmp_path):
 
 
 def test_provenance_must_be_one_line(tmp_path):
-    paths = tmp_path / "s.grid", tmp_path / "s.obj"
+    paths = [tmp_path / "s.grid"], [tmp_path / "s.obj"]
     for provenance in ("two\nlines", ""):
         with pytest.raises(ValueError, match="provenance"):
-            write_surface(sample(), *paths, provenance=provenance)
+            write_surface([sample()], *paths, provenance=provenance)
 
 
 def test_truncated_body_is_a_count_error(tmp_path):
     path = tmp_path / "t.grid"
-    write_surface(sample(), path, tmp_path / "t.obj")
+    write_surface([sample()], [path], [tmp_path / "t.obj"])
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(GridFormatError, match="record"):
@@ -219,7 +219,7 @@ def test_missing_file_is_an_error(tmp_path):
 
 def obj_lines(tmp_path, s, name="m.obj"):
     path = tmp_path / name
-    write_surface(s, None, path)
+    write_surface([s], None, [path])
     return path.read_text().splitlines()
 
 
@@ -254,7 +254,7 @@ def test_obj_needs_a_real_grid():
     s = sample(n=3)
     tiny = weierstrass.SurfaceSample(domain=s.domain, H=s.H, x=s.x[:1], y=s.y[:1], ell=s.ell[:1])
     with pytest.raises(ValueError):
-        write_surface(tiny, None, "/dev/null")
+        write_surface([tiny], None, ["/dev/null"])
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +328,23 @@ def identity_cases():
 def test_grid_writer_matches_the_per_value_writer(tmp_path, obj):
     # and a read of the file writes the same bytes back
     want = reference_grid_text(obj, provenance="ref check").encode()
-    write_surface(obj, tmp_path / "g.grid", tmp_path / "g.obj", provenance="ref check")
+    write_surface([obj], [tmp_path / "g.grid"], [tmp_path / "g.obj"], provenance="ref check")
     assert (tmp_path / "g.grid").read_bytes() == want
     back = read_grid(tmp_path / "g.grid")
-    write_surface(back, tmp_path / "h.grid", tmp_path / "h.obj", provenance="ref check")
+    write_surface([back], [tmp_path / "h.grid"], [tmp_path / "h.obj"], provenance="ref check")
     assert (tmp_path / "h.grid").read_bytes() == want
 
 
 @pytest.mark.parametrize("obj", identity_cases())
 def test_obj_writer_matches_the_per_value_writer(tmp_path, obj):
-    write_surface(obj, None, tmp_path / "m.obj")
+    write_surface([obj], None, [tmp_path / "m.obj"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.obj"]
     assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(obj).encode()
 
 
 @pytest.mark.parametrize("obj", identity_cases())
 def test_one_pass_writer_matches_the_per_value_writers(tmp_path, obj):
-    write_surface(obj, tmp_path / "s.grid", tmp_path / "s.obj", provenance="ref check")
+    write_surface([obj], [tmp_path / "s.grid"], [tmp_path / "s.obj"], provenance="ref check")
     want_grid = reference_grid_text(obj, provenance="ref check")
     assert (tmp_path / "s.grid").read_bytes() == want_grid.encode()
     assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(obj).encode()
@@ -352,27 +352,27 @@ def test_one_pass_writer_matches_the_per_value_writers(tmp_path, obj):
 
 def test_one_pass_writer_validates_before_writing(tmp_path):
     s = sample(n=3)
-    paths = tmp_path / "s.grid", tmp_path / "s.obj"
+    paths = [tmp_path / "s.grid"], [tmp_path / "s.obj"]
     with pytest.raises(ValueError, match="provenance"):
-        write_surface(s, *paths, provenance="two\nlines")
+        write_surface([s], *paths, provenance="two\nlines")
     one_row = dataclasses.replace(s, x=s.x[:1], y=s.y[:1], ell=s.ell[:1])
     with pytest.raises(ValueError, match="2 x 2"):
-        write_surface(one_row, *paths)
-    assert not any(p.exists() for p in paths)
+        write_surface([one_row], *paths)
+    assert not any(p.exists() for p in sum(paths, []))
 
 
 def test_writers_match_on_wide_rows_with_signed_zeros(tmp_path):
     # 2100 nodes, 6300 floats, per row template; 0.0 and -0.0 in adjacent rows
     s = lifted(2100, 7)
     s.x[2:4, 5], s.y[2:4, 9] = (0.0, -0.0), (-0.0, 0.0)
-    write_surface(s, tmp_path / "s.grid", tmp_path / "s.obj")
+    write_surface([s], [tmp_path / "s.grid"], [tmp_path / "s.obj"])
     assert (tmp_path / "s.grid").read_bytes() == reference_grid_text(s).encode()
     assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(s).encode()
 
 
 def test_planted_values_survive_the_roundtrip(tmp_path):
     s = plant(lifted(5, 3))
-    write_surface(s, tmp_path / "p.grid", tmp_path / "p.obj")
+    write_surface([s], [tmp_path / "p.grid"], [tmp_path / "p.obj"])
     back = read_grid(tmp_path / "p.grid")
     for got, want in ((back.x, s.x), (back.y, s.y), (back.ell, s.ell)):
         assert got.tobytes() == want.tobytes()  # bitwise: -0.0 keeps its sign
@@ -828,10 +828,10 @@ def force_parallel_write(monkeypatch, workers):
     forks, _ = force_parallel(monkeypatch, workers)
     rows, parent, records = [], os.getpid(), io_mesh._records
 
-    def spied_records(x, y, ell):
+    def spied_records(x, y, ells):
         if os.getpid() == parent:
-            rows.append(len(ell))
-        return records(x, y, ell)
+            rows.append(len(x))
+        return records(x, y, ells)
 
     monkeypatch.setattr(io_mesh, "_records", spied_records)
     return forks, rows
@@ -840,14 +840,14 @@ def force_parallel_write(monkeypatch, workers):
 def write_checked(s, out_dir, raises=None, grid=True):
     """write_surface(s) into out_dir, the mesh alone if not grid; no
     ResourceWarning and no file but the ones written."""
-    paths = (out_dir / "s.grid" if grid else None, out_dir / "s.obj")
+    paths = ([out_dir / "s.grid"] if grid else None, [out_dir / "s.obj"])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if raises is None:
-            write_surface(s, *paths, provenance="ref check")
+            write_surface([s], *paths, provenance="ref check")
         else:
             with pytest.raises(raises):
-                write_surface(s, *paths, provenance="ref check")
+                write_surface([s], *paths, provenance="ref check")
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert sorted(p.name for p in out_dir.iterdir()) == ["s.grid", "s.obj"][not grid :]
@@ -880,6 +880,48 @@ def test_parallel_mesh_only_write_matches_the_per_value_writer(
     write_checked(obj, tmp_path, grid=False)
     assert len(forks) == min(workers, n_v) - 1 and n_v not in rows
     assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(obj).encode()
+
+
+def family_of(s, shifts=(-1.0, 0.25, 2.0)):
+    """Samples on s's (x, y) lattice with heights and H of their own, as a sweep makes."""
+    return [dataclasses.replace(s, H=s.H + h, ell=s.ell + h) for h in shifts]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("grid", [True, False], ids=["grids", "meshes-only"])
+@pytest.mark.parametrize(
+    "obj", [pytest.param(graph(7, 12), id="graph-7x12"), pytest.param(plant(lifted(6, 12)), id="6x12")]
+)
+def test_family_write_matches_the_per_value_writers(
+    tmp_path, monkeypatch, no_child_left, obj, grid, workers
+):
+    # one call writes every sample's files, with the bytes of each written alone
+    family, names = family_of(obj), ["a", "b", "c"]
+    forks, rows = force_parallel_write(monkeypatch, workers)
+    grids = [tmp_path / f"{n}.grid" for n in names] if grid else None
+    write_surface(family, grids, [tmp_path / f"{n}.obj" for n in names], provenance="ref check")
+    assert len(forks) == workers - 1 and (12 in rows) == (workers == 1)
+    for name, s in zip(names, family):
+        assert (tmp_path / f"{name}.obj").read_bytes() == reference_obj_text(s).encode()
+        if grid:
+            want = reference_grid_text(s, "ref check").encode()
+            assert (tmp_path / f"{name}.grid").read_bytes() == want
+    assert len(list(tmp_path.iterdir())) == len(names) * (1 + grid)
+
+
+def test_family_write_validates_before_writing(tmp_path):
+    s = sample(n=5)
+    paths = [tmp_path / "a.obj", tmp_path / "b.obj"]
+    for other in (dataclasses.replace(s, x=s.x + 1.0), signed_zeros(s)):
+        with pytest.raises(ValueError, match=r"share one \(x, y\) lattice"):
+            write_surface([s, other], None, paths)
+    with pytest.raises(ValueError, match="one path per sample"):
+        write_surface([s, s], None, paths[:1])
+    with pytest.raises(ValueError, match="one path per sample"):
+        write_surface([s, s], [tmp_path / "a.grid"], paths)
+    with pytest.raises(ValueError, match="a sample or more"):
+        write_surface([], None, [])
+    assert not list(tmp_path.iterdir())
 
 
 def fail_in_range(monkeypatch, failure):

@@ -179,8 +179,8 @@ def per_h_synthesis(data, H, rect, n, tol=holo.DEFAULT_QUAD_TOL):
     """(x, y, ell) computed for one H alone."""
     uu, vv = rect.mesh(n, n)
     grid = uu + 1j * vv
-    w = weierstrass._integral_field(data.omega_hat, grid, tol)
-    t = weierstrass._integral_field(holo.mul(data.h2, data.omega_hat), grid, tol)
+    (w,) = weierstrass._integral_fields([data.omega_hat], grid, tol)
+    (t,) = weierstrass._integral_fields([holo.mul(data.h2, data.omega_hat)], grid, tol)
     x, y = w.real, w.imag
     return x, y, 0.5 * H * (x * x + y * y) + t.real
 
@@ -226,19 +226,98 @@ def test_synthesize_quadrature_only_pair():
     assert sample.y[0, 0] == 0.0
 
 
+def readme_bound(e, n_u, n_v, tol=holo.DEFAULT_QUAD_TOL):
+    """README's bound on a node's quadrature error over SQUARE, (n_u + n_v - 1) * tol
+    + 1e-12 * P: no path (start, column, row) is longer than sqrt(2) + 4, and, e
+    being holomorphic on the square, |e| on it peaks on its boundary."""
+    t = np.linspace(-1.0, 1.0, 4001)
+    boundary = np.concatenate([t - 1j, t + 1j, 1j * t - 1, 1j * t + 1])
+    peak = np.max(np.abs(holo.evaluate(e, {"z": boundary})))
+    return (n_u + n_v - 1) * tol + 1e-12 * (math.sqrt(2) + 4) * peak
+
+
 def test_synthesize_quadrature_oracle():
     # neither 1/(z+4) nor z/(z+4) has a closed-form antiderivative here, so
-    # both fields take the batched quadrature; a node's path has at most
-    # n_u + n_v - 1 segments, each integrated to tol
+    # both fields take the lattice quadrature, on even and odd edge counts:
+    # every row edge paired (41), an unpaired last row edge (40), and at 3 x 2
+    # one pair per row and an unpaired column edge
     data = WeierstrassData(Z, holo.parse("1/(z+4)"))
     assert holo.antiderivative(data.omega_hat) is None
-    n, tol = 41, holo.DEFAULT_QUAD_TOL
-    sample = lift_one(data, 0.0, SQUARE, n, n, tol)
-    uu, vv = np.meshgrid(SQUARE.x_nodes(n), SQUARE.y_nodes(n))
-    z = uu + 1j * vv
-    bound = (n + n) * tol
-    assert np.max(np.abs(sample.x + 1j * sample.y - np.log1p(z / 4))) <= bound
-    assert np.max(np.abs(sample.ell - (z - 4 * np.log1p(z / 4)).real)) <= bound
+    for n_u, n_v in ((41, 41), (40, 41), (3, 2)):
+        sample = lift_one(data, 0.0, SQUARE, n_u, n_v)
+        uu, vv = np.meshgrid(SQUARE.x_nodes(n_u), SQUARE.y_nodes(n_v))
+        z = uu + 1j * vv
+        w_bound = readme_bound(data.omega_hat, n_u, n_v)
+        t_bound = readme_bound(holo.mul(data.h2, data.omega_hat), n_u, n_v)
+        assert np.max(np.abs(sample.x + 1j * sample.y - np.log1p(z / 4))) <= w_bound
+        assert np.max(np.abs(sample.ell - (z - 4 * np.log1p(z / 4)).real)) <= t_bound
+
+
+def per_segment_integrals(e, grid, tol=holo.DEFAULT_QUAD_TOL):
+    """The reference lattice quadrature: every edge of the path (start, column,
+    rows) one adaptive contour_integral segment of its own, joined by running sums."""
+
+    def segments(za, zb):
+        return holo.contour_integral(e, holo.Contour((za, zb)), tol)
+
+    start = segments(np.zeros(1, dtype=complex), grid[:1, 0])
+    column = segments(grid[:-1, 0], grid[1:, 0])
+    rows = segments(grid[:, :-1], grid[:, 1:])
+    firsts = np.cumsum(np.concatenate((start, column)))
+    return np.cumsum(np.concatenate((firsts[:, None], rows), axis=1), axis=1)
+
+
+def test_lattice_quadrature_near_a_pole_matches_the_per_segment_reference(monkeypatch):
+    # the pole of 1/(z - 1.02) sits 0.02 off the right edge of the square: the
+    # GL10 rules of the pairs next to it disagree, so those edges are bisected
+    omega, n = holo.parse("1/(z-1.02)"), 41
+    uu, vv = SQUARE.mesh(n, n)
+    grid = uu + 1j * vv
+    calls, contour_integral = [], holo.contour_integral
+
+    def spied(e, contour, *args):
+        calls.append(contour.base_point.copy())
+        return contour_integral(e, contour, *args)
+
+    monkeypatch.setattr(holo, "contour_integral", spied)
+    (got,) = weierstrass._integral_fields([omega], grid, holo.DEFAULT_QUAD_TOL)
+    monkeypatch.undo()
+    redone = np.concatenate([np.ravel(c) for c in calls])
+    assert redone.size > 1 and np.all(redone[1:].real > 0.5)  # the start, then edges near the pole
+    assert redone.size < 0.1 * grid.size
+    bound = readme_bound(omega, n, n)
+    assert np.max(np.abs(got - per_segment_integrals(omega, grid))) <= 2 * bound
+    assert np.max(np.abs(got - np.log1p(-grid / 1.02))) <= bound
+
+
+@pytest.mark.parametrize(
+    "h2, omega, error",
+    [("1/z", "1", holo.SingularityError), ("z", "1/(z-0.3)", holo.QuadratureError)],
+    ids=["pole-at-a-node", "pole-inside-an-edge"],
+)
+def test_lattice_quadrature_errors_are_named(h2, omega, error):
+    # 1/z is integrated up to its pole at the node z = 0 until a bisection node
+    # lands on it; 1/(z - 0.3) on the edge 0 -> 0.5 never meets the panel budget
+    data = WeierstrassData(holo.parse(h2), holo.parse(omega))
+    with pytest.raises(error):
+        lift_one(data, 0.0, SQUARE, 5, 5)
+
+
+def test_lattice_quadrature_evaluates_in_bounded_batches(monkeypatch):
+    # 61 x 61 lattice: 1830 pairs of row edges, 30 nodes each, so several batches
+    points, evaluate = [], holo.evaluate
+
+    def counted(expr, at):
+        points.append(np.size(at["z"]))
+        return evaluate(expr, at)
+
+    uu, vv = SQUARE.mesh(61, 61)
+    exprs = [holo.parse("1/(z+4)"), holo.parse("z/(z+4)")]
+    monkeypatch.setattr(holo, "evaluate", counted)
+    weierstrass._cumulative_integrals(exprs, uu + 1j * vv, holo.DEFAULT_QUAD_TOL)
+    assert max(points) <= holo.MAX_EVAL_NODES
+    assert sum(points) < 2 * 61 * 61 * 16  # 15 nodes per edge and expression, not 30
+    assert len([p for p in points if p > holo.MAX_EVAL_NODES // 2]) >= 2 * 3
 
 
 def test_umbilic_flags_and_gauss_grid():
