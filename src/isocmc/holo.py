@@ -602,6 +602,33 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:  # imports numpy.polynom
     return np.polynomial.legendre.leggauss(10)
 
 
+# Kronrod's 21-point extension of the 10-point Gauss rule (QUADPACK's qk21) on [-1, 1]:
+# the 21-point weights of the Gauss nodes x > 0 in increasing order, then the 6 nodes
+# 0 <= x it adds and their weights.
+_KRONROD_GAUSS_WEIGHTS = (
+    0.14773910490133849, 0.13470921731147334, 0.10938715880229764,
+    0.07503967481091996, 0.032558162307964725,
+)
+_KRONROD_NODES = (
+    0.0, 0.2943928627014602, 0.5627571346686047,
+    0.7808177265864169, 0.9301574913557082, 0.9956571630258081,
+)
+_KRONROD_WEIGHTS = (
+    0.1494455540029169, 0.14277593857706009, 0.12349197626206584,
+    0.0931254545836976, 0.054755896574351995, 0.011694638867371874,
+)
+
+
+@cache
+def _gauss_kronrod() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """((Gauss weights, Kronrod weights), nodes) of the 21-point rule on [-1, 1], the
+    10 nodes of _gauss_legendre first, so a rule's first 10 values give its Gauss rule."""
+    gauss_nodes, gauss_weights = _gauss_legendre()
+    kg, xk, wk = (np.array(c) for c in (_KRONROD_GAUSS_WEIGHTS, _KRONROD_NODES, _KRONROD_WEIGHTS))
+    nodes = np.concatenate((gauss_nodes, -xk[:0:-1], xk))
+    return (gauss_weights, np.concatenate((kg[::-1], kg, wk[:0:-1], wk))), nodes
+
+
 # Most quadrature nodes handed to one evaluate call; bounds working memory.
 MAX_EVAL_NODES = 16_384
 
@@ -646,7 +673,7 @@ def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None
     panel pushes its left half, then its right half, like a one-segment loop.
     """
     n = za.size
-    coarse = _gl_panels((expr,), za, dz, np.zeros((n, 1)), np.ones((n, 1)))[0, :, 0]
+    coarse = _gl_panels(expr, za, dz, np.zeros((n, 1)), np.ones((n, 1)))[:, 0]
     stack = np.zeros((n, 8, 4), dtype=np.complex128)
     stack[:, 0] = np.stack((np.zeros(n), np.ones(n), coarse, budget), axis=1)
     depth = np.ones(n, dtype=np.intp)
@@ -661,8 +688,8 @@ def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None
         t0, t1, share = t0.real, t1.real, share.real
         tm = 0.5 * (t0 + t1)
         left, right = _gl_panels(
-            (expr,), za[live], dz[live], np.stack((t0, tm), 1), np.stack((tm, t1), 1)
-        )[0].T
+            expr, za[live], dz[live], np.stack((t0, tm), 1), np.stack((tm, t1), 1)
+        ).T
         fine = left + right
         done = np.abs(fine - coarse) <= np.maximum(share, QUAD_REL_TOL * np.abs(fine))
         acc[live[done]] += fine[done]
@@ -674,51 +701,47 @@ def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None
         stack[rows, row_top + 1] = np.stack((tm, t1, right, 0.5 * share), 1)[~done]
 
 
-def _line_integrals(exprs, lines, tol) -> np.ndarray:
-    """Integral of each expression over every edge lines[:, i] -> lines[:, i + 1] of the
-    rows of collinear points `lines` (m, L), shape (len(exprs), m, L - 1); 0 on a point edge.
+def _edge_integrals(exprs, za, zb, tol) -> np.ndarray:
+    """Integral of each expression along every straight edge za -> zb, shape
+    (len(exprs), *shape of the broadcast edges); 0 where za == zb.
 
-    Edges 2k and 2k + 1 of a row make a pair.  An edge's value is its GL10 rule, the
-    coarse rule of _adaptive_panels, and one GL10 rule over the pair checks the sum of
-    the two as a panel's halves are checked: within `tol` (one edge's share) or within
-    QUAD_REL_TOL of the sum.  A batch of pairs forms its nodes once for all expressions.
-    Edges of failed pairs and an unpaired last edge go through contour_integral.
+    Each edge takes the 21-point Gauss-Kronrod rule, whose nodes hold those of the
+    coarse rule of _adaptive_panels, and is accepted when its Gauss and Kronrod values
+    agree within `tol` or within QUAD_REL_TOL of the Kronrod value, which is then the
+    edge's value.  A batch of edges forms its nodes once for all the expressions.
+    Edges that fail go through contour_integral.  As in _gl_panels, np.dot sums
+    each edge of a 3-d array alone, whatever the batch, and off BLAS's threads.
     """
-    za, zb = lines[:, :-1], lines[:, 1:]
+    za, zb = np.broadcast_arrays(np.asarray(za, dtype=np.complex128), zb)
     out = np.zeros((len(exprs), *za.shape), dtype=np.complex128)
-    done = np.zeros(out.shape, dtype=bool)
-    per_row = za.shape[1] // 2
-    batch = MAX_EVAL_NODES // (3 * _gauss_legendre()[0].size)
-    for lo in range(0, za.shape[0] * per_row, batch):
-        row, k = np.divmod(np.arange(lo, min(lo + batch, za.shape[0] * per_row)), per_row)
-        a, b, c = (lines[row, 2 * k + i] for i in range(3))
-        starts, steps = np.stack((a, b, a), 1).ravel(), np.stack((b - a, c - b, c - a), 1).ravel()
-        t0, t1 = np.zeros((starts.size, 1)), np.ones((starts.size, 1))
-        rules = _gl_panels(exprs, starts, steps, t0, t1).reshape(len(exprs), -1, 3)
-        fine = rules[..., 0] + rules[..., 1]
-        passed = np.abs(fine - rules[..., 2]) <= np.maximum(tol, QUAD_REL_TOL * np.abs(fine))
-        for i in range(2):
-            out[:, row, 2 * k + i] = rules[..., i]
-            done[:, row, 2 * k + i] = passed
-    moving = za != zb
-    out[:, ~moving] = 0
-    for e, values, redo in zip(exprs, out, ~done & moving):
-        if np.any(redo):
-            values[redo] = contour_integral(e, Contour((za[redo], zb[redo])), tol)
+    redo = np.zeros(out.shape, dtype=bool)
+    moving = np.flatnonzero(za != zb)
+    (gauss_weights, kronrod_weights), nodes = _gauss_kronrod()
+    for lo in range(0, moving.size, MAX_EVAL_NODES // nodes.size):
+        at = np.unravel_index(moving[lo : lo + MAX_EVAL_NODES // nodes.size], za.shape)
+        dz = (zb[at] - za[at])[:, None]
+        z = za[at][:, None, None] + (0.5 + 0.5 * nodes) * dz[..., None]
+        for e, values, failed in zip(exprs, out, redo):
+            f = evaluate(e, {"z": z})
+            gauss = (dz * 0.5 * np.dot(f[..., : gauss_weights.size], gauss_weights))[:, 0]
+            values[at] = kronrod = (dz * 0.5 * np.dot(f, kronrod_weights))[:, 0]
+            agree = np.abs(kronrod - gauss) <= np.maximum(tol, QUAD_REL_TOL * np.abs(kronrod))
+            failed[at] = ~agree
+    for e, values, failed in zip(exprs, out, redo):
+        if np.any(failed):
+            values[failed] = contour_integral(e, Contour((za[failed], zb[failed])), tol)
     return out
 
 
-def _gl_panels(exprs, za, dz, t0, t1) -> np.ndarray:
-    """GL10 integrals of each expression over the (k, m) panels [t0, t1] of za -> za + dz,
-    shape (len(exprs), k, m), all on one set of nodes.
+def _gl_panels(expr, za, dz, t0, t1) -> np.ndarray:
+    """GL10 integrals over the (k, m) panels [t0, t1] of za -> za + dz.
 
     np.dot sums each panel of the 3-d array alone, whatever the batch.
     """
     half = 0.5 * (t1 - t0)
     ts = (0.5 * (t0 + t1))[..., None] + half[..., None] * _gauss_legendre()[0]
-    z = za[:, None, None] + ts * dz[:, None, None]
-    scale = dz[:, None] * half
-    return np.stack([scale * np.dot(evaluate(e, {"z": z}), _gauss_legendre()[1]) for e in exprs])
+    vals = evaluate(expr, {"z": za[:, None, None] + ts * dz[:, None, None]})
+    return dz[:, None] * half * np.dot(vals, _gauss_legendre()[1])
 
 
 # ---------------------------------------------------------------------------

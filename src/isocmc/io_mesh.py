@@ -33,6 +33,9 @@ REPORT_SCHEMA_VERSION = "2"
 _BLOCK_NODES = 1 << 13
 # Fewest nodes per process for which a parallel body read repays its fork.
 _PARALLEL_NODES = 1 << 14
+# Most samples whose files one write_surface pass holds open; a forked pass adds about as
+# many temp files per extra CPU.  A longer family is written in runs of this many.
+_FAMILY_RUN = 8
 _FILE_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 # A record with x and y as text in bytes 0-24 and 25-49 (%.17g writes <= 24).
 _TEXT_RECORD = np.dtype([("x", "S25"), ("y", "S25"), ("ell", "f8")])
@@ -298,7 +301,8 @@ def write_surface(
     along the (i, j) -> (i+1, j+1) diagonal, with 1-based vertex indices.  Where
     it pays, forked children format row ranges 1..W-1 into unnamed temp files
     that are then appended in order; any failure writes the files again,
-    serially, with the same bytes.
+    serially, with the same bytes.  A family longer than _FAMILY_RUN is
+    written in runs of that many samples, so few files are open at once.
     """
     if "\n" in provenance or not provenance:
         raise ValueError("provenance must be one non-empty line")
@@ -310,6 +314,11 @@ def write_surface(
         if not (s.ell.shape == base.ell.shape and s.x.tobytes() == base.x.tobytes()
                 and s.y.tobytes() == base.y.tobytes()):
             raise ValueError("the samples of a family must share one (x, y) lattice")
+    if len(family) > _FAMILY_RUN:
+        for lo in range(0, len(family), _FAMILY_RUN):
+            run = slice(lo, lo + _FAMILY_RUN)
+            write_surface(family[run], grid_paths[run], obj_paths[run], provenance)
+        return
 
     def header(s: SurfaceSample) -> str:
         d = s.domain
@@ -349,31 +358,33 @@ def write_surface(
         objs = [stack.enter_context(open(path, "w")) for path in obj_paths]
         grids = [path and stack.enter_context(open(path, "w")) for path in grid_paths]
 
-        def prepare(rows):
-            def temp(path):
-                return path and stack.enter_context(
-                    tempfile.TemporaryFile("w+", dir=Path(path).parent)
-                )
+        with contextlib.ExitStack() as temps:  # the temp files, closed before a serial write
 
-            files = [(grids, objs, [temp(obj_paths[0])])]
-            files += [
-                ([temp(p) for p in grid_paths], [temp(p) for p in obj_paths], [temp(obj_paths[0])])
-                for _ in rows[2:]
-            ]
-            return (lambda k: write(rows, files, k)), files
+            def prepare(rows):
+                def temp(path):
+                    return path and temps.enter_context(
+                        tempfile.TemporaryFile("w+", dir=Path(path).parent)
+                    )
 
-        files = _forked_ranges(n_u, n_v, prepare)
-        if files is not None:
-            with contextlib.suppress(OSError):
-                for i, (grid, obj) in enumerate(zip(grids, objs)):
-                    for range_grids, range_objs, _ in files[1:]:
-                        if grid:
-                            _append(grid, range_grids[i])
-                        _append(obj, range_objs[i])
-                    for *_, (faces,) in files:
-                        _append(obj, faces)
-                return
-        for fh in filter(None, (*grids, *objs)):  # the serial write, also after a failed parallel one
+                files = [(grids, objs, [temp(obj_paths[0])])]
+                for _ in rows[2:]:
+                    range_grids = [temp(p) for p in grid_paths]
+                    files.append((range_grids, [temp(p) for p in obj_paths], [temp(obj_paths[0])]))
+                return (lambda k: write(rows, files, k)), files
+
+            files = _forked_ranges(n_u, n_v, prepare)
+            if files is not None:
+                with contextlib.suppress(OSError):
+                    for i, (grid, obj) in enumerate(zip(grids, objs)):
+                        for range_grids, range_objs, _ in files[1:]:
+                            if grid:
+                                _append(grid, range_grids[i])
+                            _append(obj, range_objs[i])
+                        for *_, (faces,) in files:
+                            _append(obj, faces)
+                    return
+        # the serial write, also after a failed parallel one
+        for fh in filter(None, (*grids, *objs)):
             fh.seek(0)
             fh.truncate()
         write([0, n_v], [(grids, objs, objs)], 0)

@@ -117,15 +117,18 @@ def _cumulative_integrals(exprs: list[holo.Expr], grid: np.ndarray, tol: float) 
     """Integral of each expression from 0 to every grid node, by cumulative segments.
 
     Used only when no symbolic antiderivative exists.  The path runs from
-    0 to the first node, down the first column, then along each row.  Each
-    of the three legs is one holo._line_integrals pass for all the
-    expressions, and running sums join the edges.  Every edge is held to
-    `tol`, in its pair or on its own, so a node's error is at most
-    (n_u + n_v - 1) * tol.
+    0 to the first node, down the first column, then along each row.  The
+    segment from 0, no lattice edge and as long as the domain is wide, goes
+    through holo.contour_integral; the column and the rows are each one
+    holo._edge_integrals pass for all the expressions.  Running sums join
+    the edges.  Every edge is integrated to `tol` on its own, so a node's
+    error is at most (n_u + n_v - 1) * tol.
     """
-    start = holo._line_integrals(exprs, np.array([[0j, grid[0, 0]]]), tol)[:, 0]
-    column = holo._line_integrals(exprs, grid[None, :, 0], tol)[:, 0]
-    rows = holo._line_integrals(exprs, grid, tol)
+    start = np.zeros((len(exprs), 1), dtype=np.complex128)
+    if grid[0, 0] != 0:
+        start[:, 0] = [holo.contour_integral(e, holo.Contour((0j, grid[0, 0])), tol) for e in exprs]
+    column = holo._edge_integrals(exprs, grid[:-1, 0], grid[1:, 0], tol)
+    rows = holo._edge_integrals(exprs, grid[:, :-1], grid[:, 1:], tol)
     firsts = np.cumsum(np.concatenate((start, column), axis=1), axis=1)
     return np.cumsum(np.concatenate((firsts[..., None], rows), axis=2), axis=2)
 

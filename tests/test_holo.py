@@ -520,6 +520,17 @@ def test_contour_integral_converges_on_huge_integrands():
         assert abs(contour_integral(e, Contour(path)) - exact) < 1e-12 * abs(exact)
 
 
+def test_gauss_kronrod_rule_extends_the_gauss_rule():
+    # the 21-point rule lists leggauss(10)'s nodes first and integrates x^d
+    # exactly through degree 3 * 10 + 1 = 31
+    (gauss_weights, weights), nodes = holo._gauss_kronrod()
+    assert np.array_equal(nodes[:10], holo._gauss_legendre()[0])
+    assert np.array_equal(gauss_weights, holo._gauss_legendre()[1])
+    assert np.unique(nodes).size == 21 and np.array_equal(np.sort(nodes), -np.sort(nodes)[::-1])
+    for d in range(32):
+        assert abs(np.dot(nodes**d, weights) - (d % 2 == 0) * 2 / (d + 1)) < 1e-15
+
+
 def test_contour_integral_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         contour_integral(parse("z"), Contour((0.0, 1.0)), tol=0.0)

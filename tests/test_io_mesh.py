@@ -890,7 +890,8 @@ def family_of(s, shifts=(-1.0, 0.25, 2.0)):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("grid", [True, False], ids=["grids", "meshes-only"])
 @pytest.mark.parametrize(
-    "obj", [pytest.param(graph(7, 12), id="graph-7x12"), pytest.param(plant(lifted(6, 12)), id="6x12")]
+    "obj",
+    [pytest.param(graph(7, 12), id="graph-7x12"), pytest.param(plant(lifted(6, 12)), id="6x12")],
 )
 def test_family_write_matches_the_per_value_writers(
     tmp_path, monkeypatch, no_child_left, obj, grid, workers
@@ -907,6 +908,31 @@ def test_family_write_matches_the_per_value_writers(
             want = reference_grid_text(s, "ref check").encode()
             assert (tmp_path / f"{name}.grid").read_bytes() == want
     assert len(list(tmp_path.iterdir())) == len(names) * (1 + grid)
+
+
+def test_a_long_family_keeps_few_files_open(tmp_path, monkeypatch, no_child_left):
+    # 3 runs of _FAMILY_RUN samples and one more, forked on 2 CPUs, under a limit on
+    # open files that the whole family's files alone would pass
+    resource = pytest.importorskip("resource")
+    family = family_of(graph(7, 12), shifts=[0.5 * k for k in range(3 * io_mesh._FAMILY_RUN + 1)])
+    names = [f"s{k}" for k in range(len(family))]
+    forks, _ = force_parallel_write(monkeypatch, 2)
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/dev/fd")) + 48, hard))
+    try:
+        write_surface(
+            family,
+            [tmp_path / f"{n}.grid" for n in names],
+            [tmp_path / f"{n}.obj" for n in names],
+            provenance="ref check",
+        )
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert len(forks) == 4  # one per run
+    for name, s in zip(names, family):
+        assert (tmp_path / f"{name}.obj").read_bytes() == reference_obj_text(s).encode()
+        want = reference_grid_text(s, "ref check").encode()
+        assert (tmp_path / f"{name}.grid").read_bytes() == want
 
 
 def test_family_write_validates_before_writing(tmp_path):
