@@ -8,6 +8,7 @@ deterministic, so identical invocations write identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -393,7 +394,11 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    code = main()
+    # every file is closed by now: freezing what the run left behind spares the
+    # interpreter's exit a garbage collection that would walk all of it
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

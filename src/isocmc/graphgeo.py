@@ -14,6 +14,7 @@ All stencils are interior only: outputs drop a one-node margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ class Rect:
             raise ValueError("rectangle bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("rectangle must have positive extent on both axes")
+        if not all(math.isfinite(float(hi) - float(lo)) for lo, hi in (vals[:2], vals[2:])):
+            raise ValueError("rectangle width and height must be finite")
 
     def x_nodes(self, n: int) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, n)

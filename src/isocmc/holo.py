@@ -413,7 +413,8 @@ def antiderivative(e: Expr) -> Expr | None:
     quadrature instead"; it is a value, not an error.
     """
     _require_complex_mode(e, "antiderivative")
-    raw = _anti(e)
+    with np.errstate(over="ignore", invalid="ignore"):  # _capped drops what overflows
+        raw = _anti(e)
     if raw is None:
         return None
     at_zero = evaluate(raw, {"z": 0j})
@@ -504,8 +505,9 @@ MAX_POLY_TERMS = 256
 MAX_POLY_DEGREE = 20_000
 
 
-def _capped(coeffs: list) -> list | None:
-    return coeffs if np.count_nonzero(coeffs) <= MAX_POLY_TERMS else None
+def _capped(coeffs: list) -> list | None:  # None also where a coefficient overflowed
+    ok = np.count_nonzero(coeffs) <= MAX_POLY_TERMS and np.all(np.isfinite(coeffs))
+    return coeffs if ok else None
 
 
 def _poly_coeffs(e: Expr) -> list[complex] | None:
@@ -531,7 +533,7 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
     if isinstance(e, Div):
         if isinstance(e.right, Constant) and abs(e.right.value) >= DIV_EPS:
             l = _poly_coeffs(e.left)
-            return None if l is None else [v / e.right.value for v in l]
+            return None if l is None else _capped([v / e.right.value for v in l])
         return None
     if isinstance(e, IntPow):
         base = _poly_coeffs(e.base)
@@ -597,36 +599,29 @@ class Contour:
         return self.waypoints[0]
 
 
-@cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:  # imports numpy.polynomial on first use
-    return np.polynomial.legendre.leggauss(10)
-
-
 # Kronrod's 21-point extension of the 10-point Gauss rule (QUADPACK's qk21) on [-1, 1]:
-# the 21-point weights of the Gauss nodes x > 0 in increasing order, then the 6 nodes
-# 0 <= x it adds and their weights.
-_KRONROD_GAUSS_WEIGHTS = (
-    0.14773910490133849, 0.13470921731147334, 0.10938715880229764,
-    0.07503967481091996, 0.032558162307964725,
+# (x, Gauss weight, 21-point weight) at the Gauss nodes x > 0, numpy's leggauss(10)
+# bit for bit, then (x, 21-point weight) at the nodes x >= 0 the 21-point rule adds.
+_GAUSS_NODES = (
+    (0.14887433898163122, 0.2955242247147528, 0.14773910490133849),
+    (0.4333953941292472, 0.2692667193099965, 0.13470921731147334),
+    (0.6794095682990244, 0.219086362515982, 0.10938715880229764),
+    (0.8650633666889845, 0.1494513491505804, 0.07503967481091996),
+    (0.9739065285171717, 0.06667134430868814, 0.032558162307964725),
 )
 _KRONROD_NODES = (
-    0.0, 0.2943928627014602, 0.5627571346686047,
-    0.7808177265864169, 0.9301574913557082, 0.9956571630258081,
-)
-_KRONROD_WEIGHTS = (
-    0.1494455540029169, 0.14277593857706009, 0.12349197626206584,
-    0.0931254545836976, 0.054755896574351995, 0.011694638867371874,
+    (0.0, 0.1494455540029169), (0.2943928627014602, 0.14277593857706009),
+    (0.5627571346686047, 0.12349197626206584), (0.7808177265864169, 0.0931254545836976),
+    (0.9301574913557082, 0.054755896574351995), (0.9956571630258081, 0.011694638867371874),
 )
 
 
 @cache
 def _gauss_kronrod() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """((Gauss weights, Kronrod weights), nodes) of the 21-point rule on [-1, 1], the
-    10 nodes of _gauss_legendre first, so a rule's first 10 values give its Gauss rule."""
-    gauss_nodes, gauss_weights = _gauss_legendre()
-    kg, xk, wk = (np.array(c) for c in (_KRONROD_GAUSS_WEIGHTS, _KRONROD_NODES, _KRONROD_WEIGHTS))
-    nodes = np.concatenate((gauss_nodes, -xk[:0:-1], xk))
-    return (gauss_weights, np.concatenate((kg[::-1], kg, wk[:0:-1], wk))), nodes
+    """((Gauss weights, Kronrod weights), nodes) on [-1, 1], the 10 Gauss nodes first."""
+    (xg, wg, kg), (xk, wk) = np.array(_GAUSS_NODES).T, np.array(_KRONROD_NODES).T
+    nodes = np.concatenate((-xg[::-1], xg, -xk[:0:-1], xk))
+    return (np.concatenate((wg[::-1], wg)), np.concatenate((kg[::-1], kg, wk[:0:-1], wk))), nodes
 
 
 # Most quadrature nodes handed to one evaluate call; bounds working memory.
@@ -634,114 +629,92 @@ MAX_EVAL_NODES = 16_384
 
 
 def contour_integral(
-    expr: Expr,
+    expr: Expr | list[Expr],
     contour: Contour,
     tol: float = DEFAULT_QUAD_TOL,
     max_panels: int = MAX_PANELS,
 ) -> complex | np.ndarray:
-    """Integrate expr along the polyline with adaptive Gauss-Legendre panels.
+    """Integrate expr along the polyline with adaptive 21-point Gauss-Kronrod panels.
 
-    Each panel uses a 10-point rule and is bisected until its two halves
-    agree with it within the larger of its share of the absolute tolerance
-    and QUAD_REL_TOL times its value.  Exceeding `max_panels` raises
-    QuadratureError.  Singularities on the path surface as SingularityError
-    from evaluation.  An array contour gives a complex128 array of its
-    shape: each element is a polyline with its own `tol` and `max_panels`.
+    A panel is accepted when the 10-point Gauss rule on its nodes agrees with
+    it within the larger of its share of the absolute tolerance and
+    QUAD_REL_TOL times its Kronrod value, which is then its value; otherwise
+    each half takes half the share.  Exceeding `max_panels` raises
+    QuadratureError; a singularity on the path, SingularityError.  An array
+    contour gives a complex128 array of its shape: each element is a polyline
+    with its own `tol` and `max_panels`.  A list of expressions gives their
+    results stacked, on shared nodes in the first round, which takes each
+    segment whole.
     """
-    _require_complex_mode(expr, "contour integration")
+    exprs = expr if isinstance(expr, list) else [expr]
+    for e in exprs:
+        _require_complex_mode(e, "contour integration")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    pts = np.stack([np.ravel(w) for w in contour.waypoints])
-    steps = np.diff(pts, axis=0)
-    budgets = tol * np.abs(steps) / np.abs(steps).sum(axis=0)
-    acc = np.zeros(pts.shape[1], dtype=np.complex128)
-    panels = np.zeros(pts.shape[1], dtype=np.int64)
-    batch = MAX_EVAL_NODES // (2 * _gauss_legendre()[0].size)
-    for part in (slice(lo, lo + batch) for lo in range(0, acc.size, batch)):
-        for za, dz, budget in zip(pts[:-1, part], steps[:, part], budgets[:, part]):
-            _adaptive_panels(expr, za, dz, budget, acc[part], panels[part], tol, max_panels)
-    out = acc.reshape(contour.base_point.shape)
-    return complex(out) if out.ndim == 0 else out
+    pts = [np.ravel(w) for w in contour.waypoints]
+    acc = np.zeros((len(exprs), pts[0].size), dtype=np.complex128)
+    batch = MAX_EVAL_NODES // _gauss_kronrod()[1].size
+    for part in (slice(lo, lo + batch) for lo in range(0, pts[0].size, batch)):
+        ends = [p[part] for p in pts]
+        steps = np.diff(ends, axis=0)
+        budgets = tol * np.abs(steps) / np.abs(steps).sum(axis=0)
+        panels = np.zeros((len(exprs), steps.shape[1]), dtype=np.int64)
+        for za, dz, budget in zip(ends, steps, budgets):
+            panels += 1  # the first round takes each segment whole, for all expressions at once
+            if panels.max() > max_panels:
+                raise QuadratureError(f"tolerance {tol:g} not reached within {max_panels} panels")
+            z = _panel_nodes(za, dz, 0.0, 1.0)
+            for e, e_acc, e_panels in zip(exprs, acc[:, part], panels):
+                value, done = _kronrod(evaluate(e, {"z": z}), 0.5 * dz, budget)
+                np.add(e_acc, value, out=e_acc, where=done)
+                if not done.all():
+                    _adaptive_panels(e, za, dz, done, budget, e_acc, e_panels, tol, max_panels)
+    out = acc.reshape((len(exprs), *contour.base_point.shape))
+    return out if isinstance(expr, list) else complex(out[0]) if out.ndim == 1 else out[0]
 
 
-def _adaptive_panels(expr, za, dz, budget, acc, panels, tol, max_panels) -> None:
-    """Adaptive panels on the segments za -> za + dz, summed into acc.
-
-    Each segment has a depth-first stack of (t0, t1, coarse, budget) panels
-    in one complex array.  A round pops the top panel of every unfinished
-    segment and evaluates the halves of all of them in one call.  A rejected
-    panel pushes its left half, then its right half, like a one-segment loop.
-    """
-    n = za.size
-    coarse = _gl_panels(expr, za, dz, np.zeros((n, 1)), np.ones((n, 1)))[:, 0]
-    stack = np.zeros((n, 8, 4), dtype=np.complex128)
-    stack[:, 0] = np.stack((np.zeros(n), np.ones(n), coarse, budget), axis=1)
-    depth = np.ones(n, dtype=np.intp)
-    while (live := np.flatnonzero(depth)).size:
+def _adaptive_panels(expr, za, dz, done, budget, acc, panels, tol, max_panels) -> None:
+    """Bisection of the segments za -> za + dz whose whole panel the first round
+    did not accept (~done), summed into acc.  A rejected panel pushes its left half,
+    then its right half, onto its segment's stack of (t0, t1, share) panels, like a
+    one-segment loop, and each round pops the top panel of every unfinished
+    segment and evaluates all of them in one call."""
+    live, t0, t1, share = np.arange(za.size), 0.0, 1.0, budget
+    stack, depth = np.zeros((za.size, 0, 3)), np.zeros(za.size, dtype=np.intp)
+    while True:
+        if not done.all():
+            rows, tm = live[~done], 0.5 * (t0 + t1)
+            t0, tm, t1, share = np.broadcast_arrays(t0, tm, t1, 0.5 * share)
+            if depth[rows].max() + 2 > stack.shape[1]:
+                stack = np.concatenate((stack, np.zeros((za.size, stack.shape[1] + 8, 3))), 1)
+            stack[rows, depth[rows]] = np.stack((t0, tm, share), 1)[~done]
+            stack[rows, depth[rows] + 1] = np.stack((tm, t1, share), 1)[~done]
+            depth[rows] += 2
+        if not (live := np.flatnonzero(depth)).size:
+            return
+        depth[live] -= 1
+        t0, t1, share = stack[live, depth[live]].T
         panels[live] += 1
         if panels[live].max() > max_panels:
-            raise QuadratureError(
-                f"tolerance {tol:g} not reached within {max_panels} panels"
-            )
-        top = depth[live] - 1
-        t0, t1, coarse, share = stack[live, top].T
-        t0, t1, share = t0.real, t1.real, share.real
-        tm = 0.5 * (t0 + t1)
-        left, right = _gl_panels(
-            expr, za[live], dz[live], np.stack((t0, tm), 1), np.stack((tm, t1), 1)
-        ).T
-        fine = left + right
-        done = np.abs(fine - coarse) <= np.maximum(share, QUAD_REL_TOL * np.abs(fine))
-        acc[live[done]] += fine[done]
-        depth[live] += np.where(done, -1, 1)
-        rows, row_top = live[~done], top[~done]
-        if row_top.size and row_top.max() + 2 > stack.shape[1]:
-            stack = np.concatenate((stack, np.zeros_like(stack)), axis=1)
-        stack[rows, row_top] = np.stack((t0, tm, left, 0.5 * share), 1)[~done]
-        stack[rows, row_top + 1] = np.stack((tm, t1, right, 0.5 * share), 1)[~done]
+            raise QuadratureError(f"tolerance {tol:g} not reached within {max_panels} panels")
+        f = evaluate(expr, {"z": _panel_nodes(za[live], dz[live], t0, t1)})
+        value, done = _kronrod(f, dz[live] * (0.5 * (t1 - t0)), share)
+        acc[live[done]] += value[done]
 
 
-def _edge_integrals(exprs, za, zb, tol) -> np.ndarray:
-    """Integral of each expression along every straight edge za -> zb, shape
-    (len(exprs), *shape of the broadcast edges); 0 where za == zb.
-
-    Each edge takes the 21-point Gauss-Kronrod rule, whose nodes hold those of the
-    coarse rule of _adaptive_panels, and is accepted when its Gauss and Kronrod values
-    agree within `tol` or within QUAD_REL_TOL of the Kronrod value, which is then the
-    edge's value.  A batch of edges forms its nodes once for all the expressions.
-    Edges that fail go through contour_integral.  As in _gl_panels, np.dot sums
-    each edge of a 3-d array alone, whatever the batch, and off BLAS's threads.
-    """
-    za, zb = np.broadcast_arrays(np.asarray(za, dtype=np.complex128), zb)
-    out = np.zeros((len(exprs), *za.shape), dtype=np.complex128)
-    redo = np.zeros(out.shape, dtype=bool)
-    moving = np.flatnonzero(za != zb)
-    (gauss_weights, kronrod_weights), nodes = _gauss_kronrod()
-    for lo in range(0, moving.size, MAX_EVAL_NODES // nodes.size):
-        at = np.unravel_index(moving[lo : lo + MAX_EVAL_NODES // nodes.size], za.shape)
-        dz = (zb[at] - za[at])[:, None]
-        z = za[at][:, None, None] + (0.5 + 0.5 * nodes) * dz[..., None]
-        for e, values, failed in zip(exprs, out, redo):
-            f = evaluate(e, {"z": z})
-            gauss = (dz * 0.5 * np.dot(f[..., : gauss_weights.size], gauss_weights))[:, 0]
-            values[at] = kronrod = (dz * 0.5 * np.dot(f, kronrod_weights))[:, 0]
-            agree = np.abs(kronrod - gauss) <= np.maximum(tol, QUAD_REL_TOL * np.abs(kronrod))
-            failed[at] = ~agree
-    for e, values, failed in zip(exprs, out, redo):
-        if np.any(failed):
-            values[failed] = contour_integral(e, Contour((za[failed], zb[failed])), tol)
-    return out
+def _kronrod(f, scale, share) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values of panels from f at their nodes and dz * half-width, and which pass."""
+    (gauss_weights, kronrod_weights), _ = _gauss_kronrod()
+    gauss = scale * np.dot(f[..., : gauss_weights.size], gauss_weights)[:, 0]
+    kronrod = scale * np.dot(f, kronrod_weights)[:, 0]
+    return kronrod, np.abs(kronrod - gauss) <= np.maximum(share, QUAD_REL_TOL * np.abs(kronrod))
 
 
-def _gl_panels(expr, za, dz, t0, t1) -> np.ndarray:
-    """GL10 integrals over the (k, m) panels [t0, t1] of za -> za + dz.
-
-    np.dot sums each panel of the 3-d array alone, whatever the batch.
-    """
-    half = 0.5 * (t1 - t0)
-    ts = (0.5 * (t0 + t1))[..., None] + half[..., None] * _gauss_legendre()[0]
-    vals = evaluate(expr, {"z": za[:, None, None] + ts * dz[:, None, None]})
-    return dz[:, None] * half * np.dot(vals, _gauss_legendre()[1])
+def _panel_nodes(za, dz, t0, t1) -> np.ndarray:
+    """The 21 nodes of each panel [t0, t1] of za -> za + dz, shaped (n, 1, 21): np.dot
+    then sums each panel alone, whatever the batch, and off BLAS's threads."""
+    mid, half = (np.reshape(t, (-1, 1, 1)) for t in (0.5 * (t0 + t1), 0.5 * (t1 - t0)))
+    return za[:, None, None] + (mid + half * _gauss_kronrod()[1]) * dz[:, None, None]
 
 
 # ---------------------------------------------------------------------------

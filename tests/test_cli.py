@@ -687,6 +687,63 @@ def test_bad_domain_or_grid_spec(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "h2", ["z*1e200*1e200", "10^400", "(z*1e300)^2", "z*1e308+z*1e308", "z*1e300/1e-300"]
+)
+def test_a_polynomial_coefficient_past_the_float_range_is_a_named_error(tmp_path, capsys, h2):
+    assert run_quietly(tmp_path, "lift", "--h2", h2, "--omega", "1", "--grid", "5x5") == (1, [])
+    assert capsys.readouterr().err == "error: evaluation overflowed to a non-finite value\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lift", "--h2", "z", "--omega", "1", "--domain=-1e308:1e308:0:1"),
+        ("pde", "--f", "x+y", "--domain=0:1:-1e308:1e308"),
+        ("vdist", "--h2", "z", "--omega", "1", "--radii", "1e308"),
+    ],
+    ids=["lift", "pde", "vdist"],
+)
+def test_a_rectangle_whose_extent_overflows_is_a_named_error(tmp_path, capsys, argv):
+    assert run_quietly(tmp_path, *argv) == (1, [])
+    assert capsys.readouterr().err == "error: rectangle width and height must be finite\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_grid_header_whose_extent_overflows_is_a_bad_domain(tmp_path, capsys):
+    assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5x5") == 0
+    path = tmp_path / "lift.grid"
+    path.write_text(path.read_text().replace("domain -1 1 -1 1", "domain -1e308 1e308 -1 1", 1))
+    capsys.readouterr()
+    assert run_quietly(tmp_path, "analyze", "--grid-file", str(path)) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad domain: rectangle width and height must be finite" in err
+
+
+def test_a_pole_at_the_middle_of_the_start_segment_is_a_named_error(tmp_path, capsys):
+    # the path to the first node z = -1-i passes through the pole -0.5-0.5i at its
+    # midpoint, a node of the 21-point rule
+    argv = ("lift", "--h2", "1", "--omega", "1/(z+0.5+0.5*i)", "--grid", "4x4")
+    assert run_quietly(tmp_path, *argv) == (1, [])
+    assert capsys.readouterr().err == "error: division by a vanishing denominator\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_lift_on_quadrature_over_coincident_nodes(tmp_path):
+    # the domain is five ulps of 1 wide, so most neighbouring u nodes coincide: their
+    # edges integrate to 0, and coincident nodes get the same coordinates
+    argv = ("lift", "--h2", "1", "--omega", "1/(z+4)", "--domain=1:1.000000000000001:0:1",
+            "--grid", "50x5")
+    assert run_quietly(tmp_path, *argv) == (0, [])
+    sample = io_mesh.read_grid(tmp_path / "lift.grid")
+    u = sample.domain.x_nodes(50)
+    same = u[1:] == u[:-1]
+    assert same.sum() > 40
+    for field in (sample.x, sample.y, sample.ell):
+        assert np.array_equal(field[:, 1:][:, same], field[:, :-1][:, same])
+
+
+@pytest.mark.parametrize(
     "command, option, value",
     [
         ("lift", "--grid", "5x"),

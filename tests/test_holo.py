@@ -521,14 +521,15 @@ def test_contour_integral_converges_on_huge_integrands():
 
 
 def test_gauss_kronrod_rule_extends_the_gauss_rule():
-    # the 21-point rule lists leggauss(10)'s nodes first and integrates x^d
-    # exactly through degree 3 * 10 + 1 = 31
+    # the 21-point rule lists the 10 Gauss nodes first; the Gauss weights integrate
+    # x^d exactly through degree 2 * 10 - 1 = 19, the Kronrod weights through 3 * 10 + 1
     (gauss_weights, weights), nodes = holo._gauss_kronrod()
-    assert np.array_equal(nodes[:10], holo._gauss_legendre()[0])
-    assert np.array_equal(gauss_weights, holo._gauss_legendre()[1])
     assert np.unique(nodes).size == 21 and np.array_equal(np.sort(nodes), -np.sort(nodes)[::-1])
     for d in range(32):
-        assert abs(np.dot(nodes**d, weights) - (d % 2 == 0) * 2 / (d + 1)) < 1e-15
+        exact = (d % 2 == 0) * 2 / (d + 1)
+        assert abs(np.dot(nodes**d, weights) - exact) < 1e-15
+        if d < 20:
+            assert abs(np.dot(nodes[:10] ** d, gauss_weights) - exact) < 1e-15
 
 
 def test_contour_integral_rejects_bad_tolerance():
@@ -571,23 +572,19 @@ def test_contour_integral_array_waypoints_match_scalar_calls():
 
 def _reference_segment_integral(expr, za, zb, tol):
     """The scalar depth-first loop the batched engine reproduces: (value, panels)."""
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-
-    def panel(t0, t1):
-        half = 0.5 * (t1 - t0)
-        zs = za + (0.5 * (t0 + t1) + half * nodes) * (zb - za)
-        return (zb - za) * half * np.dot(weights, evaluate(expr, {"z": zs}))
-
-    acc, panels, stack = 0j, 0, [(0.0, 1.0, panel(0.0, 1.0), tol)]
+    (gauss_weights, kronrod_weights), nodes = holo._gauss_kronrod()
+    acc, panels, stack = 0j, 0, [(0.0, 1.0, tol)]
     while stack:
         panels += 1
-        t0, t1, coarse, budget = stack.pop()
-        tm = 0.5 * (t0 + t1)
-        left, right = panel(t0, tm), panel(tm, t1)
-        if abs(left + right - coarse) <= budget:
-            acc += left + right
+        t0, t1, share = stack.pop()
+        half, tm = 0.5 * (t1 - t0), 0.5 * (t0 + t1)
+        f = [evaluate(expr, {"z": za + (tm + half * x) * (zb - za)}) for x in nodes]
+        kronrod = (zb - za) * half * sum(w * v for w, v in zip(kronrod_weights, f))
+        gauss = (zb - za) * half * sum(w * v for w, v in zip(gauss_weights, f))
+        if abs(kronrod - gauss) <= max(share, holo.QUAD_REL_TOL * abs(kronrod)):
+            acc += kronrod
         else:
-            stack += [(t0, tm, left, 0.5 * budget), (tm, t1, right, 0.5 * budget)]
+            stack += [(t0, tm, 0.5 * share), (tm, t1, 0.5 * share)]
     return acc, panels
 
 
@@ -622,16 +619,30 @@ def test_contour_integral_panel_budget_is_per_element():
         contour_integral(parse("sin(20*z)"), mixed, max_panels=2)
 
 
-def test_gauss_legendre_rule_waits_for_the_first_quadrature():
-    # a fresh `import isocmc.cli` leaves numpy.polynomial unloaded; the rule it
-    # builds later has the bits of numpy's leggauss(10)
-    code = "import sys, isocmc.cli; print('numpy.polynomial' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
-    nodes, weights = holo._gauss_legendre()
+def test_contour_integral_panel_budget_spans_the_polyline():
+    # each short segment takes one panel: two panels reach the end, one does not
+    path = Contour((0.0, 0.01, 0.02))
+    contour_integral(parse("sin(20*z)"), path, max_panels=2)
+    with pytest.raises(QuadratureError):
+        contour_integral(parse("sin(20*z)"), path, max_panels=1)
+
+
+def test_gauss_rule_literals_are_numpy_leggauss(tmp_path):
+    # the rule's Gauss nodes and weights have the bits of numpy's leggauss(10), and
+    # neither `import isocmc.cli` nor a lift on quadrature loads numpy.polynomial
+    (gauss_weights, _), nodes = holo._gauss_kronrod()
     want_nodes, want_weights = np.polynomial.legendre.leggauss(10)
-    assert nodes.tobytes() == want_nodes.tobytes() and weights.tobytes() == want_weights.tobytes()
+    assert nodes[:10].tobytes() == want_nodes.tobytes()
+    assert gauss_weights.tobytes() == want_weights.tobytes()
+    code = (
+        "import sys, isocmc.cli; print('numpy.polynomial' in sys.modules, file=sys.stderr); "
+        "isocmc.cli.main(['lift', '--h2', 'z', '--omega', '1/(z+4)', '--grid', '5x5', "
+        "'--out-dir', sys.argv[1]]); print('numpy.polynomial' in sys.modules, file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
+    argv = [sys.executable, "-c", code, str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "False\nFalse\n"), done.stderr
 
 
 def test_contour_integral_rejects_real_mode():

@@ -251,18 +251,44 @@ def test_synthesize_quadrature_oracle():
         assert np.max(np.abs(sample.ell - (z - 4 * np.log1p(z / 4)).real)) <= t_bound
 
 
-def per_segment_integrals(e, grid, tol=holo.DEFAULT_QUAD_TOL):
-    """The reference lattice quadrature: every edge of the path (start, column,
-    rows) one adaptive contour_integral segment of its own, joined by running sums."""
-
-    def segments(za, zb):
-        return holo.contour_integral(e, holo.Contour((za, zb)), tol)
-
-    start = segments(np.zeros(1, dtype=complex), grid[:1, 0])
-    column = segments(grid[:-1, 0], grid[1:, 0])
-    rows = segments(grid[:, :-1], grid[:, 1:])
+def along_the_path(segment, grid):
+    """Running sums of segment(za, zb) over the edges of the lattice path: from 0
+    to the first node, down the first column, then along each row."""
+    start = segment(np.zeros(1, dtype=complex), grid[:1, 0])
+    column = segment(grid[:-1, 0], grid[1:, 0])
+    rows = segment(grid[:, :-1], grid[:, 1:])
     firsts = np.cumsum(np.concatenate((start, column)))
     return np.cumsum(np.concatenate((firsts[:, None], rows), axis=1), axis=1)
+
+
+def per_segment_integrals(e, grid, tol=holo.DEFAULT_QUAD_TOL):
+    """The lattice quadrature with every edge of the path its own contour_integral."""
+    return along_the_path(lambda za, zb: holo.contour_integral(e, holo.Contour((za, zb)), tol), grid)
+
+
+def kronrod_edges(e, za, zb):
+    """Kronrod values of the whole edges za -> zb under the 21-point rule,
+    in the arithmetic the lattice quadrature keeps for the edges it accepts whole:
+    the nodes za + (1 + x) / 2 * (zb - za), and np.dot over a (k, 1, 21) array."""
+    za, zb = np.broadcast_arrays(za, zb)
+    (_, kronrod_weights), nodes = holo._gauss_kronrod()
+    dz = (zb - za).reshape(-1, 1)
+    f = holo.evaluate(e, {"z": za.reshape(-1, 1, 1) + (0.5 + 0.5 * nodes) * dz[..., None]})
+    return (dz * 0.5 * np.dot(f, kronrod_weights))[:, 0].reshape(za.shape)
+
+
+def test_lattice_quadrature_keeps_the_bits_of_whole_edges():
+    # 1/(z+4.3) is smooth on the square, so every edge of the 201 x 201 lattice's
+    # path, the start segment too, is accepted whole: W and the height integral
+    # equal the running sums of the edges' 21-point Kronrod values bit for bit
+    data = WeierstrassData(holo.parse("0.7*z^2-0.3*z+1.1"), holo.parse("1/(z+4.3)"))
+    exprs = [data.omega_hat, holo.mul(data.h2, data.omega_hat)]
+    uu, vv = SQUARE.mesh(201, 201)
+    grid = uu + 1j * vv
+    fields = weierstrass._cumulative_integrals(exprs, grid, holo.DEFAULT_QUAD_TOL)
+    for e, field in zip(exprs, fields):
+        want = along_the_path(lambda za, zb: kronrod_edges(e, za, zb), grid)
+        assert np.array_equal(field, want)
 
 
 @pytest.mark.parametrize("omega", ["1/(z-1.02)", "1/(z-1.001)"])
@@ -272,21 +298,21 @@ def test_lattice_quadrature_near_a_pole_matches_the_per_segment_reference(omega,
     pole, omega, n = float(omega[5:-1]), holo.parse(omega), 21
     uu, vv = SQUARE.mesh(n, n)
     grid = uu + 1j * vv
-    calls, contour_integral = [], holo.contour_integral
+    calls, evaluate = [], holo.evaluate
 
-    def spied(e, contour, *args):
-        calls.append(contour.base_point.copy())
-        return contour_integral(e, contour, *args)
+    def spied(expr, at):
+        calls.append(np.ravel(at["z"]).copy())
+        return evaluate(expr, at)
 
-    monkeypatch.setattr(holo, "contour_integral", spied)
+    monkeypatch.setattr(holo, "evaluate", spied)
     (got,) = weierstrass._integral_fields([omega], grid, holo.DEFAULT_QUAD_TOL)
     monkeypatch.undo()
-    redone = np.concatenate([np.ravel(c) for c in calls])
-    assert redone.size > 1 and np.all(redone[1:].real > 0.5)  # the start, then edges near the pole
-    assert redone.size < 0.1 * grid.size
-    bound = readme_bound(omega, n, n)
-    assert np.max(np.abs(got - per_segment_integrals(omega, grid))) <= 2 * bound
-    assert np.max(np.abs(got - np.log1p(-grid / pole))) <= bound
+    assert calls[0].size == 21 * grid.size  # every edge whole, in one batch
+    redone = np.concatenate(calls[1:])
+    assert redone.size and np.all(redone.real > 0.5)  # then panels of edges near the pole
+    assert redone.size < 0.1 * 21 * grid.size
+    assert np.array_equal(got, per_segment_integrals(omega, grid))
+    assert np.max(np.abs(got - np.log1p(-grid / pole))) <= readme_bound(omega, n, n)
 
 
 def test_lattice_quadrature_checks_each_edge_alone():
@@ -297,7 +323,11 @@ def test_lattice_quadrature_checks_each_edge_alone():
     uu, vv = SQUARE.mesh(n, n)
     grid = uu + 1j * vv
     (got,) = weierstrass._integral_fields([e], grid, holo.DEFAULT_QUAD_TOL)
-    want = per_segment_integrals(e, grid)
+    # its primitive is 0.5 * log((z - 0.5)^2 + 1e-4) = 0.5 * (log(z - p) + log(z - p*)),
+    # p = 0.5 + 0.01i; seen from a pole, a straight edge turns by less than pi, so
+    # the principal logarithm of each ratio is that edge's exact increment
+    poles = (0.5 + 0.01j, 0.5 - 0.01j)
+    want = along_the_path(lambda za, zb: 0.5 * sum(np.log((zb - p) / (za - p)) for p in poles), grid)
     bound = 2 * (n + n - 1) * holo.DEFAULT_QUAD_TOL
     assert grid[2, 3] == 0.5 and abs(got[2, 3] - want[2, 3]) <= bound
     assert np.max(np.abs(got - want)) <= bound
