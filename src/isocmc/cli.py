@@ -273,21 +273,22 @@ def cmd_pde(args, parser, tols: dict) -> int:
     source = _height_source(args, parser, tols)
     field, x, y = source.height_chart()
     const_tol = tols["const"] or 1e-6 * (1.0 + abs(getattr(source, "H", 0.0)))
-    rep = graphgeo.pde_analyze(field, x, y, const_tol)
+    rep = graphgeo.pde_analyze(field, x, y)
     is_quad, _ = graphgeo.quadratic_test(field, x, y, tols["fit"])
     lap, hess = _stats(rep.laplacian), _stats(rep.hessian_det)
+    constant = float(rep.laplacian.max() - rep.laplacian.min()) < const_tol
     pde = {
         "laplacian": lap,
         "hessian_det": hess,
-        "is_constant_laplacian": rep.is_constant_laplacian,
-        "const_tol": rep.const_tol,
+        "is_constant_laplacian": constant,
+        "const_tol": const_tol,
         "hessian_interval": [hess["min"], hess["max"]],
         "is_quadratic": bool(is_quad),
     }
     _report(args, tols, pde=pde)
     print(
         f"pde: laplacian in [{lap['min']:g}, {lap['max']:g}] "
-        f"(constant: {rep.is_constant_laplacian}), hessian det in "
+        f"(constant: {constant}), hessian det in "
         f"[{hess['min']:g}, {hess['max']:g}], quadratic: {is_quad}"
     )
     return 0

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default absolute spread below which a Laplacian counts as constant.
-DEFAULT_CONST_TOL = 1e-6
 # Default relative residual bound for the quadratic fit test.
 DEFAULT_QUAD_FIT_TOL = 1e-8
 # Agreement required of a chart with a translated lattice to count as one.
@@ -121,8 +119,6 @@ class PdeReport:
     laplacian: np.ndarray
     hessian_det: np.ndarray
     jacobian: np.ndarray
-    is_constant_laplacian: bool
-    const_tol: float
 
 
 def lattice_shift(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
@@ -185,21 +181,16 @@ def _chain_rule(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarra
     return _finite(lap, hess) + (jac,)
 
 
-def pde_analyze(
-    f: ScalarField, x: np.ndarray, y: np.ndarray, const_tol: float = DEFAULT_CONST_TOL
-) -> PdeReport:
+def pde_analyze(f: ScalarField, x: np.ndarray, y: np.ndarray) -> PdeReport:
     """Interior Laplacian and Hessian determinant of ell over the chart (x, y).
 
     f samples ell on the parameter lattice (u along rows, v down columns)
     and x, y are the chart at the same nodes.  On a translated lattice
     (lattice_shift) the central second differences of f are the (x, y)
     derivatives and det J is 1; on any other chart the chain rule carries
-    them over.  The Laplacian counts as constant when its spread stays
-    below const_tol.  A value past the float range raises
-    StencilOverflowError, and a chart that folds FoldedChartError.
+    them over.  A value past the float range raises StencilOverflowError,
+    and a chart that folds FoldedChartError.
     """
-    if const_tol <= 0:
-        raise ValueError("const_tol must be positive")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != f.values.shape or y.shape != f.values.shape:
         raise ValueError("chart coordinates must share the field's grid shape")
@@ -210,8 +201,7 @@ def pde_analyze(
             f_xx, f_yy, f_xy = _second_differences(f.values, f.h_x, f.h_y)
             lap, hess = _finite(f_xx + f_yy, f_xx * f_yy - f_xy * f_xy)
         jac = np.ones_like(lap)
-    spread = float(lap.max() - lap.min())
-    return PdeReport(lap, hess, jac, bool(spread < const_tol), const_tol)
+    return PdeReport(lap, hess, jac)
 
 
 def quadratic_test(

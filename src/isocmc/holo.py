@@ -189,7 +189,7 @@ class IntPow(Expr):
             raise SingularityError("negative power of a vanishing base")
         try:
             return b ** self.n
-        except OverflowError:  # a Python scalar raises where an array overflows to inf
+        except (OverflowError, ZeroDivisionError):  # a scalar raises where an array gives inf
             raise NonFiniteError("evaluation overflowed to a non-finite value") from None
 
     def _diff(self):
@@ -316,7 +316,7 @@ def intpow(base: Expr, n: int) -> Expr:
         if n >= 0 or abs(base.value) >= DIV_EPS:
             try:
                 v = base.value ** n
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):  # as in IntPow._eval
                 v = None
             if v is not None and np.isfinite(v):
                 return Constant(v)
@@ -414,7 +414,7 @@ def antiderivative(e: Expr) -> Expr | None:
     """
     _require_complex_mode(e, "antiderivative")
     with np.errstate(over="ignore", invalid="ignore"):  # _capped drops what overflows
-        raw = _anti(e)
+        raw = _anti(e, {})
     if raw is None:
         return None
     at_zero = evaluate(raw, {"z": 0j})
@@ -423,78 +423,76 @@ def antiderivative(e: Expr) -> Expr | None:
     return raw
 
 
-def _anti(e: Expr) -> Expr | None:
-    # A power of a*z + b, b != 0, takes (a*z+b)^(n+1) / (a*(n+1)): its
-    # expanded sum would cancel away every digit, and so would the expansion
-    # of a sum or constant multiple that holds one, so such a node is first
-    # integrated term by term.  (a*z)^n takes it only when the expansion fails.
-    lin = _linear_coeffs(e.base) if isinstance(e, IntPow) and e.n >= 0 else None
-    direct, shifted = lin is not None and lin[0] != 0, lin is not None and 0 not in lin
-    by_terms = _has_shifted_power(e)
-    linear = _anti_linear(e) if by_terms else None
-    coeffs = None if shifted or linear is not None else _poly_coeffs(e)
-    if coeffs is not None:
+def _anti(e: Expr, memo: dict) -> Expr | None:
+    """The primitive of e by the first rule that applies, or None; one frame per level."""
+    # A power of a*z + b, b != 0, takes (a*z+b)^(n+1) / (a*(n+1)): its expanded sum
+    # would cancel away every digit, and so would the expansion of a sum or constant
+    # multiple that holds one, so such a node is first integrated term by term.
+    # (a*z)^n takes it only when the expansion fails.
+    coeffs, holds = _facts(e, memo)
+    operands, join = _linear_parts(e)
+    if operands and (holds or coeffs is None):
+        primitives = []
+        for operand in operands:  # a loop, not a comprehension, which costs a frame
+            primitives.append(_anti(operand, memo))
+        if None not in primitives:
+            return join(*primitives)
+    line = _line(e.base, memo) if isinstance(e, IntPow) and e.n >= 0 else None
+    if coeffs is not None and (line is None or 0 in line):
         return _integrate_poly(coeffs)
-    if direct:
-        return div(intpow(e.base, e.n + 1), Constant(lin[0] * (e.n + 1)))
-    if isinstance(e, _Function):
-        lin = _linear_coeffs(e.arg)
-        if lin is None:
-            return None
-        a, _ = lin
-        if a == 0:
-            return mul(Constant(evaluate(e, {"z": 0j})), Variable("z"))
-        sign, primitive = _PRIMITIVES[type(e)]
-        term = mul(Constant(1 / a), primitive(e.arg))
-        return term if sign > 0 else neg(term)
-    return linear if by_terms else _anti_linear(e)
+    if line is not None and line[0] != 0:
+        return div(intpow(e.base, e.n + 1), Constant(line[0] * (e.n + 1)))
+    line = _line(e.arg, memo) if isinstance(e, _Function) else None
+    if line is None:
+        return None
+    if line[0] == 0:
+        return mul(Constant(evaluate(e, {"z": 0j})), Variable("z"))
+    sign, primitive = _PRIMITIVES[type(e)]
+    term = mul(Constant(1 / line[0]), primitive(e.arg))
+    return term if sign > 0 else neg(term)
 
 
-def _anti_linear(e: Expr) -> Expr | None:
-    """The primitive of a sum, difference, negation or constant multiple, term by term."""
+def _linear_parts(e: Expr) -> tuple[tuple[Expr, ...], object]:
+    """(operands, join) when e is a sum, difference, negation or constant multiple, whose
+    primitive is join(*primitives of its operands); else ((), None)."""
     if isinstance(e, (Add, Sub)):
-        l, r = _anti(e.left), _anti(e.right)
-        join = add if isinstance(e, Add) else sub
-        return None if l is None or r is None else join(l, r)
+        return (e.left, e.right), add if isinstance(e, Add) else sub
     if isinstance(e, Neg):
-        c = _anti(e.child)
-        return None if c is None else neg(c)
-    if isinstance(e, Mul):
-        if isinstance(e.left, Constant):
-            r = _anti(e.right)
-            return None if r is None else mul(e.left, r)
-        if isinstance(e.right, Constant):
-            l = _anti(e.left)
-            return None if l is None else mul(l, e.right)
-        return None
-    if isinstance(e, Div):
-        if isinstance(e.right, Constant) and abs(e.right.value) >= DIV_EPS:
-            l = _anti(e.left)
-            return None if l is None else div(l, e.right)
-        return None
-    return None
+        return (e.child,), neg
+    if isinstance(e, Mul) and isinstance(e.left, Constant):
+        return (e.right,), lambda r: mul(e.left, r)
+    if isinstance(e, Mul) and isinstance(e.right, Constant):
+        return (e.left,), lambda l: mul(l, e.right)
+    if isinstance(e, Div) and isinstance(e.right, Constant) and abs(e.right.value) >= DIV_EPS:
+        return (e.left,), lambda l: div(l, e.right)
+    return (), None
 
 
-def _has_shifted_power(e: Expr) -> bool:
-    """Whether e holds a power (a*z+b)^n with a, b != 0 and n >= 0; walked on a stack of
-    its own, a node before its children, so nesting costs no frames here."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        lin = _linear_coeffs(node.base) if isinstance(node, IntPow) and node.n >= 0 else None
-        if lin is not None and 0 not in lin:
-            return True
-        stack.extend(reversed([c for c in vars(node).values() if isinstance(c, Expr)]))
-    return False
+def _facts(e: Expr, memo: dict) -> tuple[list | None, bool]:
+    """The coefficients of e (see _coeffs) and whether e holds a power (a*z+b)^n with
+    a, b != 0 and n >= 0, once per node, children first: memo maps id(node) to (node,
+    coefficients, holds) and keeps the node alive, so no id is reused while it lives."""
+    if id(e) not in memo:
+        holds = False
+        for child in vars(e).values():
+            if isinstance(child, Expr):
+                holds = _facts(child, memo)[1] or holds
+        line = _line(e.base, memo) if isinstance(e, IntPow) and e.n >= 0 else None
+        memo[id(e)] = e, _coeffs(e, memo), holds or (line is not None and 0 not in line)
+    return memo[id(e)][1:]
+
+
+def _line(e: Expr, memo: dict) -> tuple[complex, complex] | None:
+    """(a, b) when e, whose facts memo holds, is exactly a*z + b, else None."""
+    c = memo[id(e)][1]
+    return None if c is None or len(c) > 2 else (complex((c + [0])[1]), complex(c[0]))
 
 
 def _integrate_poly(coeffs: list[complex]) -> Expr:
-    z = Variable("z")
     out: Expr = Constant(0)
     for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        out = add(out, mul(Constant(c / (k + 1)), intpow(z, k + 1)))
+        if c != 0:
+            out = add(out, mul(Constant(c / (k + 1)), intpow(Variable("z"), k + 1)))
     return out
 
 
@@ -510,42 +508,38 @@ def _capped(coeffs: list) -> list | None:  # None also where a coefficient overf
     return coeffs if ok else None
 
 
-def _poly_coeffs(e: Expr) -> list[complex] | None:
-    """Coefficient list (index = degree) of a polynomial in z within the two caps above."""
+def _coeffs(e: Expr, memo: dict) -> list[complex] | None:
+    """Coefficient list (index = degree) of e as a polynomial in z, from those of its
+    children in memo; None past the two caps above, or where a coefficient overflows."""
     if isinstance(e, Constant):
-        return [e.value]
+        return _capped([e.value])
     if isinstance(e, Variable):
         return [0, 1]
+    kids = [memo[id(c)][1] for c in vars(e).values() if isinstance(c, Expr)]
+    if None in kids:
+        return None
     if isinstance(e, (Add, Sub)):
-        l, r = _poly_coeffs(e.left), _poly_coeffs(e.right)
-        if l is None or r is None:
-            return None
         s = 1 if isinstance(e, Add) else -1
-        return _capped([a + s * b for a, b in zip_longest(l, r, fillvalue=0)])
+        return _capped([a + s * b for a, b in zip_longest(*kids, fillvalue=0)])
     if isinstance(e, Neg):
-        c = _poly_coeffs(e.child)
-        return None if c is None else [-v for v in c]
+        return [-v for v in kids[0]]
     if isinstance(e, Mul):
-        l, r = _poly_coeffs(e.left), _poly_coeffs(e.right)
-        if l is None or r is None or len(l) + len(r) - 2 > MAX_POLY_DEGREE:
+        if len(kids[0]) + len(kids[1]) - 2 > MAX_POLY_DEGREE:
             return None
-        return _capped(list(np.convolve(l, r)))
+        return _capped(list(np.convolve(*kids)))
     if isinstance(e, Div):
         if isinstance(e.right, Constant) and abs(e.right.value) >= DIV_EPS:
-            l = _poly_coeffs(e.left)
-            return None if l is None else _capped([v / e.right.value for v in l])
+            return _capped([v / e.right.value for v in kids[0]])
         return None
     if isinstance(e, IntPow):
-        base = _poly_coeffs(e.base)
-        if base is None:
-            return None
+        (base,) = kids
         if e.n < 0:
             if len(base) != 1 or abs(base[0]) < DIV_EPS:
                 return None
             try:
-                return [base[0] ** e.n]
-            except OverflowError:  # as in IntPow._eval
-                raise NonFiniteError("evaluation overflowed to a non-finite value") from None
+                return _capped([base[0] ** e.n])
+            except (OverflowError, ZeroDivisionError):  # as in IntPow._eval
+                return None
         if e.n * (len(base) - 1) > MAX_POLY_DEGREE:
             return None
         if isinstance(e.base, Variable):
@@ -558,15 +552,6 @@ def _poly_coeffs(e: Expr) -> list[complex] | None:
                 return None
         return out
     return None
-
-
-def _linear_coeffs(e: Expr) -> tuple[complex, complex] | None:
-    """(a, b) when e is exactly a*z + b, else None."""
-    coeffs = _poly_coeffs(e)
-    if coeffs is None or len(coeffs) > 2:
-        return None
-    coeffs = coeffs + [0] * (2 - len(coeffs))
-    return complex(coeffs[1]), complex(coeffs[0])
 
 
 # ---------------------------------------------------------------------------

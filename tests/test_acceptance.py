@@ -170,9 +170,9 @@ def test_criterion_6_pde_views():
     const_ok = True
     for H, K in pairs:
         field = quadric_field(H, K, SQUARE, 41, 41)
-        report = pde_analyze(*field.height_chart(), const_tol=1e-8)
+        report = pde_analyze(*field.height_chart())
         lo, hi = report.laplacian.min(), report.laplacian.max()
-        const_ok &= report.is_constant_laplacian and (hi - lo) < 1e-8
+        const_ok &= (hi - lo) < 1e-8
         worst_lap = max(worst_lap, abs(lo - 2 * H), abs(hi - 2 * H))
         worst_hess = max(
             worst_hess, float(np.max(np.abs(report.hessian_det - K)))

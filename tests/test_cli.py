@@ -631,6 +631,12 @@ def test_lift_of_a_combination_of_binomial_powers_keeps_its_digits(tmp_path, h2,
         ("(z^2+1)^300", 0, "lift: wrote"),
         ("z^1e400", 1, "error: non-finite exponent 1e400 (offset 2)"),
         ("0.5^-1100", 1, "error: evaluation overflowed to a non-finite value"),
+        # a negative power of a constant: its own overflow, an underflow of its
+        # inverse (which a Python scalar raised as a ZeroDivisionError), a nan
+        ("(1e-10)^-50", 1, "error: evaluation overflowed to a non-finite value"),
+        ("((1e200)^-2)^-2", 1, "error: evaluation overflowed to a non-finite value"),
+        # with a second fault: quadrature's evaluation meets the denominator first
+        ("z/(0*z)+0.5^-1100", 1, "error: division by a vanishing denominator"),
         ("1e200*1e200*z", 1, "error: constant leaves the float range (offset 5)"),
         # past holo.MAX_POLY_DEGREE a power of a*z takes its direct primitive at once
         ("z^1e30", 1, "error: evaluation overflowed to a non-finite value"),
@@ -661,7 +667,8 @@ def test_long_sums_and_deep_parentheses_still_lift(tmp_path):
     script = "import sys; from isocmc.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
     for start in (["-c", script], ["-m", "isocmc.cli"]):
-        for h2 in ("+".join(["z"] * 330), "+".join(["z"] * 600), "(" * 150 + "z" + ")" * 150):
+        sums = ("+".join(["z"] * 330), "+".join(["z"] * 600), "+".join(["exp(z)"] * 900))
+        for h2 in (*sums, "(" * 150 + "z" + ")" * 150):
             argv = ["lift", "--out-dir", str(tmp_path), "--h2", h2, "--omega", "1", "--grid", "5x5"]
             done = subprocess.run([sys.executable, *start, *argv], env=env, capture_output=True, text=True)
             assert done.returncode == 0 and done.stdout.startswith("lift: wrote"), done.stderr

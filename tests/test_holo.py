@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from isocmc.holo import (
     to_text,
 )
 
-from util_expr import random_expr, random_integrable
+from util_expr import random_expr, random_integrable, reference_antiderivative
 
 Z = Variable("z")
 
@@ -424,12 +425,17 @@ def test_polynomials_past_the_term_cap():
     assert antiderivative(IntPow(z, 20000)) is not None  # one term
 
 
+def coefficients(src):
+    """The coefficient list holo.antiderivative works out for the tree of src."""
+    return holo._facts(parse(src), {})[0]
+
+
 def test_powers_past_the_degree_cap_are_not_expanded():
     n = holo.MAX_POLY_DEGREE
-    assert len(holo._poly_coeffs(parse(f"z^{n}"))) == n + 1
-    assert len(holo._poly_coeffs(parse(f"(i*z)^{n // 2}*z^{n // 2}"))) == n + 1
+    assert len(coefficients(f"z^{n}")) == n + 1
+    assert len(coefficients(f"(i*z)^{n // 2}*z^{n // 2}")) == n + 1
     for src in (f"z^{n + 1}", f"(z^2+1)^{n // 2 + 1}", f"z^{n}*z", "z^100000000", "(i*z)^1e30"):
-        assert holo._poly_coeffs(parse(src)) is None
+        assert coefficients(src) is None
     # a huge power of a*z takes its direct primitive z^(n+1) / (a*(n+1))
     assert antiderivative(parse("z^100000000")) == holo.Div(IntPow(Z, 100000001), Constant(100000001))
     n = int(1e30)
@@ -441,6 +447,89 @@ def test_powers_past_the_degree_cap_are_not_expanded():
     assert antiderivative(parse(f"z^{m}+z")) == Add(
         holo.Div(IntPow(Z, m + 1), Constant(m + 1)), Mul(Constant(0.5), IntPow(Z, 2))
     )
+
+
+def nodes(e):
+    """Every node of the tree e, each once, on a stack of its own."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in vars(node).values() if isinstance(c, holo.Expr))
+
+
+# Expression text over the cases the calculus branches on: shifted and plain powers,
+# negative powers, constants near both ends of the float range and the entire functions.
+EXPRESSION_TEXT = st.recursive(
+    st.sampled_from(
+        ["z", "(z+1)", "(0.5*z-2*i)", "1", "2", "0.5", "i", "1e200", "1e-200", "1e300", "1e160"]
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({''.join(t)})"),
+        st.tuples(inner, st.sampled_from(["0", "1", "2", "3", "-1", "-2", "13", "300"])).map(
+            lambda t: f"({t[0]})^{t[1]}"
+        ),
+        st.tuples(st.sampled_from(["exp", "sin", "cos", "sinh", "cosh", "-"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@given(EXPRESSION_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_antiderivative_builds_the_reference_trees(src):
+    # the one-pass calculus against the four helpers it replaced; the one difference is
+    # that a negative constant power past the float range is no polynomial now, where
+    # the reference raised (or leaked a nan into its tree, which evaluation named; or,
+    # for a power of a base that underflows, let Python's ZeroDivisionError out), so
+    # the new code returns None, or names the overflow of a later constant function
+    try:
+        e = parse(src)
+    except ParseError:  # a constant folded past the float range
+        return
+
+    def outcome(integrate):
+        try:
+            tree = integrate(e)
+        except (holo.ExpressionError, ZeroDivisionError) as err:
+            return type(err), str(err)
+        return tree, None if tree is None else to_text(tree)  # the text tells -0.0 from 0.0
+
+    new, reference = outcome(antiderivative), outcome(reference_antiderivative)
+    if new != reference:
+        assert new == (None, None) or new[0] is NonFiniteError
+        assert reference[0] in (NonFiniteError, ZeroDivisionError)
+        assert any(isinstance(node, IntPow) and node.n < 0 for node in nodes(e))
+
+
+def test_an_overflowing_negative_constant_power_is_no_polynomial():
+    # (1e200)^-2 does not fold, since Python's complex power gives nan for it, and the
+    # reference leaked that nan into the primitive as (nan*z); for 0.5^-1100 it raised,
+    # and (1e-10)^-50, whose power raised ZeroDivisionError, did not even parse
+    e = parse("((1e200)^-2)^-2")
+    assert antiderivative(e) is None
+    with pytest.raises(NonFiniteError):
+        reference_antiderivative(e)
+    for src in ("((1e200)^-2)^-2", "0.5^-1100", "(1e-10)^-50"):
+        assert antiderivative(parse(src)) is None
+        with pytest.raises(NonFiniteError, match="overflowed"):
+            evaluate(parse(src), {"z": 0j})
+
+
+def test_antiderivative_works_out_each_nodes_facts_once(monkeypatch):
+    e = parse("+".join(["z*exp(z)"] * 400))
+    worked_out, coeffs = Counter(), holo._coeffs
+
+    def spy(node, memo):
+        worked_out[id(node)] += 1
+        return coeffs(node, memo)
+
+    monkeypatch.setattr(holo, "_coeffs", spy)
+    assert antiderivative(e) is None  # z*exp(z) has no closed form here
+    assert set(worked_out) == {id(node) for node in nodes(e)}
+    assert set(worked_out.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
