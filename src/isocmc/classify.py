@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphgeo import DEFAULT_QUAD_FIT_TOL, ScalarField, quadratic_test
+from .graphgeo import DEFAULT_QUAD_FIT_TOL, quadratic_test
 from .weierstrass import SurfaceSample
 
 # Default width of the zero tests on H, K, and H^2 - K.
@@ -94,20 +94,20 @@ def label_from_constants(
 
 
 def classify_sample(
-    sample: SurfaceSample | ScalarField,
+    sample: SurfaceSample,
     tol: float = DEFAULT_CLASSIFY_TOL,
     fit_tol: float = DEFAULT_QUAD_FIT_TOL,
 ) -> ClassificationResult:
     """Classify a sampled graph; non-quadrics come back labeled NonQuadric.
 
-    Accepts a surface sample, over any chart, or a plain height field.  The
+    Accepts a sample over any chart, a plain height field among them.  The
     height is fitted by least squares over the chart nodes; linear and
     constant terms are dropped as the translational part of an ambient
     isometry, and the quadratic part is diagonalized by a planar rotation.
     `fit_tol` bounds the relative fit residual, as in quadratic_test, and
     `tol` the zero tests on the recovered constants.
     """
-    is_quad, coeffs = quadratic_test(*sample.height_chart(), fit_tol)
+    is_quad, coeffs = quadratic_test(sample, fit_tol)
     if not is_quad:
         return ClassificationResult(SurfaceClass.NON_QUADRIC, None, None, None, None)
     _, _, _, d, e, g = (float(c) for c in coeffs)

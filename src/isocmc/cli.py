@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classify, graphgeo, holo, io_mesh, vdist, weierstrass
-from .graphgeo import Rect, ScalarField
+from .graphgeo import Rect
 
 _TOL_DEFAULTS = {
     "quadrature": holo.DEFAULT_QUAD_TOL,
@@ -78,7 +78,7 @@ def _data_from_args(args) -> weierstrass.WeierstrassData:
     return weierstrass.WeierstrassData(holo.parse(args.h2), holo.parse(args.omega))
 
 
-def _field_from_args(args) -> ScalarField:
+def _field_from_args(args) -> weierstrass.SurfaceSample:
     """The --f height expression sampled on the --domain/--grid lattice."""
     rect = _parse_domain(args.domain)
     n_x, n_y = _parse_grid(args.grid)
@@ -90,7 +90,7 @@ def _field_from_args(args) -> ScalarField:
     worst_imag = float(np.max(np.abs(vals.imag)))
     if worst_imag > 1e-12 * (1.0 + float(np.max(np.abs(vals.real)))):
         raise ValueError("height expression is not real-valued")
-    return ScalarField(rect, vals.real)
+    return weierstrass.SurfaceSample(rect, None, xx, yy, vals.real)
 
 
 def _out_path(args, name: str) -> Path:
@@ -124,7 +124,7 @@ def _synthesize(args, tols, h_values: list[float]) -> list[weierstrass.SurfaceSa
     return weierstrass.synthesize_family(data, h_values, rect, n_u, n_v, tol=tols["quadrature"])
 
 
-def _height_source(args, parser, tols) -> weierstrass.SurfaceSample | ScalarField | None:
+def _height_source(args, parser, tols) -> weierstrass.SurfaceSample | None:
     """The one source of heights the arguments name, read or synthesized.
 
     The sources are --f, --grid-file and --h2/--omega, plus --K in classify,
@@ -176,9 +176,9 @@ def cmd_lift(args, parser, tols: dict) -> int:
 
 def cmd_analyze(args, parser, tols: dict) -> int:
     sample = _height_source(args, parser, tols)
-    if isinstance(sample, ScalarField):
+    if sample.H is None:
         parser.error("analyze expects a surface grid file; use pde for plain fields")
-    pde = graphgeo.pde_analyze(*sample.height_chart())
+    pde = graphgeo.pde_analyze(sample)
     h_fd, k_fd = 0.5 * pde.laplacian, pde.hessian_det
     block = {
         "H_input": float(sample.H),
@@ -271,10 +271,9 @@ def cmd_vdist(args, parser, tols: dict) -> int:
 
 def cmd_pde(args, parser, tols: dict) -> int:
     source = _height_source(args, parser, tols)
-    field, x, y = source.height_chart()
-    const_tol = tols["const"] or 1e-6 * (1.0 + abs(getattr(source, "H", 0.0)))
-    rep = graphgeo.pde_analyze(field, x, y)
-    is_quad, _ = graphgeo.quadratic_test(field, x, y, tols["fit"])
+    const_tol = tols["const"] or 1e-6 * (1.0 + abs(source.H or 0.0))
+    rep = graphgeo.pde_analyze(source)
+    is_quad, _ = graphgeo.quadratic_test(source, tols["fit"])
     lap, hess = _stats(rep.laplacian), _stats(rep.hessian_det)
     constant = float(rep.laplacian.max() - rep.laplacian.min()) < const_tol
     pde = {

@@ -3,8 +3,9 @@
 For a graph over the plane the mean curvature is half the Laplacian of f
 and the Gauss curvature is the determinant of its Hessian, so both are
 computable from samples alone with central differences.  Every source of
-heights comes in one form: ell on a parameter lattice and the chart
-(x, y) at its nodes.  On a translated lattice the lattice differences are
+heights comes in one form, a weierstrass.SurfaceSample: ell on a parameter
+lattice and the chart (x, y) at its nodes, with H None for a plain field
+f(x, y) over its own lattice.  On a translated lattice the lattice differences are
 the (x, y) derivatives; on a curved chart they are carried over by the
 chain rule.  This module never looks at the holomorphic side; it is the
 independent check against the synthesized surfaces.
@@ -16,8 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .weierstrass import SurfaceSample
 
 # Default relative residual bound for the quadratic fit test.
 DEFAULT_QUAD_FIT_TOL = 1e-8
@@ -71,48 +76,6 @@ class Rect:
 
 
 @dataclass
-class ScalarField:
-    """Real samples of f on a uniform grid; values[j, i] = f(x_i, y_j)."""
-
-    domain: Rect
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("field values must be a 2-d array")
-        if self.n_x < 5 or self.n_y < 5:
-            raise GridTooSmallError(
-                f"need at least 5 nodes per axis, got {self.n_x} x {self.n_y}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-    @property
-    def n_x(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def h_x(self) -> float:
-        return (self.domain.x_max - self.domain.x_min) / (self.n_x - 1)
-
-    @property
-    def h_y(self) -> float:
-        return (self.domain.y_max - self.domain.y_min) / (self.n_y - 1)
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.domain.mesh(self.n_x, self.n_y)
-
-    def height_chart(self) -> tuple[ScalarField, np.ndarray, np.ndarray]:
-        """The heights and their chart: a plain field is a graph over its own mesh."""
-        return (self, *self.meshgrid())
-
-
-@dataclass
 class PdeReport:
     """Interior Laplacian, Hessian determinant and det J of a height field."""
 
@@ -121,13 +84,27 @@ class PdeReport:
     jacobian: np.ndarray
 
 
-def lattice_shift(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """(c_x, c_y) if the chart (x, y) is f's lattice moved by it, else None.
+def _spacing(s: SurfaceSample) -> tuple[float, float]:
+    """The lattice steps (h_u, h_v) of s, whose heights must be a finite 2-d array with
+    at least 5 nodes per axis."""
+    if np.ndim(s.ell) != 2:
+        raise ValueError("field values must be a 2-d array")
+    (n_v, n_u), d = np.shape(s.ell), s.domain
+    if n_u < 5 or n_v < 5:
+        raise GridTooSmallError(f"need at least 5 nodes per axis, got {n_u} x {n_v}")
+    if not np.all(np.isfinite(s.ell)):
+        raise ValueError("field values must be finite")
+    return (d.x_max - d.x_min) / (n_u - 1), (d.y_max - d.y_min) / (n_v - 1)
+
+
+def lattice_shift(s: SurfaceSample) -> tuple[float, float] | None:
+    """(c_x, c_y) if the chart (x, y) of s is its parameter lattice moved by it, else None.
 
     The chart counts as a translated lattice when no node lies farther than
     GRAPH_TOL from the lattice node shifted by the first node's offset.
     """
-    x_nodes, y_nodes = f.domain.x_nodes(f.n_x), f.domain.y_nodes(f.n_y)[:, None]
+    (n_v, n_u), x, y = np.shape(s.ell), s.x, s.y
+    x_nodes, y_nodes = s.domain.x_nodes(n_u), s.domain.y_nodes(n_v)[:, None]
     cx, cy = float(x[0, 0] - x_nodes[0]), float(y[0, 0] - y_nodes[0, 0])
     gap = max(np.max(np.abs(x - (x_nodes + cx))), np.max(np.abs(y - (y_nodes + cy))))
     return (cx, cy) if gap <= GRAPH_TOL else None
@@ -155,7 +132,7 @@ def _finite(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _chain_rule(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+def _chain_rule(ell, x, y, hu: float, hv: float) -> tuple[np.ndarray, ...]:
     """Laplacian and Hessian determinant over a curved chart, and det J.
 
     With J = d(x, y)/d(u, v) and p = J^-T grad_uv ell,
@@ -164,15 +141,14 @@ def _chain_rule(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarra
 
     with every derivative a central difference on the (u, v) lattice.
     """
-    hu, hv = f.h_x, f.h_y
     with np.errstate(over="ignore", invalid="ignore"):
-        first = (_first_differences(a, hu, hv) for a in (x, y, f.values))
+        first = (_first_differences(a, hu, hv) for a in (x, y, ell))
         (x_u, x_v), (y_u, y_v), (f_u, f_v) = first
         (jac,) = _finite(x_u * y_v - x_v * y_u)
         if not (np.all(jac > 0) or np.all(jac < 0)):
             raise FoldedChartError("the chart (x, y) folds: det J vanishes or changes sign")
         p_x, p_y = (f_u * y_v - f_v * y_u) / jac, (x_u * f_v - x_v * f_u) / jac
-        second = (_second_differences(a, hu, hv) for a in (f.values, x, y))
+        second = (_second_differences(a, hu, hv) for a in (ell, x, y))
         m_uu, m_vv, m_uv = (f_2 - p_x * x_2 - p_y * y_2 for f_2, x_2, y_2 in zip(*second))
         # trace and determinant of M (J^T J)^-1, J^T J = [[e, c], [c, g]]
         e, g, c = x_u * x_u + y_u * y_u, x_v * x_v + y_v * y_v, x_u * x_v + y_u * y_v
@@ -181,48 +157,47 @@ def _chain_rule(f: ScalarField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarra
     return _finite(lap, hess) + (jac,)
 
 
-def pde_analyze(f: ScalarField, x: np.ndarray, y: np.ndarray) -> PdeReport:
+def pde_analyze(s: SurfaceSample) -> PdeReport:
     """Interior Laplacian and Hessian determinant of ell over the chart (x, y).
 
-    f samples ell on the parameter lattice (u along rows, v down columns)
-    and x, y are the chart at the same nodes.  On a translated lattice
-    (lattice_shift) the central second differences of f are the (x, y)
+    s samples ell on the parameter lattice (u along rows, v down columns),
+    with the chart (x, y) at the same nodes.  On a translated lattice
+    (lattice_shift) the central second differences of ell are the (x, y)
     derivatives and det J is 1; on any other chart the chain rule carries
     them over.  A value past the float range raises StencilOverflowError,
     and a chart that folds FoldedChartError.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != f.values.shape or y.shape != f.values.shape:
+    hu, hv = _spacing(s)
+    if np.shape(s.x) != np.shape(s.ell) or np.shape(s.y) != np.shape(s.ell):
         raise ValueError("chart coordinates must share the field's grid shape")
-    if lattice_shift(f, x, y) is None:
-        lap, hess, jac = _chain_rule(f, x, y)
+    if lattice_shift(s) is None:
+        lap, hess, jac = _chain_rule(s.ell, s.x, s.y, hu, hv)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            f_xx, f_yy, f_xy = _second_differences(f.values, f.h_x, f.h_y)
+            f_xx, f_yy, f_xy = _second_differences(s.ell, hu, hv)
             lap, hess = _finite(f_xx + f_yy, f_xx * f_yy - f_xy * f_xy)
         jac = np.ones_like(lap)
     return PdeReport(lap, hess, jac)
 
 
-def quadratic_test(
-    f: ScalarField, x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_QUAD_FIT_TOL
-) -> tuple[bool, np.ndarray]:
+def quadratic_test(s: SurfaceSample, tol: float = DEFAULT_QUAD_FIT_TOL) -> tuple[bool, np.ndarray]:
     """Least squares test for ell = a + b*x + c*y + d*x^2 + e*x*y + g*y^2.
 
-    The fit runs over the chart nodes (x, y), where f holds the heights.
+    The fit runs over the chart nodes (x, y) of s, where s holds the heights.
     Returns (is_quadratic, coefficients) with coefficients ordered
     (a, b, c, d, e, g).  The fit passes when the maximum absolute residual
-    stays below tol * (1 + max |f|).  Needs at least 7 nodes per axis so a
+    stays below tol * (1 + max |ell|).  Needs at least 7 nodes per axis so a
     cubic cannot masquerade as quadratic on the stencil.
     """
-    if f.n_x < 7 or f.n_y < 7:
+    _spacing(s)
+    if min(np.shape(s.ell)) < 7:
         raise GridTooSmallError("quadratic test needs at least 7 nodes per axis")
-    xs, ys = np.ravel(x), np.ravel(y)
+    xs, ys = np.ravel(s.x), np.ravel(s.y)
     design = np.empty((xs.size, 6), order="F")  # LAPACK's order: lstsq copies it without striding
     design[:, 0], design[:, 1], design[:, 2] = 1.0, xs, ys
     for col, (a, b) in enumerate(((xs, xs), (xs, ys), (ys, ys)), start=3):
         np.multiply(a, b, out=design[:, col])
-    rhs = f.values.ravel()
+    rhs = np.ravel(s.ell)
     coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 6:
         raise DegenerateFitError("quadratic fit design matrix is rank deficient")

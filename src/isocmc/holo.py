@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
@@ -31,7 +32,7 @@ DIV_EPS = 1e-300
 DEFAULT_QUAD_TOL = 1e-10
 # Relative panel tolerance, so integrands far above 1 converge in double precision.
 QUAD_REL_TOL = 1e-12
-# Hard cap on adaptive panels per integration call.
+# Hard cap on adaptive panels per polyline of a contour_integral call, read at each call.
 MAX_PANELS = 10_000
 
 NumberLike = Union[int, float, complex]
@@ -429,14 +430,14 @@ def _anti(e: Expr, memo: dict) -> Expr | None:
     # would cancel away every digit, and so would the expansion of a sum or constant
     # multiple that holds one, so such a node is first integrated term by term.
     # (a*z)^n takes it only when the expansion fails.
-    coeffs, holds = _facts(e, memo)
     operands, join = _linear_parts(e)
-    if operands and (holds or coeffs is None):
+    if operands and (_holds(e, memo) or _coeffs(e, memo) is None):
         primitives = []
         for operand in operands:  # a loop, not a comprehension, which costs a frame
             primitives.append(_anti(operand, memo))
         if None not in primitives:
             return join(*primitives)
+    coeffs = _coeffs(e, memo)
     line = _line(e.base, memo) if isinstance(e, IntPow) and e.n >= 0 else None
     if coeffs is not None and (line is None or 0 in line):
         return _integrate_poly(coeffs)
@@ -468,23 +469,24 @@ def _linear_parts(e: Expr) -> tuple[tuple[Expr, ...], object]:
     return (), None
 
 
-def _facts(e: Expr, memo: dict) -> tuple[list | None, bool]:
-    """The coefficients of e (see _coeffs) and whether e holds a power (a*z+b)^n with
-    a, b != 0 and n >= 0, once per node, children first: memo maps id(node) to (node,
-    coefficients, holds) and keeps the node alive, so no id is reused while it lives."""
-    if id(e) not in memo:
-        holds = False
+def _holds(e: Expr, memo: dict) -> bool:
+    """Whether e holds a power (a*z+b)^n with a, b != 0 and n >= 0, once per node: memo
+    maps ("holds", id(node)) to (node, answer) and keeps the node alive, so no id is
+    reused while it lives.  Only the bases of powers have their coefficients worked out."""
+    key = ("holds", id(e))
+    if key not in memo:
+        line = _line(e.base, memo) if isinstance(e, IntPow) and e.n >= 0 else None
+        holds = line is not None and 0 not in line
         for child in vars(e).values():
             if isinstance(child, Expr):
-                holds = _facts(child, memo)[1] or holds
-        line = _line(e.base, memo) if isinstance(e, IntPow) and e.n >= 0 else None
-        memo[id(e)] = e, _coeffs(e, memo), holds or (line is not None and 0 not in line)
-    return memo[id(e)][1:]
+                holds = _holds(child, memo) or holds
+        memo[key] = e, holds
+    return memo[key][1]
 
 
 def _line(e: Expr, memo: dict) -> tuple[complex, complex] | None:
-    """(a, b) when e, whose facts memo holds, is exactly a*z + b, else None."""
-    c = memo[id(e)][1]
+    """(a, b) when e is exactly a*z + b, else None."""
+    c = _coeffs(e, memo)
     return None if c is None or len(c) > 2 else (complex((c + [0])[1]), complex(c[0]))
 
 
@@ -509,49 +511,54 @@ def _capped(coeffs: list) -> list | None:  # None also where a coefficient overf
 
 
 def _coeffs(e: Expr, memo: dict) -> list[complex] | None:
-    """Coefficient list (index = degree) of e as a polynomial in z, from those of its
-    children in memo; None past the two caps above, or where a coefficient overflows."""
+    """Coefficient list (index = degree) of e as a polynomial in z; None past the two caps
+    above, or where a coefficient overflows.  Worked out once per node, from the lists of
+    only those children it is built from (none under a function or a non-constant
+    denominator): memo maps id(node) to (node, list) and keeps the node alive."""
+    if id(e) in memo:
+        return memo[id(e)][1]
+    c = None
     if isinstance(e, Constant):
-        return _capped([e.value])
-    if isinstance(e, Variable):
-        return [0, 1]
-    kids = [memo[id(c)][1] for c in vars(e).values() if isinstance(c, Expr)]
-    if None in kids:
-        return None
-    if isinstance(e, (Add, Sub)):
-        s = 1 if isinstance(e, Add) else -1
-        return _capped([a + s * b for a, b in zip_longest(*kids, fillvalue=0)])
-    if isinstance(e, Neg):
-        return [-v for v in kids[0]]
-    if isinstance(e, Mul):
-        if len(kids[0]) + len(kids[1]) - 2 > MAX_POLY_DEGREE:
-            return None
-        return _capped(list(np.convolve(*kids)))
-    if isinstance(e, Div):
-        if isinstance(e.right, Constant) and abs(e.right.value) >= DIV_EPS:
-            return _capped([v / e.right.value for v in kids[0]])
-        return None
-    if isinstance(e, IntPow):
-        (base,) = kids
-        if e.n < 0:
-            if len(base) != 1 or abs(base[0]) < DIV_EPS:
-                return None
-            try:
-                return _capped([base[0] ** e.n])
-            except (OverflowError, ZeroDivisionError):  # as in IntPow._eval
-                return None
-        if e.n * (len(base) - 1) > MAX_POLY_DEGREE:
-            return None
-        if isinstance(e.base, Variable):
-            return [0] * e.n + [1]
-        out = [complex(1)]
-        for bit in bin(e.n)[2:]:  # square and multiply, leading bit first
-            square = np.convolve(out, out)
-            out = _capped(list(square if bit == "0" else np.convolve(square, base)))
-            if out is None:
-                return None
-        return out
-    return None
+        c = _capped([e.value])
+    elif isinstance(e, Variable):
+        c = [0, 1]
+    elif isinstance(e, Div) and not (_is_const(e.right) and abs(e.right.value) >= DIV_EPS):
+        pass  # no polynomial, whatever the numerator
+    elif isinstance(e, _Binary):
+        left = _coeffs(e.left, memo)
+        right = None if left is None else _coeffs(e.right, memo)
+        if right is None:
+            pass
+        elif isinstance(e, (Add, Sub)):
+            s = 1 if isinstance(e, Add) else -1
+            c = _capped([a + s * b for a, b in zip_longest(left, right, fillvalue=0)])
+        elif isinstance(e, Mul):
+            if len(left) + len(right) - 2 <= MAX_POLY_DEGREE:
+                c = _capped(list(np.convolve(left, right)))
+        else:
+            c = _capped([v / e.right.value for v in left])
+    elif isinstance(e, Neg):
+        child = _coeffs(e.child, memo)
+        c = None if child is None else [-v for v in child]
+    elif isinstance(e, IntPow):
+        base = _coeffs(e.base, memo)
+        if base is None or e.n * (len(base) - 1) > MAX_POLY_DEGREE:
+            pass
+        elif e.n < 0:
+            if len(base) == 1 and abs(base[0]) >= DIV_EPS:
+                with suppress(OverflowError, ZeroDivisionError):  # as in IntPow._eval
+                    c = _capped([base[0] ** e.n])
+        elif isinstance(e.base, Variable):
+            c = [0] * e.n + [1]
+        else:
+            c = [complex(1)]
+            for bit in bin(e.n)[2:]:  # square and multiply, leading bit first
+                square = np.convolve(c, c)
+                c = _capped(list(square if bit == "0" else np.convolve(square, base)))
+                if c is None:
+                    break
+    memo[id(e)] = e, c
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -617,17 +624,16 @@ def contour_integral(
     expr: Expr | list[Expr],
     contour: Contour,
     tol: float = DEFAULT_QUAD_TOL,
-    max_panels: int = MAX_PANELS,
 ) -> complex | np.ndarray:
     """Integrate expr along the polyline with adaptive 21-point Gauss-Kronrod panels.
 
     A panel is accepted when the 10-point Gauss rule on its nodes agrees with
     it within the larger of its share of the absolute tolerance and
     QUAD_REL_TOL times its Kronrod value, which is then its value; otherwise
-    each half takes half the share.  Exceeding `max_panels` raises
+    each half takes half the share.  Exceeding MAX_PANELS raises
     QuadratureError; a singularity on the path, SingularityError.  An array
     contour gives a complex128 array of its shape: each element is a polyline
-    with its own `tol` and `max_panels`.  A list of expressions gives their
+    with its own `tol` and MAX_PANELS.  A list of expressions gives their
     results stacked, on shared nodes in the first round, which takes each
     segment whole.
     """
@@ -646,19 +652,19 @@ def contour_integral(
         panels = np.zeros((len(exprs), steps.shape[1]), dtype=np.int64)
         for za, dz, budget in zip(ends, steps, budgets):
             panels += 1  # the first round takes each segment whole, for all expressions at once
-            if panels.max() > max_panels:
-                raise QuadratureError(f"tolerance {tol:g} not reached within {max_panels} panels")
+            if panels.max() > MAX_PANELS:
+                raise QuadratureError(f"tolerance {tol:g} not reached within {MAX_PANELS} panels")
             z = _panel_nodes(za, dz, 0.0, 1.0)
             for e, e_acc, e_panels in zip(exprs, acc[:, part], panels):
                 value, done = _kronrod(evaluate(e, {"z": z}), 0.5 * dz, budget)
                 np.add(e_acc, value, out=e_acc, where=done)
                 if not done.all():
-                    _adaptive_panels(e, za, dz, done, budget, e_acc, e_panels, tol, max_panels)
+                    _adaptive_panels(e, za, dz, done, budget, e_acc, e_panels, tol)
     out = acc.reshape((len(exprs), *contour.base_point.shape))
     return out if isinstance(expr, list) else complex(out[0]) if out.ndim == 1 else out[0]
 
 
-def _adaptive_panels(expr, za, dz, done, budget, acc, panels, tol, max_panels) -> None:
+def _adaptive_panels(expr, za, dz, done, budget, acc, panels, tol) -> None:
     """Bisection of the segments za -> za + dz whose whole panel the first round
     did not accept (~done), summed into acc.  A rejected panel pushes its left half,
     then its right half, onto its segment's stack of (t0, t1, share) panels, like a
@@ -680,8 +686,8 @@ def _adaptive_panels(expr, za, dz, done, budget, acc, panels, tol, max_panels) -
         depth[live] -= 1
         t0, t1, share = stack[live, depth[live]].T
         panels[live] += 1
-        if panels[live].max() > max_panels:
-            raise QuadratureError(f"tolerance {tol:g} not reached within {max_panels} panels")
+        if panels[live].max() > MAX_PANELS:
+            raise QuadratureError(f"tolerance {tol:g} not reached within {MAX_PANELS} panels")
         f = evaluate(expr, {"z": _panel_nodes(za[live], dz[live], t0, t1)})
         value, done = _kronrod(f, dz[live] * (0.5 * (t1 - t0)), share)
         acc[live[done]] += value[done]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphgeo import Rect, ScalarField
+from .graphgeo import Rect
 from .weierstrass import SurfaceSample
 
 GRID_MAGIC = "# cmcgrid v1"
@@ -183,10 +183,10 @@ def _forked_ranges(n_u: int, n_v: int, prepare):
     return result if ok else None
 
 
-def read_grid(path: str | Path) -> SurfaceSample | ScalarField:
-    """Parse a grid file back into a sample (no curvature potential) or a height field, whose
-    (x, y) must sit on the header lattice.  Checks the header, the record count and that every
-    value is finite.  The body is one row range of _body_values, or one per CPU where it pays."""
+def read_grid(path: str | Path) -> SurfaceSample:
+    """Parse a grid file into a sample with no curvature potential (H None for a `field` grid,
+    whose (x, y) must sit on the header lattice).  Checks the header, the record count and
+    that every value is finite.  The body is one row range of _body_values, or one per CPU."""
     with open(path, "rb") as fh:
         lines = [fh.readline().decode().rstrip("\r\n") for _ in range(7)]
         if lines[0] != GRID_MAGIC:
@@ -246,8 +246,8 @@ def read_grid(path: str | Path) -> SurfaceSample | ScalarField:
         lattice_gap = max(np.max(np.abs(xs - xx)), np.max(np.abs(ys - yy)))
         if lattice_gap > 1e-9 * (1.0 + float(np.max(np.abs(xx)))):
             raise GridFormatError("field records do not sit on the header lattice")
-        return ScalarField(domain, ells)
-    return SurfaceSample(domain=domain, H=h, x=xs, y=ys, ell=ells)
+        return SurfaceSample(domain, None, xx, yy, ells)
+    return SurfaceSample(domain, h, xs, ys, ells)
 
 
 def _faces(n_u: int, n_v: int, lo: int = 0, hi: int | None = None):
@@ -309,6 +309,8 @@ def write_surface(
     grid_paths = [None] * len(family) if grid_paths is None else list(grid_paths)
     if not 0 < len(family) == len(grid_paths) == len(obj_paths):
         raise ValueError("a family needs a sample or more, one path per sample for each file")
+    if any(s.H is None for s in family):
+        raise ValueError("a plain field (H None) is no surface to write")
     base, (n_v, n_u) = family[0], family[0].ell.shape
     for s in family[1:]:
         if not (s.ell.shape == base.ell.shape and s.x.tobytes() == base.x.tobytes()

@@ -32,6 +32,8 @@ from .weierstrass import UMBILIC_TOL, CurvatureOverflowError, WeierstrassData, g
 _MAX_NEWTON = 80
 # Candidate local minima examined per scan, strongest first.
 _MAX_CANDIDATES = 512
+# Most samples per radius: the disk points and the scan lattice each hold about as many.
+MAX_SAMPLES = 1_000_000
 
 
 class Verdict(Enum):
@@ -102,6 +104,8 @@ def sample_k_image(
         raise ValueError("radii must be increasing")
     if samples_per_radius < 16:
         raise ValueError("need at least 16 samples per radius")
+    if samples_per_radius > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples per radius, got {samples_per_radius}")
     H = float(H)
     if not math.isfinite(H):
         raise ValueError("H must be finite")

@@ -22,12 +22,12 @@ closed class and adaptive contour quadrature otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import holo
-from .graphgeo import Rect, ScalarField, lattice_shift
+from .graphgeo import Rect, lattice_shift
 
 # |phi| below this counts as an umbilic point.
 UMBILIC_TOL = 1e-9
@@ -65,14 +65,16 @@ class WeierstrassData:
 
 @dataclass
 class SurfaceSample:
-    """Synthesized surface on a grid; arrays are shaped (n_v, n_u).
+    """Heights ell on a parameter lattice over `domain` and the chart (x, y) at its
+    nodes; arrays are shaped (n_v, n_u).
 
+    `H` is None for a plain field ell = f(x, y), whose chart is its own lattice.
     `phi` carries the curvature potential per node and is None for samples
     reconstructed from disk, where only coordinates survive.
     """
 
     domain: Rect
-    H: float
+    H: float | None
     x: np.ndarray
     y: np.ndarray
     ell: np.ndarray
@@ -89,19 +91,15 @@ class SurfaceSample:
             raise ValueError("sample carries no curvature potential")
         return np.abs(self.phi) < tol
 
-    def height_chart(self) -> tuple[ScalarField, np.ndarray, np.ndarray]:
-        """ell on the parameter lattice, and the chart (x, y) at its nodes."""
-        return ScalarField(self.domain, self.ell), self.x, self.y
-
-    def as_height_field(self) -> ScalarField:
-        """A graph-mode sample as a height field over (x, y): valid only when
+    def as_height_field(self) -> SurfaceSample:
+        """A graph-mode sample over its (x, y) lattice: valid only when
         graphgeo.lattice_shift finds (x, y) a translated parameter grid, as
         omega_hat = 1 gives; anything else raises NonGraphSampleError."""
-        shift = lattice_shift(*self.height_chart())
+        shift = lattice_shift(self)
         if shift is None:
             raise NonGraphSampleError("(x, y) deviates from a translated lattice")
         (cx, cy), d = shift, self.domain
-        return ScalarField(Rect(d.x_min + cx, d.x_max + cx, d.y_min + cy, d.y_max + cy), self.ell)
+        return replace(self, domain=Rect(d.x_min + cx, d.x_max + cx, d.y_min + cy, d.y_max + cy))
 
 
 def gauss_curvature(H: float, phi):

@@ -14,11 +14,11 @@ from isocmc import holo
 from isocmc.classify import SurfaceClass, classify_sample, label_from_constants
 from isocmc.graphgeo import (
     Rect,
-    ScalarField,
     pde_analyze,
     quadratic_test,
 )
 from isocmc.vdist import Verdict, sample_k_image, umbilic_scan
+from isocmc.weierstrass import SurfaceSample
 
 from util_expr import enneper_data, exp_data, lift_one, quadric_field, random_expr
 
@@ -39,7 +39,7 @@ def test_criterion_1_constant_curvature_family():
         sample = lift_one(enneper_data(2), H, SQUARE, 201, 201)
         want = H * H - 1.0
         worst_analytic = max(worst_analytic, float(np.max(np.abs(sample.analytic_gauss() - want))))
-        k_fd = pde_analyze(*sample.height_chart()).hessian_det
+        k_fd = pde_analyze(sample).hessian_det
         worst_fd = max(worst_fd, float(np.max(np.abs(k_fd - want))))
         if H == 1.0:
             label = classify_sample(sample).label
@@ -65,7 +65,7 @@ def test_criterion_2_exponential_family():
     sample = lift_one(exp_data(), H, SQUARE, 201, 201)
     want = H * H - np.exp(2.0 * sample.x)
     dev_analytic = float(np.max(np.abs(sample.analytic_gauss() - want)))
-    k_fd = pde_analyze(*sample.height_chart()).hessian_det
+    k_fd = pde_analyze(sample).hessian_det
     dev_fd = float(np.max(np.abs(k_fd - want[1:-1, 1:-1])))
     umbilics = umbilic_scan(exp_data(), Rect(-2, 2, -2, 2), (101, 101))
     elapsed = time.perf_counter() - start
@@ -170,18 +170,18 @@ def test_criterion_6_pde_views():
     const_ok = True
     for H, K in pairs:
         field = quadric_field(H, K, SQUARE, 41, 41)
-        report = pde_analyze(*field.height_chart())
+        report = pde_analyze(field)
         lo, hi = report.laplacian.min(), report.laplacian.max()
         const_ok &= (hi - lo) < 1e-8
         worst_lap = max(worst_lap, abs(lo - 2 * H), abs(hi - 2 * H))
         worst_hess = max(
             worst_hess, float(np.max(np.abs(report.hessian_det - K)))
         )
-        quad_ok &= quadratic_test(*field.height_chart())[0]
+        quad_ok &= quadratic_test(field)[0]
     cubic_like_rejected = True
     for n in (3, 4):
         sample = lift_one(enneper_data(n), 1.0, SQUARE, 41, 41)
-        cubic_like_rejected &= not quadratic_test(*sample.height_chart())[0]
+        cubic_like_rejected &= not quadratic_test(sample)[0]
     ok = const_ok and worst_lap < 1e-8 and worst_hess < 1e-8 and quad_ok and cubic_like_rejected
     verdict(
         6,
@@ -196,12 +196,12 @@ def test_criterion_7_numerics_properties():
     # (a) second-order convergence of the curvature stencils
     def stencil_errors(n):
         x, y = np.meshgrid(SQUARE.x_nodes(n), SQUARE.y_nodes(n))
-        f = ScalarField(SQUARE, np.sin(2 * x) * np.cos(3 * y))
+        f = SurfaceSample(SQUARE, None, x, y, np.sin(2 * x) * np.cos(3 * y))
         xi, yi = x[1:-1, 1:-1], y[1:-1, 1:-1]
         fxx = -4 * np.sin(2 * xi) * np.cos(3 * yi)
         fyy = -9 * np.sin(2 * xi) * np.cos(3 * yi)
         fxy = -6 * np.cos(2 * xi) * np.sin(3 * yi)
-        report = pde_analyze(f, x, y)
+        report = pde_analyze(f)
         eh = float(np.max(np.abs(0.5 * report.laplacian - 0.5 * (fxx + fyy))))
         ek = float(np.max(np.abs(report.hessian_det - (fxx * fyy - fxy**2))))
         return eh, ek
@@ -229,9 +229,9 @@ def test_criterion_7_numerics_properties():
         sample = lift_one(data, H, SQUARE, 101, 101)
         analytic_ok &= float(np.max(sample.analytic_gauss())) <= H * H
     exp_sample = lift_one(exp_data(), 0.5, SQUARE, 201, 201)
-    field, x, y = exp_sample.height_chart()
-    fd_bound = 0.25 + 10.0 * field.h_x * field.h_x
-    fd_ok = float(np.max(pde_analyze(field, x, y).hessian_det)) <= fd_bound
+    h = (SQUARE.x_max - SQUARE.x_min) / 200  # the lattice step
+    fd_bound = 0.25 + 10.0 * h * h
+    fd_ok = float(np.max(pde_analyze(exp_sample).hessian_det)) <= fd_bound
 
     ok = factor >= 3.5 and path_gap <= 2 * tol and trips == 1000 and analytic_ok and fd_ok
     verdict(

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from isocmc import holo, weierstrass
 from isocmc.classify import SurfaceClass, classify_sample, label_from_constants
-from isocmc.graphgeo import Rect, ScalarField
+from isocmc.graphgeo import Rect
+from isocmc.weierstrass import SurfaceSample
 
 from util_expr import enneper_data, lift_one, quadric_field
 
@@ -25,9 +26,9 @@ TABLE = [
 ]
 
 
-def field_from(rect: Rect, n: int, fn) -> ScalarField:
+def field_from(rect: Rect, n: int, fn) -> SurfaceSample:
     x, y = np.meshgrid(rect.x_nodes(n), rect.y_nodes(n))
-    return ScalarField(rect, fn(x, y))
+    return SurfaceSample(rect, None, x, y, fn(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_canonical_form_splits_curvatures():
 def test_canonical_form_examples():
     rect = Rect(-2.0, 2.0, -2.0, 2.0)  # nodes at -2, -1, ..., 2
     nodes = {v: i for i, v in enumerate(rect.x_nodes(5))}
-    at = lambda f, x, y: f.values[nodes[y], nodes[x]]
+    at = lambda f, x, y: f.ell[nodes[y], nodes[x]]
     assert at(quadric_field(0.0, -1.0, rect, 5, 5), 1.0, 0.0) == pytest.approx(0.5)
     assert at(quadric_field(1.0, 1.0, rect, 5, 5), 1.0, 1.0) == pytest.approx(1.0)
     cylinder = quadric_field(1.0, 0.0, rect, 5, 5)  # alpha = 1, beta = 0
@@ -118,11 +119,11 @@ def test_classify_reports_a_working_rotation():
     f = field_from(SQUARE, 21, lambda x, y: -x * y)
     result = classify_sample(f)
     t = result.rotation_angle
-    x, y = f.meshgrid()
+    x, y = f.x, f.y
     xr = math.cos(t) * x + math.sin(t) * y
     yr = -math.sin(t) * x + math.cos(t) * y
     rebuilt = result.alpha * xr * xr + result.beta * yr * yr
-    assert np.max(np.abs(rebuilt - f.values)) < 1e-9
+    assert np.max(np.abs(rebuilt - f.ell)) < 1e-9
 
 
 def test_classify_recovers_a_known_rotation():

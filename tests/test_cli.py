@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isocmc import graphgeo, holo, io_mesh, weierstrass
+from isocmc import graphgeo, holo, io_mesh, vdist, weierstrass
 from isocmc.cli import main
-from isocmc.graphgeo import Rect, ScalarField
+from isocmc.graphgeo import Rect
 
 from util_expr import exp_data, lift_one
 from util_grid import reference_grid_text, reference_obj_text
@@ -417,7 +417,8 @@ def usage_error_cases():
 def test_usage_errors_print_the_subcommand_usage(tmp_path, monkeypatch, capsys, command, argv):
     rect = Rect(-1, 1, -1, 1)
     x, y = np.meshgrid(rect.x_nodes(5), rect.y_nodes(5))
-    (tmp_path / "field.grid").write_text(reference_grid_text(ScalarField(rect, x + y)))
+    field = weierstrass.SurfaceSample(rect, None, x, y, x + y)
+    (tmp_path / "field.grid").write_text(reference_grid_text(field))
     assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5x5", "-o", "surface") == 0
     capsys.readouterr()
     monkeypatch.chdir(tmp_path)
@@ -425,11 +426,15 @@ def test_usage_errors_print_the_subcommand_usage(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr().err.startswith(f"usage: isocmc {command} ")
 
 
-def test_analyze_rejects_plain_field_grids(tmp_path):
+def test_analyze_rejects_plain_field_grids(tmp_path, capsys):
+    # of every size: a field grid too small for the stencils gets the same usage error
     rect = Rect(-1, 1, -1, 1)
-    x, y = np.meshgrid(rect.x_nodes(5), rect.y_nodes(5))
-    (tmp_path / "flat.grid").write_text(reference_grid_text(ScalarField(rect, x + y)))
-    assert run(tmp_path, "analyze", "--grid-file", str(tmp_path / "flat.grid")) == 2
+    for n in (5, 4):
+        x, y = np.meshgrid(rect.x_nodes(n), rect.y_nodes(n))
+        field = weierstrass.SurfaceSample(rect, None, x, y, x + y)
+        (tmp_path / "flat.grid").write_text(reference_grid_text(field))
+        assert run(tmp_path, "analyze", "--grid-file", str(tmp_path / "flat.grid")) == 2
+        assert capsys.readouterr().err.endswith("use pde for plain fields\n")
 
 
 def test_singular_generator_is_a_runtime_error(tmp_path, capsys):
@@ -537,8 +542,8 @@ def test_a_mean_whose_sum_overflows_is_reported(tmp_path, capsys):
     k = sample.analytic_gauss()
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(k))
-    k_fd = graphgeo.pde_analyze(*sample.height_chart()).hessian_det
-    stored = graphgeo.pde_analyze(*io_mesh.read_grid(tmp_path / "lift.grid").height_chart())
+    k_fd = graphgeo.pde_analyze(sample).hessian_det
+    stored = graphgeo.pde_analyze(io_mesh.read_grid(tmp_path / "lift.grid"))
     assert_mean_of(load_report(tmp_path, "lift.json")["curvature"]["K_analytic"], k)
     assert_mean_of(load_report(tmp_path, "analyze.json")["curvature"]["K_analytic"], k)
     assert_mean_of(load_report(tmp_path, "analyze.json")["curvature"]["K_fd"], k_fd)
@@ -583,6 +588,17 @@ def test_vdist_rejects_a_non_finite_h(tmp_path, capsys, H):
 def test_vdist_takes_no_lattice_options(tmp_path, capsys, option):
     assert run(tmp_path, "vdist", "--h2", "z^2", "--omega", "1", option) == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_vdist_rejects_more_samples_than_it_can_hold(tmp_path, capsys):
+    # 1e8 samples per radius would take gigabytes for the disk points and as much
+    # again for the scan lattice, so the bound refuses it before either is built
+    argv = ("vdist", "--h2", "z^2", "--omega", "1", "--samples", "100000000")
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: at most {vdist.MAX_SAMPLES} samples per radius, got 100000000\n"
+    )
     assert not list(tmp_path.iterdir())
 
 

@@ -427,7 +427,7 @@ def test_polynomials_past_the_term_cap():
 
 def coefficients(src):
     """The coefficient list holo.antiderivative works out for the tree of src."""
-    return holo._facts(parse(src), {})[0]
+    return holo._coeffs(parse(src), {})
 
 
 def test_powers_past_the_degree_cap_are_not_expanded():
@@ -518,18 +518,42 @@ def test_an_overflowing_negative_constant_power_is_no_polynomial():
             evaluate(parse(src), {"z": 0j})
 
 
-def test_antiderivative_works_out_each_nodes_facts_once(monkeypatch):
-    e = parse("+".join(["z*exp(z)"] * 400))
+def spy_on_coeffs(monkeypatch) -> Counter:
+    """How often holo._coeffs works out each node's list (by id), memo hits not counted."""
     worked_out, coeffs = Counter(), holo._coeffs
 
     def spy(node, memo):
-        worked_out[id(node)] += 1
+        worked_out[id(node)] += id(node) not in memo
         return coeffs(node, memo)
 
     monkeypatch.setattr(holo, "_coeffs", spy)
+    return worked_out
+
+
+def test_antiderivative_works_out_each_nodes_facts_once(monkeypatch):
+    e = parse("+".join(["z*exp(z)"] * 400))
+    worked_out = spy_on_coeffs(monkeypatch)
     assert antiderivative(e) is None  # z*exp(z) has no closed form here
-    assert set(worked_out) == {id(node) for node in nodes(e)}
+    # every node's list once, but for the arguments of exp: no rule reads those
+    arguments = {id(node.arg) for node in nodes(e) if isinstance(node, holo.Exp)}
+    assert set(worked_out) == {id(node) for node in nodes(e)} - arguments
     assert set(worked_out.values()) == {1}
+
+
+@pytest.mark.parametrize("terms", [1, 5])
+def test_antiderivative_expands_no_list_that_no_rule_reads(monkeypatch, terms):
+    # a quotient by a non-constant denominator is no polynomial, whatever its
+    # numerator, so the 201 terms of (z^100+1)^200 are never expanded
+    e = parse("+".join(["(z^100+1)^200/z"] * terms))
+    worked_out = spy_on_coeffs(monkeypatch)
+    assert antiderivative(e) is None
+    powers = [node for node in nodes(e) if isinstance(node, IntPow) and node.n == 200]
+    assert len(powers) == terms
+    assert not {id(p) for p in powers} & set(worked_out)
+    if terms > 1:  # a sum asks whether a term holds a power of a*z+b: that reads z^100+1
+        assert {id(p.base) for p in powers} <= set(worked_out)
+    else:
+        assert set(worked_out) == {id(e)}
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +614,10 @@ def test_contour_integral_path_independence():
     assert abs(direct - dogleg) <= 2 * tol
 
 
-def test_contour_integral_panel_budget():
-    with pytest.raises(QuadratureError):
-        contour_integral(parse("sin(20*z)"), Contour((0.0, 10.0)), max_panels=2)
+def test_contour_integral_panel_budget(monkeypatch):
+    monkeypatch.setattr(holo, "MAX_PANELS", 2)
+    with pytest.raises(QuadratureError, match="not reached within 2 panels"):
+        contour_integral(parse("sin(20*z)"), Contour((0.0, 10.0)))
 
 
 def test_contour_integral_converges_on_huge_integrands():
@@ -626,11 +651,12 @@ def test_contour_integral_rejects_bad_tolerance():
         contour_integral(parse("z"), Contour((0.0, 1.0)), tol=0.0)
 
 
-def test_contour_integral_diverges_at_singular_endpoint():
+def test_contour_integral_diverges_at_singular_endpoint(monkeypatch):
     # 1/z is not integrable up to 0: bisection walks into the pole until a
     # quadrature node lands inside the division guard, which must fail loudly
+    monkeypatch.setattr(holo, "MAX_PANELS", 200)
     with pytest.raises(SingularityError):
-        contour_integral(parse("1/z"), Contour((1.0, 0.0)), max_panels=200)
+        contour_integral(parse("1/z"), Contour((1.0, 0.0)))
 
 
 def test_contour_rejects_a_bad_element_in_an_array():
@@ -677,7 +703,7 @@ def _reference_segment_integral(expr, za, zb, tol):
     return acc, panels
 
 
-def test_contour_integral_refines_like_the_scalar_loop():
+def test_contour_integral_refines_like_the_scalar_loop(monkeypatch):
     e, tol = parse("sin(20*z)/(z+3)"), 1e-10
     za = np.array([0.0, 0.1j, -2.0 + 0.05j])
     zb = np.array([10.0, 3.0 + 0.1j, -2.5 + 0.02j])
@@ -687,9 +713,11 @@ def test_contour_integral_refines_like_the_scalar_loop():
         assert abs(got[k] - want) <= 1e-14 * (1 + abs(want))
         # the same panels: the reference's count is enough, one fewer is not
         one = Contour((za[k : k + 1], zb[k : k + 1]))
-        contour_integral(e, one, tol=tol, max_panels=panels)
+        monkeypatch.setattr(holo, "MAX_PANELS", panels)
+        contour_integral(e, one, tol=tol)
+        monkeypatch.setattr(holo, "MAX_PANELS", panels - 1)
         with pytest.raises(QuadratureError):
-            contour_integral(e, one, tol=tol, max_panels=panels - 1)
+            contour_integral(e, one, tol=tol)
 
 
 def test_contour_integral_batches_past_one_evaluate_call():
@@ -700,20 +728,24 @@ def test_contour_integral_batches_past_one_evaluate_call():
     assert np.max(np.abs(got - (np.exp(zb) - np.exp(za)))) < 1e-14
 
 
-def test_contour_integral_panel_budget_is_per_element():
+def test_contour_integral_panel_budget_is_per_element(monkeypatch):
     short = Contour((np.zeros(3), np.array([0.01, 0.02, 0.03])))
-    assert contour_integral(parse("sin(20*z)"), short, max_panels=1).shape == (3,)
+    monkeypatch.setattr(holo, "MAX_PANELS", 1)
+    assert contour_integral(parse("sin(20*z)"), short).shape == (3,)
     mixed = Contour((np.zeros(3), np.array([0.01, 10.0, 0.03])))
+    monkeypatch.setattr(holo, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError):
-        contour_integral(parse("sin(20*z)"), mixed, max_panels=2)
+        contour_integral(parse("sin(20*z)"), mixed)
 
 
-def test_contour_integral_panel_budget_spans_the_polyline():
+def test_contour_integral_panel_budget_spans_the_polyline(monkeypatch):
     # each short segment takes one panel: two panels reach the end, one does not
     path = Contour((0.0, 0.01, 0.02))
-    contour_integral(parse("sin(20*z)"), path, max_panels=2)
+    monkeypatch.setattr(holo, "MAX_PANELS", 2)
+    contour_integral(parse("sin(20*z)"), path)
+    monkeypatch.setattr(holo, "MAX_PANELS", 1)
     with pytest.raises(QuadratureError):
-        contour_integral(parse("sin(20*z)"), path, max_panels=1)
+        contour_integral(parse("sin(20*z)"), path)
 
 
 def test_gauss_rule_literals_are_numpy_leggauss(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocmc import holo, io_mesh, weierstrass
-from isocmc.graphgeo import Rect, ScalarField
+from isocmc.graphgeo import Rect
 from isocmc.io_mesh import GridFormatError, read_grid, write_report, write_surface
 
 from util_expr import enneper_data, exp_data, lift_one
@@ -32,7 +32,7 @@ def sample(n=7, H=0.5):
 
 def a_field(n=5):
     x, y = np.meshgrid(SQUARE.x_nodes(n), SQUARE.y_nodes(n))
-    return ScalarField(SQUARE, x * x - y)
+    return weierstrass.SurfaceSample(SQUARE, None, x, y, x * x - y)
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +60,22 @@ def test_field_roundtrip(tmp_path):
     path = tmp_path / "f.grid"
     path.write_text(reference_grid_text(f))
     back = read_grid(path)
-    assert isinstance(back, ScalarField)
+    assert isinstance(back, weierstrass.SurfaceSample) and back.H is None
     assert back.domain == f.domain
-    assert np.array_equal(back.values, f.values)
+    assert np.array_equal(back.ell, f.ell)
+
+
+def test_a_field_grid_reads_back_as_a_plain_sample_on_its_lattice(tmp_path):
+    # the chart of a `field` grid is its header lattice, bit for bit, whatever the
+    # records hold within the lattice tolerance
+    domain = Rect(-0.3, 1.7, 2.0, 2.5)
+    x, y = domain.mesh(7, 5)
+    text = reference_grid_text(weierstrass.SurfaceSample(domain, None, x + 1e-12, y, x - y * y))
+    (tmp_path / "f.grid").write_text(text)
+    back = read_grid(tmp_path / "f.grid")
+    assert back.H is None and back.phi is None and back.domain == domain
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((back.x, back.y), domain.mesh(7, 5)))
+    assert back.ell.tobytes() == (x - y * y).tobytes()
 
 
 def test_provenance_must_be_one_line(tmp_path):
@@ -70,6 +83,14 @@ def test_provenance_must_be_one_line(tmp_path):
     for provenance in ("two\nlines", ""):
         with pytest.raises(ValueError, match="provenance"):
             write_surface([sample()], *paths, provenance=provenance)
+
+
+def test_a_plain_field_is_no_surface_to_write(tmp_path):
+    # its header would need an H; it is refused before any file opens
+    paths = [tmp_path / "f.grid"], [tmp_path / "f.obj"]
+    with pytest.raises(ValueError, match="plain field"):
+        write_surface([a_field(7)], *paths)
+    assert not list(tmp_path.iterdir())
 
 
 def test_truncated_body_is_a_count_error(tmp_path):
@@ -420,7 +441,7 @@ def reference_read_grid(path):
         lattice_gap = max(np.max(np.abs(xs - xx)), np.max(np.abs(ys - yy)))
         if lattice_gap > 1e-9 * (1.0 + float(np.max(np.abs(xx)))):
             raise GridFormatError("field records do not sit on the header lattice")
-        return ScalarField(domain, ells)
+        return weierstrass.SurfaceSample(domain, None, xx, yy, ells)
     return weierstrass.SurfaceSample(domain=domain, H=h, x=xs, y=ys, ell=ells)
 
 
@@ -463,13 +484,9 @@ def spied_read(monkeypatch, path):
 
 
 def assert_bitwise(got, want):
-    if isinstance(want, ScalarField):
-        assert isinstance(got, ScalarField) and got.domain == want.domain
-        pairs = [(got.values, want.values)]
-    else:
-        assert isinstance(got, weierstrass.SurfaceSample)
-        assert (got.domain, got.H) == (want.domain, want.H)
-        pairs = [(got.x, want.x), (got.y, want.y), (got.ell, want.ell)]
+    assert isinstance(got, weierstrass.SurfaceSample)
+    assert (got.domain, got.H) == (want.domain, want.H)
+    pairs = [(got.x, want.x), (got.y, want.y), (got.ell, want.ell)]
     for g, w in pairs:
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isocmc import holo, weierstrass
+from isocmc import holo, vdist, weierstrass
 from isocmc.graphgeo import Rect
 from isocmc.vdist import Verdict, sample_k_image, umbilic_scan
 
@@ -122,6 +122,8 @@ def test_sampling_validation():
             sample_k_image(data, 1.0, radii)
     with pytest.raises(ValueError):
         sample_k_image(data, 1.0, [1.0], samples_per_radius=8)
+    with pytest.raises(ValueError, match="at most 1000000 samples per radius, got 1000001"):
+        sample_k_image(data, 1.0, [1.0], samples_per_radius=vdist.MAX_SAMPLES + 1)
     for H in (math.nan, math.inf):
         with pytest.raises(ValueError, match="H must be finite"):
             sample_k_image(data, H, [1.0])

@@ -141,10 +141,10 @@ def test_induced_metric():
     # the metric |omega_hat|^2 |dz|^2 comes from the chart alone, so H never changes it
     data = WeierstrassData(ONE, holo.Exp(Z))
     flat, bowl = synthesize_family(data, [0.0, 2.0], Rect(-0.5, 0.5, -0.5, 0.5), 21, 21)
-    jacs = [pde_analyze(*s.height_chart()).jacobian for s in (flat, bowl)]
+    jacs = [pde_analyze(s).jacobian for s in (flat, bowl)]
     assert np.array_equal(jacs[0], jacs[1])
     sample = lift_one(exp_data(), 1.0, SQUARE, 21, 21)
-    jac = pde_analyze(*sample.height_chart()).jacobian
+    jac = pde_analyze(sample).jacobian
     assert np.max(np.abs(jac - 1.0)) < 1e-13
 
 
@@ -379,7 +379,7 @@ def test_as_height_field_for_graph_samples():
     sample = lift_one(enneper_data(3), 2.0, SQUARE, 11, 11)
     field = sample.as_height_field()
     assert field.domain == SQUARE
-    assert np.array_equal(field.values, sample.ell)
+    assert np.array_equal(field.ell, sample.ell)
 
 
 def test_as_height_field_rejects_curved_charts():
@@ -393,7 +393,7 @@ def test_coordinate_fields_carry_the_conformal_factor():
     data = WeierstrassData(ONE, holo.Exp(Z))
     rect = Rect(-0.5, 0.5, -0.5, 0.5)
     sample = lift_one(data, 0.0, rect, 51, 51)
-    jac = pde_analyze(*sample.height_chart()).jacobian
+    jac = pde_analyze(sample).jacobian
     # a conformal chart has det J = |omega_hat|^2
     uu, vv = rect.mesh(51, 51)
     omega = holo.evaluate(data.omega_hat, {"z": uu + 1j * vv})[1:-1, 1:-1]

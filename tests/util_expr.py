@@ -15,7 +15,7 @@ import numpy as np
 
 from isocmc import holo
 from isocmc.classify import label_from_constants
-from isocmc.graphgeo import Rect, ScalarField
+from isocmc.graphgeo import Rect
 from isocmc.weierstrass import SurfaceSample, WeierstrassData, synthesize_family
 
 _WRAPPERS = (holo.Exp, holo.Sin, holo.Cos, holo.Sinh, holo.Cosh)
@@ -88,11 +88,12 @@ def random_integrable(rng: np.random.Generator, terms: int = 3) -> holo.Expr:
     return acc
 
 
-def quadric_field(H: float, K: float, domain: Rect, n_x: int, n_y: int) -> ScalarField:
-    """The normal form alpha*x^2 + beta*y^2 of the pair (H, K), sampled on the lattice."""
+def quadric_field(H: float, K: float, domain: Rect, n_x: int, n_y: int) -> SurfaceSample:
+    """The normal form alpha*x^2 + beta*y^2 of the pair (H, K), sampled on the lattice
+    as a plain field (H None)."""
     form = label_from_constants(H, K)
     xx, yy = domain.mesh(n_x, n_y)
-    return ScalarField(domain, form.alpha * xx * xx + form.beta * yy * yy)
+    return SurfaceSample(domain, None, xx, yy, form.alpha * xx * xx + form.beta * yy * yy)
 
 
 def enneper_data(n: int) -> WeierstrassData:

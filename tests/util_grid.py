@@ -7,22 +7,15 @@ fixture files, `field` grids among them, that no subcommand writes.
 
 from __future__ import annotations
 
-from isocmc import weierstrass
-
 
 def _ref_fmt(v):
     return f"{float(v):.17g}"
 
 
-def reference_grid_text(obj, provenance="-"):
-    """A SurfaceSample or ScalarField in the grid text format."""
-    if isinstance(obj, weierstrass.SurfaceSample):
-        kind, dom, h = "surface", obj.domain, obj.H
-        xs, ys, ells = obj.x, obj.y, obj.ell
-    else:
-        kind, dom, h = "field", obj.domain, 0.0
-        xs, ys = obj.meshgrid()
-        ells = obj.values
+def reference_grid_text(s, provenance="-"):
+    """A SurfaceSample in the grid text format: a plain field (H None) as a `field` grid."""
+    kind, h = ("field", 0.0) if s.H is None else ("surface", s.H)
+    dom, xs, ys, ells = s.domain, s.x, s.y, s.ell
     n_v, n_u = ells.shape
     f = _ref_fmt
     lines = [
