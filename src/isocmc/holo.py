@@ -32,7 +32,7 @@ DIV_EPS = 1e-300
 DEFAULT_QUAD_TOL = 1e-10
 # Relative panel tolerance, so integrands far above 1 converge in double precision.
 QUAD_REL_TOL = 1e-12
-# Hard cap on adaptive panels per polyline of a contour_integral call, read at each call.
+# Hard cap on adaptive panels per segment of a contour_integral call, read at each call.
 MAX_PANELS = 10_000
 
 NumberLike = Union[int, float, complex]
@@ -259,9 +259,7 @@ _FUNCTIONS = {f.name: f for f in _DERIVATIVES}
 
 
 def _is_const(e: Expr, value=None) -> bool:
-    if not isinstance(e, Constant):
-        return False
-    return value is None or e.value == value
+    return isinstance(e, Constant) and (value is None or e.value == value)
 
 
 def add(l: Expr, r: Expr) -> Expr:
@@ -503,6 +501,9 @@ def _integrate_poly(coeffs: list[complex]) -> Expr:
 MAX_POLY_TERMS = 256
 # Highest degree a polynomial may expand to; a power of a*z past it integrates whole.
 MAX_POLY_DEGREE = 20_000
+# Most multiply-adds the convolutions of one antiderivative call may take in all:
+# about two products at the degree cap.
+MAX_POLY_WORK = 2 * 10**8
 
 
 def _capped(coeffs: list) -> list | None:  # None also where a coefficient overflowed
@@ -510,8 +511,20 @@ def _capped(coeffs: list) -> list | None:  # None also where a coefficient overf
     return coeffs if ok else None
 
 
+def _product(memo: dict, *factors: list) -> list | None:
+    """The capped coefficient list of the product of the factors, convolved in order;
+    None once the call's convolutions, counted in memo["work"], pass MAX_POLY_WORK."""
+    out = factors[0]
+    for f in factors[1:]:
+        memo["work"] = memo.get("work", 0) + len(out) * len(f)
+        if memo["work"] > MAX_POLY_WORK:
+            return None
+        out = np.convolve(out, f)
+    return _capped(list(out))
+
+
 def _coeffs(e: Expr, memo: dict) -> list[complex] | None:
-    """Coefficient list (index = degree) of e as a polynomial in z; None past the two caps
+    """Coefficient list (index = degree) of e as a polynomial in z; None past the caps
     above, or where a coefficient overflows.  Worked out once per node, from the lists of
     only those children it is built from (none under a function or a non-constant
     denominator): memo maps id(node) to (node, list) and keeps the node alive."""
@@ -534,7 +547,7 @@ def _coeffs(e: Expr, memo: dict) -> list[complex] | None:
             c = _capped([a + s * b for a, b in zip_longest(left, right, fillvalue=0)])
         elif isinstance(e, Mul):
             if len(left) + len(right) - 2 <= MAX_POLY_DEGREE:
-                c = _capped(list(np.convolve(left, right)))
+                c = _product(memo, left, right)
         else:
             c = _capped([v / e.right.value for v in left])
     elif isinstance(e, Neg):
@@ -553,42 +566,14 @@ def _coeffs(e: Expr, memo: dict) -> list[complex] | None:
         else:
             c = [complex(1)]
             for bit in bin(e.n)[2:]:  # square and multiply, leading bit first
-                square = np.convolve(c, c)
-                c = _capped(list(square if bit == "0" else np.convolve(square, base)))
-                if c is None:
-                    break
+                if c is not None:
+                    c = _product(memo, c, c) if bit == "0" else _product(memo, c, c, base)
     memo[id(e)] = e, c
     return c
 
 
 # ---------------------------------------------------------------------------
 # contour integration
-
-
-@dataclass(frozen=True)
-class Contour:
-    """Integration polyline; the first waypoint is the base point.
-
-    Waypoints are scalars or arrays, broadcast to one complex128 shape; an
-    array contour is a batch of polylines, one per element.
-    """
-
-    waypoints: tuple
-
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
-            raise ValueError("a contour needs at least 2 waypoints")
-        pts = np.broadcast_arrays(*(np.array(w, dtype=np.complex128) for w in self.waypoints))
-        for a, b in zip(pts, pts[1:]):
-            if np.any(a == b):
-                raise ValueError("consecutive contour waypoints must be distinct")
-        if not all(np.all(np.isfinite(w)) for w in pts):
-            raise ValueError("contour waypoints must be finite")
-        object.__setattr__(self, "waypoints", tuple(pts))
-
-    @property
-    def base_point(self) -> np.ndarray:
-        return self.waypoints[0]
 
 
 # Kronrod's 21-point extension of the 10-point Gauss rule (QUADPACK's qk21) on [-1, 1]:
@@ -620,57 +605,49 @@ def _gauss_kronrod() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
 MAX_EVAL_NODES = 16_384
 
 
-def contour_integral(
-    expr: Expr | list[Expr],
-    contour: Contour,
-    tol: float = DEFAULT_QUAD_TOL,
-) -> complex | np.ndarray:
-    """Integrate expr along the polyline with adaptive 21-point Gauss-Kronrod panels.
+def contour_integral(exprs: list[Expr], za, zb, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
+    """Integrals of each expression along each straight segment za -> zb, where za
+    and zb broadcast to one shape S: a complex128 array of shape (len(exprs), *S).
 
-    A panel is accepted when the 10-point Gauss rule on its nodes agrees with
-    it within the larger of its share of the absolute tolerance and
-    QUAD_REL_TOL times its Kronrod value, which is then its value; otherwise
-    each half takes half the share.  Exceeding MAX_PANELS raises
-    QuadratureError; a singularity on the path, SingularityError.  An array
-    contour gives a complex128 array of its shape: each element is a polyline
-    with its own `tol` and MAX_PANELS.  A list of expressions gives their
-    results stacked, on shared nodes in the first round, which takes each
-    segment whole.
+    Adaptive 21-point Gauss-Kronrod panels: a panel is accepted when the 10-point
+    Gauss rule on its nodes agrees with it within the larger of its share of `tol`
+    and QUAD_REL_TOL times its Kronrod value, which is then its value; otherwise
+    each half takes half the share.  The first round takes every segment whole, on
+    nodes all expressions share.  Each segment has its own `tol` and MAX_PANELS;
+    past that, QuadratureError.  A singularity on the path raises SingularityError.
     """
-    exprs = expr if isinstance(expr, list) else [expr]
     for e in exprs:
         _require_complex_mode(e, "contour integration")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    pts = [np.ravel(w) for w in contour.waypoints]
-    acc = np.zeros((len(exprs), pts[0].size), dtype=np.complex128)
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    za, zb = np.broadcast_arrays(*(np.asarray(w, dtype=np.complex128) for w in (za, zb)))
+    if not (np.all(np.isfinite(za)) and np.all(np.isfinite(zb))):
+        raise ValueError("segment ends must be finite")
+    if np.any(za == zb):
+        raise ValueError("segment ends must be distinct")
+    starts, ends = za.ravel(), zb.ravel()
+    acc = np.zeros((len(exprs), starts.size), dtype=np.complex128)
     batch = MAX_EVAL_NODES // _gauss_kronrod()[1].size
-    for part in (slice(lo, lo + batch) for lo in range(0, pts[0].size, batch)):
-        ends = [p[part] for p in pts]
-        steps = np.diff(ends, axis=0)
-        budgets = tol * np.abs(steps) / np.abs(steps).sum(axis=0)
-        panels = np.zeros((len(exprs), steps.shape[1]), dtype=np.int64)
-        for za, dz, budget in zip(ends, steps, budgets):
-            panels += 1  # the first round takes each segment whole, for all expressions at once
-            if panels.max() > MAX_PANELS:
-                raise QuadratureError(f"tolerance {tol:g} not reached within {MAX_PANELS} panels")
-            z = _panel_nodes(za, dz, 0.0, 1.0)
-            for e, e_acc, e_panels in zip(exprs, acc[:, part], panels):
-                value, done = _kronrod(evaluate(e, {"z": z}), 0.5 * dz, budget)
-                np.add(e_acc, value, out=e_acc, where=done)
-                if not done.all():
-                    _adaptive_panels(e, za, dz, done, budget, e_acc, e_panels, tol)
-    out = acc.reshape((len(exprs), *contour.base_point.shape))
-    return out if isinstance(expr, list) else complex(out[0]) if out.ndim == 1 else out[0]
+    for part in (slice(lo, lo + batch) for lo in range(0, starts.size, batch)):
+        if MAX_PANELS < 1:  # the first round's one panel per segment is already too many
+            raise QuadratureError(f"tolerance {tol:g} not reached within {MAX_PANELS} panels")
+        a, dz = starts[part], ends[part] - starts[part]
+        z, share = _panel_nodes(a, dz, 0.0, 1.0), np.full(dz.size, tol)
+        for e, e_acc in zip(exprs, acc[:, part]):
+            value, done = _kronrod(evaluate(e, {"z": z}), 0.5 * dz, share)
+            np.add(e_acc, value, out=e_acc, where=done)
+            if not done.all():
+                _adaptive_panels(e, a, dz, done, share, e_acc, tol)
+    return acc.reshape((len(exprs), *za.shape))
 
 
-def _adaptive_panels(expr, za, dz, done, budget, acc, panels, tol) -> None:
+def _adaptive_panels(expr, za, dz, done, share, acc, tol) -> None:
     """Bisection of the segments za -> za + dz whose whole panel the first round
     did not accept (~done), summed into acc.  A rejected panel pushes its left half,
     then its right half, onto its segment's stack of (t0, t1, share) panels, like a
     one-segment loop, and each round pops the top panel of every unfinished
     segment and evaluates all of them in one call."""
-    live, t0, t1, share = np.arange(za.size), 0.0, 1.0, budget
+    live, t0, t1, panels = np.arange(za.size), 0.0, 1.0, np.ones(za.size, dtype=np.int64)
     stack, depth = np.zeros((za.size, 0, 3)), np.zeros(za.size, dtype=np.intp)
     while True:
         if not done.all():

@@ -116,17 +116,16 @@ def _cumulative_integrals(exprs: list[holo.Expr], grid: np.ndarray, tol: float) 
 
     Used only when no symbolic antiderivative exists.  The path runs from
     0 to the first node, down the first column, then along each row.  Its
-    segments, one per node, are the elements of one array contour for a
-    single holo.contour_integral call, and running sums join them.  Every
-    segment is integrated to `tol` on its own, so a node's error is at most
+    straight segments, one per node, go to a single holo.contour_integral
+    call as one batch, and running sums join them.  Every segment is
+    integrated to `tol` on its own, so a node's error is at most
     (n_u + n_v - 1) * tol.  A segment between coincident nodes adds 0.
     """
     before = np.empty_like(grid)  # each node's predecessor on the path
     before[0, 0], before[1:, 0], before[:, 1:] = 0, grid[:-1, 0], grid[:, :-1]
     moving = before != grid
     segments = np.zeros((len(exprs), *grid.shape), dtype=np.complex128)
-    contour = holo.Contour((before[moving], grid[moving]))
-    segments[:, moving] = holo.contour_integral(exprs, contour, tol)
+    segments[:, moving] = holo.contour_integral(exprs, before[moving], grid[moving], tol)
     np.cumsum(segments[:, :, 0], axis=1, out=segments[:, :, 0])
     return np.cumsum(segments, axis=2, out=segments)
 

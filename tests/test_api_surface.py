@@ -1,5 +1,7 @@
 """The package keeps only what a subcommand runs: every public function, class and
-method in src/isocmc is named somewhere in src/ outside its own definition."""
+method in src/isocmc is named somewhere in src/ outside its own definition, and
+every defaulted parameter of a public function or method is set by some call in
+src/, so no default is a knob that only tests turn."""
 
 import ast
 from pathlib import Path
@@ -9,18 +11,21 @@ import isocmc
 SRC = Path(isocmc.__file__).parent
 # Kept for the benchmark's tracer, which wraps it, until the tracer no longer needs it.
 ALLOWED = {"SurfaceSample.as_height_field"}
+# (module, qualified name, parameter) of defaults only callers outside src/ set:
+# cli.main's argv, which the tests and the benchmark's traced run pass.
+ALLOWED_KNOBS = {("cli.py", "main", "argv")}
 
 
 def public_definitions(tree: ast.Module):
-    """(qualified name, name, first line, last line) of each public top-level function
-    and class, and of each public method of a top-level class."""
+    """(qualified name, node) of each public top-level function and class, and of each
+    public method of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node.name, node.lineno, node.end_lineno
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+                    yield f"{node.name}.{item.name}", item
 
 
 def references(tree: ast.Module):
@@ -39,18 +44,72 @@ def test_every_public_name_is_used_in_src():
     refs = [(name, module, line) for module, tree in trees.items() for name, line in references(tree)]
     unused = []
     for module, tree in trees.items():
-        for qualified, name, first, last in public_definitions(tree):
+        for qualified, node in public_definitions(tree):
+            inside = range(node.lineno, node.end_lineno + 1)
             outside = (
                 ref for ref, where, line in refs
-                if ref == name and not (where == module and first <= line <= last)
+                if ref == node.name and not (where == module and line in inside)
             )
             if next(outside, None) is None and qualified not in ALLOWED:
                 unused.append(f"{module}: {qualified}")
     assert not unused, f"named nowhere else in src/: {unused}"
 
 
+def defaulted_parameters(qualified: str, node: ast.FunctionDef):
+    """(name, position) of each parameter of the function or method that has a default;
+    the position counts a call's positional arguments, so a method's self is not one,
+    and it is None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first - ("." in qualified)):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call passes the parameter, by keyword, position or unpacking."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and (len(call.args) > position or starred)
+
+
+def callee(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return call.func.attr if isinstance(call.func, ast.Attribute) else None
+
+
+def public_defaults(trees: dict):
+    """(module, qualified name, parameter name, position, function name) of each
+    defaulted parameter of a public function or method."""
+    for module, tree in trees.items():
+        for qualified, node in public_definitions(tree):
+            if isinstance(node, ast.FunctionDef):
+                for name, position in defaulted_parameters(qualified, node):
+                    yield module, qualified, name, position, node.name
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    knobs = [
+        f"{module}: {qualified}({name})"
+        for module, qualified, name, position, function in public_defaults(trees)
+        if (module, qualified, name) not in ALLOWED_KNOBS
+        and not any(callee(call) == function and sets(call, name, position) for call in calls)
+    ]
+    assert not knobs, f"defaults no call in src/ overrides: {knobs}"
+
+
 def test_the_allowed_names_exist():
     # an entry whose definition is gone would keep nothing alive; drop it with its code
-    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
-    defined = {qualified for tree in trees for qualified, *_ in public_definitions(tree)}
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    defined = {qualified for tree in trees.values() for qualified, _ in public_definitions(tree)}
     assert ALLOWED <= defined
+    defaults = {(module, qualified, name) for module, qualified, name, *_ in public_defaults(trees)}
+    assert ALLOWED_KNOBS <= defaults

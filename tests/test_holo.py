@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,6 @@ from isocmc import holo
 from isocmc.holo import (
     Add,
     Constant,
-    Contour,
     Cos,
     Cosh,
     Div,
@@ -556,46 +556,71 @@ def test_antiderivative_expands_no_list_that_no_rule_reads(monkeypatch, terms):
         assert set(worked_out) == {id(e)}
 
 
+def test_antiderivative_bounds_the_expansion_work_of_one_call(monkeypatch):
+    # exp((z^100+k)^200) asks whether its argument is a*z+b, and that expands the power
+    # to degree 20000; past holo.MAX_POLY_WORK multiply-adds a call expands no further,
+    # so a sum of 20 such terms costs about what one term does
+    def best_time(terms):
+        e = parse("+".join(f"exp((z^100+{k})^200)" for k in range(1, terms + 1)))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert antiderivative(e) is None
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_time(20) <= 2 * best_time(1)
+    # one power at the degree cap is still expanded within the budget
+    assert isinstance(antiderivative(parse("(z^100+1)^200")), holo.Add)
+    work, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, b: work.append(len(a) * len(b)) or convolve(a, b))
+    antiderivative(parse("+".join(f"exp((z^100+{k})^200)" for k in range(1, 21))))
+    assert holo.MAX_POLY_WORK / 2 < sum(work) <= holo.MAX_POLY_WORK
+
+
 # ---------------------------------------------------------------------------
 # contours and quadrature
 
 
 def test_contour_validation():
-    with pytest.raises(ValueError):
-        Contour((0.0,))
     with pytest.raises(ValueError, match="distinct"):
-        Contour((0.0, 0.0, 1.0))
+        contour_integral([parse("z")], 1.0, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        Contour((0.0, complex("inf")))
-    assert Contour((1j, 0.0)).base_point == 1j
+        contour_integral([parse("z")], 0.0, complex("inf"))
 
 
 def test_contour_integral_exp_to_ipi():
-    val = contour_integral(parse("exp(z)"), Contour((0.0, 1j * math.pi)))
-    assert abs(val - (-2.0)) < 1e-10
+    val = contour_integral([parse("exp(z)")], 0.0, 1j * math.pi)
+    assert val.shape == (1,) and val.dtype == np.complex128
+    assert abs(val[0] - (-2.0)) < 1e-10
 
 
 def test_contour_integral_linear():
-    val = contour_integral(parse("z"), Contour((0.0, 1 + 1j)))
+    val = contour_integral([parse("z")], 0.0, 1 + 1j)[0]
     assert abs(val - 1j) < 1e-12
 
 
 def test_contour_integral_square():
-    val = contour_integral(parse("z^2"), Contour((0.0, 2.0)))
+    val = contour_integral([parse("z^2")], 0.0, 2.0)[0]
     assert abs(val - 8.0 / 3.0) < 1e-12
+
+
+def along_polyline(exprs, waypoints, tol=holo.DEFAULT_QUAD_TOL):
+    """Integrals of each expression along the polyline: the sum over its segments."""
+    ends = np.array(waypoints, dtype=complex)
+    return contour_integral(exprs, ends[:-1], ends[1:], tol).sum(axis=1)
 
 
 def test_contour_integral_closed_loop():
     # winding integral of 1/z around the unit square
-    loop = Contour((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j))
-    val = contour_integral(parse("1/z"), loop)
+    val = along_polyline([parse("1/z")], (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j))[0]
     assert abs(val - 2j * math.pi) < 1e-10
 
 
 def test_contour_integral_against_simpson_oracle():
     # no symbolic antiderivative exists for exp(z^2); check quadrature
     # against a dense composite Simpson rule on [0, 1]
-    val = contour_integral(parse("exp(z^2)"), Contour((0.0, 1.0)))
+    val = contour_integral([parse("exp(z^2)")], 0.0, 1.0)[0]
     assert abs(val - 1.4626517459071815) < 1e-10
     n = 1_000_000
     t = np.linspace(0.0, 1.0, n + 1)
@@ -607,17 +632,17 @@ def test_contour_integral_against_simpson_oracle():
 
 
 def test_contour_integral_path_independence():
-    e = parse("exp(z^2)")
+    e = [parse("exp(z^2)")]
     tol = 1e-10
-    direct = contour_integral(e, Contour((0.0, 1 + 1j)), tol=tol)
-    dogleg = contour_integral(e, Contour((0.0, 1.0, 1 + 1j)), tol=tol)
+    direct = contour_integral(e, 0.0, 1 + 1j, tol)[0]
+    dogleg = along_polyline(e, (0.0, 1.0, 1 + 1j), tol)[0]
     assert abs(direct - dogleg) <= 2 * tol
 
 
 def test_contour_integral_panel_budget(monkeypatch):
     monkeypatch.setattr(holo, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError, match="not reached within 2 panels"):
-        contour_integral(parse("sin(20*z)"), Contour((0.0, 10.0)))
+        contour_integral([parse("sin(20*z)")], 0.0, 10.0)
 
 
 def test_contour_integral_converges_on_huge_integrands():
@@ -631,7 +656,7 @@ def test_contour_integral_converges_on_huge_integrands():
     im = sum(terms[1::4]) - sum(terms[3::4])  # i^k = i, -i
     exact = complex(float(re - im), float(re + im))  # times 1 + i
     for path in ((0.0, 1 + 1j), (0.0, 1.0, 1 + 1j)):
-        assert abs(contour_integral(e, Contour(path)) - exact) < 1e-12 * abs(exact)
+        assert abs(along_polyline([e], path)[0] - exact) < 1e-12 * abs(exact)
 
 
 def test_gauss_kronrod_rule_extends_the_gauss_rule():
@@ -647,8 +672,10 @@ def test_gauss_kronrod_rule_extends_the_gauss_rule():
 
 
 def test_contour_integral_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        contour_integral(parse("z"), Contour((0.0, 1.0)), tol=0.0)
+    # a NaN tolerance would pass every comparison as false and bisect to MAX_PANELS
+    for tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            contour_integral([parse("sin(20*z)")], 0.0, 1.0, tol)
 
 
 def test_contour_integral_diverges_at_singular_endpoint(monkeypatch):
@@ -656,33 +683,37 @@ def test_contour_integral_diverges_at_singular_endpoint(monkeypatch):
     # quadrature node lands inside the division guard, which must fail loudly
     monkeypatch.setattr(holo, "MAX_PANELS", 200)
     with pytest.raises(SingularityError):
-        contour_integral(parse("1/z"), Contour((1.0, 0.0)))
+        contour_integral([parse("1/z")], 1.0, 0.0)
 
 
 def test_contour_rejects_a_bad_element_in_an_array():
-    za = np.array([0.0, 1.0, 2.0])
+    za, e = np.array([0.0, 1.0, 2.0]), [parse("z")]
     with pytest.raises(ValueError, match="distinct"):
-        Contour((za, np.array([1.0, 1.0, 3.0])))
+        contour_integral(e, za, np.array([1.0, 1.0, 3.0]))
     with pytest.raises(ValueError, match="finite"):
-        Contour((za, np.array([1.0, complex("nan"), 3.0])))
+        contour_integral(e, za, np.array([1.0, complex("nan"), 3.0]))
     with pytest.raises(ValueError, match="finite"):
-        Contour((za, np.array([1.0, 2.0, complex("inf")])))
+        contour_integral(e, np.array([1.0, 2.0, complex("inf")]), za)
 
 
-def test_contour_integral_array_waypoints_match_scalar_calls():
+def test_contour_integral_array_ends_match_scalar_calls():
     rng = np.random.default_rng(7)
     za = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     zb = za + rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     mid = 0.5 * (za + zb) + 0.3j
-    e, tol = parse("exp(z^2)/(z+5)"), 1e-10
-    for points in ((za, zb), (0.0, mid, zb)):  # segments; polylines from one base
-        got = contour_integral(e, Contour(points), tol=tol)
-        assert got.shape == (3, 4) and got.dtype == np.complex128
-        for idx in np.ndindex(got.shape):
-            scalar = [p if np.isscalar(p) else p[idx] for p in points]
-            want = contour_integral(e, Contour(tuple(scalar)), tol=tol)
-            assert isinstance(want, complex)
-            assert abs(got[idx] - want) <= tol
+    exprs, tol = [parse("exp(z^2)/(z+5)"), parse("z*exp(z^2)/(z+5)")], 1e-10
+    got = contour_integral(exprs, za, zb, tol)
+    assert got.shape == (2, 3, 4) and got.dtype == np.complex128
+
+    def polyline(mid, zb):  # from one base: the scalar end 0 broadcasts against mid
+        return contour_integral(exprs, 0.0, mid, tol) + contour_integral(exprs, mid, zb, tol)
+
+    polylines = polyline(mid, zb)
+    for idx in np.ndindex(za.shape):
+        want = contour_integral(exprs, za[idx], zb[idx], tol)
+        assert want.shape == (2,)
+        assert np.all(np.abs(got[(slice(None), *idx)] - want) <= tol)
+        assert np.all(np.abs(polylines[(slice(None), *idx)] - polyline(mid[idx], zb[idx])) <= tol)
 
 
 def _reference_segment_integral(expr, za, zb, tol):
@@ -703,49 +734,60 @@ def _reference_segment_integral(expr, za, zb, tol):
     return acc, panels
 
 
-def test_contour_integral_refines_like_the_scalar_loop(monkeypatch):
-    e, tol = parse("sin(20*z)/(z+3)"), 1e-10
+def assert_refines_like_the_scalar_loop(e, za, zb, tol):
+    """contour_integral on the batch za -> zb against the scalar reference, segment by
+    segment: the same values, and the same panel counts, since the reference's count is
+    enough for the segment alone and one fewer is not."""
+    got = contour_integral([e], za, zb, tol)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        for k in range(za.size):
+            want, panels = _reference_segment_integral(e, complex(za[k]), complex(zb[k]), tol)
+            assert abs(got[k] - want) <= 1e-14 * (1 + abs(want))
+            patch.setattr(holo, "MAX_PANELS", panels)
+            contour_integral([e], za[k], zb[k], tol)
+            patch.setattr(holo, "MAX_PANELS", panels - 1)
+            with pytest.raises(QuadratureError):
+                contour_integral([e], za[k], zb[k], tol)
+
+
+def test_contour_integral_refines_like_the_scalar_loop():
     za = np.array([0.0, 0.1j, -2.0 + 0.05j])
     zb = np.array([10.0, 3.0 + 0.1j, -2.5 + 0.02j])
-    got = contour_integral(e, Contour((za, zb)), tol=tol)
-    for k in range(za.size):
-        want, panels = _reference_segment_integral(e, complex(za[k]), complex(zb[k]), tol)
-        assert abs(got[k] - want) <= 1e-14 * (1 + abs(want))
-        # the same panels: the reference's count is enough, one fewer is not
-        one = Contour((za[k : k + 1], zb[k : k + 1]))
-        monkeypatch.setattr(holo, "MAX_PANELS", panels)
-        contour_integral(e, one, tol=tol)
-        monkeypatch.setattr(holo, "MAX_PANELS", panels - 1)
-        with pytest.raises(QuadratureError):
-            contour_integral(e, one, tol=tol)
+    assert_refines_like_the_scalar_loop(parse("sin(20*z)/(z+3)"), za, zb, 1e-10)
+
+
+# integrands that bisect (sin(20*z), cos(9*z) on long segments) and ones that do not
+INTEGRANDS = ["sin(20*z)/(z+3)", "exp(z^2)/(z+5)", "cos(9*z)*exp(z)", "1/(z+2.5)", "z^3-2*z"]
+SEGMENT_END = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-0.5, 0.5))
+SEGMENT = st.tuples(SEGMENT_END, SEGMENT_END).filter(lambda ends: ends[0] != ends[1])
+
+
+@given(
+    st.sampled_from(INTEGRANDS),
+    st.lists(SEGMENT, min_size=1, max_size=6),
+    st.sampled_from([1e-6, 1e-10, 1e-13]),
+)
+@settings(max_examples=60, deadline=None)
+def test_contour_integral_matches_the_scalar_loop_on_random_batches(src, segments, tol):
+    za, zb = np.array(segments).T
+    assert_refines_like_the_scalar_loop(parse(src), za, zb, tol)
 
 
 def test_contour_integral_batches_past_one_evaluate_call():
     za = np.linspace(-1.0, 1.0, 2001)[:-1] * (1 + 1j)
     zb = za + 0.001
-    got = contour_integral(parse("exp(z)"), Contour((za, zb)))
+    got = contour_integral([parse("exp(z)")], za, zb)[0]
     assert za.size * 20 > holo.MAX_EVAL_NODES
     assert np.max(np.abs(got - (np.exp(zb) - np.exp(za)))) < 1e-14
 
 
 def test_contour_integral_panel_budget_is_per_element(monkeypatch):
-    short = Contour((np.zeros(3), np.array([0.01, 0.02, 0.03])))
+    e, za = [parse("sin(20*z)")], np.zeros(3)
     monkeypatch.setattr(holo, "MAX_PANELS", 1)
-    assert contour_integral(parse("sin(20*z)"), short).shape == (3,)
-    mixed = Contour((np.zeros(3), np.array([0.01, 10.0, 0.03])))
+    assert contour_integral(e, za, np.array([0.01, 0.02, 0.03])).shape == (1, 3)
     monkeypatch.setattr(holo, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError):
-        contour_integral(parse("sin(20*z)"), mixed)
-
-
-def test_contour_integral_panel_budget_spans_the_polyline(monkeypatch):
-    # each short segment takes one panel: two panels reach the end, one does not
-    path = Contour((0.0, 0.01, 0.02))
-    monkeypatch.setattr(holo, "MAX_PANELS", 2)
-    contour_integral(parse("sin(20*z)"), path)
-    monkeypatch.setattr(holo, "MAX_PANELS", 1)
-    with pytest.raises(QuadratureError):
-        contour_integral(parse("sin(20*z)"), path)
+        contour_integral(e, za, np.array([0.01, 10.0, 0.03]))
 
 
 def test_gauss_rule_literals_are_numpy_leggauss(tmp_path):
@@ -768,7 +810,7 @@ def test_gauss_rule_literals_are_numpy_leggauss(tmp_path):
 
 def test_contour_integral_rejects_real_mode():
     with pytest.raises(ValueError, match="z only"):
-        contour_integral(parse("x"), Contour((0.0, 1.0)))
+        contour_integral([parse("x")], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

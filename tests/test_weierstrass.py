@@ -263,7 +263,7 @@ def along_the_path(segment, grid):
 
 def per_segment_integrals(e, grid, tol=holo.DEFAULT_QUAD_TOL):
     """The lattice quadrature with every edge of the path its own contour_integral."""
-    return along_the_path(lambda za, zb: holo.contour_integral(e, holo.Contour((za, zb)), tol), grid)
+    return along_the_path(lambda za, zb: holo.contour_integral([e], za, zb, tol)[0], grid)
 
 
 def kronrod_edges(e, za, zb):
