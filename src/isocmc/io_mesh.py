@@ -1,9 +1,11 @@
-"""Disk formats: grid text files, Wavefront OBJ meshes, JSON reports.
+"""Disk formats: grid text files and their binary twins, Wavefront OBJ meshes, JSON reports.
 
-Everything written here is deterministic.  Floats go out with 17
-significant digits, which round-trips doubles exactly, so
-write -> read -> write reproduces a grid file byte for byte and repeated
-identical invocations produce identical reports.
+Everything written here is deterministic.  Floats go out with 17 significant digits, which
+round-trips doubles exactly, so write -> read -> write reproduces a grid file byte for byte
+and repeated identical invocations produce identical reports.  Beside each grid file G,
+write_surface writes a twin G.bin: the SHA-256 of G, then x, y and ell as little-endian
+float64 in (n_v, n_u) order.  read_grid takes the values from a twin of the right size whose
+digest is that of G as read, and parses G's text otherwise, to the same values.
 """
 
 from __future__ import annotations
@@ -183,22 +185,49 @@ def _forked_ranges(n_u: int, n_v: int, prepare):
     return result if ok else None
 
 
+def _digest(fh) -> bytes:
+    """SHA-256 of the whole file open as the binary handle fh, read 1 MiB at a time."""
+    import hashlib  # here, not at the top: a run that writes and reads no grid never loads it
+
+    fh.seek(0)
+    sha = hashlib.sha256()
+    while chunk := fh.read(1 << 20):
+        sha.update(chunk)
+    return sha.digest()
+
+
+def _twin_values(path, fh, stat, n_u: int, n_v: int) -> np.ndarray | None:
+    """x, y and ell from the twin path.bin beside the grid file open as fh (fstat stat), or None
+    unless it is 32 + 24 n_u n_v bytes long and starts with that unchanged file's SHA-256."""
+    values = np.empty((3, n_v, n_u), "<f8")
+    with contextlib.suppress(OSError), open(f"{path}.bin", "rb") as twin:
+        fits = os.fstat(twin.fileno()).st_size == 32 + values.nbytes
+        if fits and twin.read(32) == _digest(fh) and twin.readinto(values) == values.nbytes:
+            if _FILE_IDENTITY(os.fstat(fh.fileno())) == _FILE_IDENTITY(stat):  # not changed since
+                if not np.all(np.isfinite(values)):
+                    raise GridFormatError("non-finite value in records")
+                return values
+    return None
+
+
 def read_grid(path: str | Path) -> SurfaceSample:
     """Parse a grid file into a sample with no curvature potential (H None for a `field` grid,
     whose (x, y) must sit on the header lattice).  Checks the header, the record count and
-    that every value is finite.  The body is one row range of _body_values, or one per CPU."""
+    that every value is finite.  The body is read from the grid's twin file if that holds it
+    (_twin_values), else parsed as one row range of _body_values, or one per CPU."""
     with open(path, "rb") as fh:
-        lines = [fh.readline().decode().rstrip("\r\n") for _ in range(7)]
-        if lines[0] != GRID_MAGIC:
+        raw = [fh.readline().rstrip(b"\r\n") for _ in range(7)]
+        if raw[0] != GRID_MAGIC.encode():
             raise GridFormatError(f"not a grid file: expected leading '{GRID_MAGIC}'")
-        kind = _header_value(lines, 1, "kind")
-        if kind not in ("surface", "field"):
-            raise GridFormatError(f"unknown grid kind {kind!r}")
         try:
+            lines = [line.decode() for line in raw]  # UnicodeDecodeError is a ValueError
+            kind = _header_value(lines, 1, "kind")
+            if kind not in ("surface", "field"):
+                raise GridFormatError(f"unknown grid kind {kind!r}")
             dom_vals = [float(t) for t in _header_value(lines, 2, "domain").split()]
             n_u, n_v = (int(t) for t in _header_value(lines, 3, "shape").split())
             h = float(_header_value(lines, 4, "H"))
-        except GridFormatError:  # _header_value's message has the prefix already
+        except GridFormatError:  # a fault named already
             raise
         except ValueError as exc:
             raise GridFormatError(f"malformed header: {exc}") from None
@@ -234,7 +263,10 @@ def read_grid(path: str | Path) -> SurfaceSample:
 
             return run, values
 
-        values = _forked_ranges(n_u, n_v, prepare)
+        values = _twin_values(path, fh, stat, n_u, n_v)
+        if values is None:
+            fh.seek(body)
+            values = _forked_ranges(n_u, n_v, prepare)
     for as_text in (True, False):  # serial: as text, then as floats if a text was cut
         if values is None:
             with open(path, "rb") as fh:
@@ -289,9 +321,9 @@ def write_surface(
     obj_paths: list[str | Path],
     provenance: str = "-",
 ) -> None:
-    """Write the grid file and OBJ mesh of every sample of a family on one (x, y) lattice
-    in one pass, formatting each x, y record text and each face line once for all of
-    them; with grid_paths None, the meshes alone.
+    """Write the grid file (then its twin) and OBJ mesh of every sample of a family on one
+    (x, y) lattice in one pass, formatting each x, y record text and each face line once for
+    all of them; with grid_paths None, the meshes alone.
 
     Grid header:  magic line, "kind surface", domain rectangle, shape
     (n_u n_v), H, one free-form provenance line, end marker.  Body: one record
@@ -358,6 +390,8 @@ def write_surface(
 
     with contextlib.ExitStack() as stack:
         objs = [stack.enter_context(open(path, "w")) for path in obj_paths]
+        for path in filter(None, grid_paths):  # so a failed write leaves no twin of an old grid
+            Path(f"{path}.bin").unlink(missing_ok=True)
         grids = [path and stack.enter_context(open(path, "w")) for path in grid_paths]
 
         with contextlib.ExitStack() as temps:  # the temp files, closed before a serial write
@@ -374,7 +408,7 @@ def write_surface(
                     files.append((range_grids, [temp(p) for p in obj_paths], [temp(obj_paths[0])]))
                 return (lambda k: write(rows, files, k)), files
 
-            files = _forked_ranges(n_u, n_v, prepare)
+            files, appended = _forked_ranges(n_u, n_v, prepare), False
             if files is not None:
                 with contextlib.suppress(OSError):
                     for i, (grid, obj) in enumerate(zip(grids, objs)):
@@ -384,12 +418,17 @@ def write_surface(
                             _append(obj, range_objs[i])
                         for *_, (faces,) in files:
                             _append(obj, faces)
-                    return
-        # the serial write, also after a failed parallel one
-        for fh in filter(None, (*grids, *objs)):
-            fh.seek(0)
-            fh.truncate()
-        write([0, n_v], [(grids, objs, objs)], 0)
+                    appended = True
+        if not appended:  # the serial write, also after a failed parallel one
+            for fh in filter(None, (*grids, *objs)):
+                fh.seek(0)
+                fh.truncate()
+            write([0, n_v], [(grids, objs, objs)], 0)
+    for path, s in zip(grid_paths, family):  # each finished grid's twin
+        if path:
+            with open(path, "rb") as grid, open(f"{path}.bin", "wb") as twin:
+                twin.write(_digest(grid))
+                twin.writelines(np.ascontiguousarray(a, "<f8") for a in (s.x, s.y, s.ell))
 
 
 def _plain(obj):

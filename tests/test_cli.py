@@ -132,10 +132,10 @@ def test_graph_mode_reports_match_the_golden_files(tmp_path, source, command):
 GOLDEN_RUNS = {
     # omega = 1: the graph template of the writers
     "graph-lift": (("lift", "--h2", "z^2", "--omega", "1", "--grid", "9x7", "-o", "graph_lift"),
-                   ("graph_lift.grid", "graph_lift.obj", "graph_lift.json")),
+                   ("graph_lift.grid", "graph_lift.grid.bin", "graph_lift.obj", "graph_lift.json")),
     # omega = exp(z): a curved chart, in closed form
     "chart-lift": (("lift", "--h2", "1", "--omega", "exp(z)", "--grid", "9x7", "-o", "chart_lift"),
-                   ("chart_lift.grid", "chart_lift.obj", "chart_lift.json")),
+                   ("chart_lift.grid", "chart_lift.grid.bin", "chart_lift.obj", "chart_lift.json")),
     "sweep": (("sweep", "--h2", "z^2", "--omega", "1", "--H-list=0,1", "--grid", "5x5"),
               ("sweep_H0.obj", "sweep_H1.obj", "sweep.json")),
     # an umbilic at 0 realizes sup K = H^2: ClosedAtSup
@@ -305,7 +305,7 @@ def test_reports_are_deterministic(tmp_path):
             assert main([argv[0], "--out-dir", str(d), *argv[1:]]) == 0
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted([
-        "lift.grid", "lift.obj", "lift.json", "analyze.json", "classify.json",
+        "lift.grid", "lift.grid.bin", "lift.obj", "lift.json", "analyze.json", "classify.json",
         "sweep_H0.obj", "sweep_H1.5.obj", "sweep.json", "vdist.json", "pde.json",
     ])
     assert sorted(p.name for p in b.iterdir()) == names
@@ -450,6 +450,14 @@ def test_corrupt_grid_file_is_a_runtime_error(tmp_path, capsys):
     bad.write_text("not a grid at all\n")
     assert run(tmp_path, "analyze", "--grid-file", str(bad)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_twin_given_as_the_grid_file_is_not_a_grid(tmp_path, capsys):
+    # a lift's binary twin, read by mistake, is a named format error, not a decode error
+    assert run(tmp_path, "lift", "--h2", "z^2", "--omega", "1", "--grid", "9x7") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "analyze", "--grid-file", str(tmp_path / "lift.grid.bin")) == 1
+    assert capsys.readouterr().err == "error: not a grid file: expected leading '# cmcgrid v1'\n"
 
 
 @pytest.mark.parametrize(
@@ -688,6 +696,20 @@ def test_long_sums_and_deep_parentheses_still_lift(tmp_path):
             argv = ["lift", "--out-dir", str(tmp_path), "--h2", h2, "--omega", "1", "--grid", "5x5"]
             done = subprocess.run([sys.executable, *start, *argv], env=env, capture_output=True, text=True)
             assert done.returncode == 0 and done.stdout.startswith("lift: wrote"), done.stderr
+
+
+def test_jobs_that_read_and_write_no_grid_leave_hashlib_unloaded(tmp_path):
+    # only the grid twins hash, so start-up and grid-less jobs never pay for the import
+    loaded = "print(bool({'hashlib', '_hashlib'} & set(sys.modules)), file=sys.stderr)"
+    code = (
+        f"import sys, isocmc.cli; {loaded}; "
+        "isocmc.cli.main(['classify', '--H', '1', '--K', '-1', '--out-dir', sys.argv[1]]); "
+        f"{loaded}"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "False\nFalse\n"), done.stderr
 
 
 def test_pde_rejects_complex_height_expressions(tmp_path, capsys):

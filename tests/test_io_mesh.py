@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import functools
 import gc
+import hashlib
 import json
 import os
 import signal
@@ -119,12 +120,30 @@ def test_bad_headers_are_rejected(tmp_path):
         good.replace("kind surface", "kind blob"),
         good.replace("shape 7 7", "shape 1 7"),
         "".join(good.splitlines(keepends=True)[:6]),  # no end_header line
+        bytes(range(167, 256)) + bytes(range(167)),  # binary, as a grid's twin
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.grid"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(GridFormatError):
             read_grid(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"# cmcgrid v1", b"\xa7 cmcgrid v1", "not a grid file: expected leading '# cmcgrid v1'"),
+        (b"provenance -", b"provenance \xa7", "malformed header: 'utf-8' codec can't decode byte "
+         "0xa7 in position 11: invalid start byte"),
+    ],
+    ids=["first-line", "provenance-line"],
+)
+def test_an_undecodable_header_line_is_a_format_error(tmp_path, old, new, message):
+    path = tmp_path / "u.grid"
+    path.write_bytes(reference_grid_text(sample()).encode().replace(old, new, 1))
+    with pytest.raises(GridFormatError) as err:
+        read_grid(path)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -833,6 +852,155 @@ def test_reader_agrees_with_the_one_call_reader(generated_path, edit, data, bloc
 
 
 # ---------------------------------------------------------------------------
+# grid twins: write_surface's binary copy of a grid's values, bound to the finished
+# grid file by its SHA-256; read_grid reads a valid twin and parses the text otherwise
+
+
+def twin_of(path):
+    return path.with_name(path.name + ".bin")
+
+
+def read_or_error(path):
+    try:
+        return read_grid(path)
+    except GridFormatError as exc:
+        return exc
+
+
+def text_read(path):
+    """read_grid(path) or its GridFormatError, with the twin of path moved aside."""
+    twin, aside = twin_of(path), path.with_name("aside")
+    twin.rename(aside)
+    try:
+        return read_or_error(path)
+    finally:
+        aside.rename(twin)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, GridFormatError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("obj", identity_cases())
+def test_a_twin_reads_as_the_text_of_its_grid(tmp_path, monkeypatch, no_child_left, obj):
+    grid = tmp_path / "g.grid"
+    write_surface([obj], [grid], [tmp_path / "g.obj"], provenance="twin check")
+    assert twin_of(grid).stat().st_size == 32 + 24 * obj.ell.size
+    got = read_grid(grid)
+    assert all(a.flags.writeable for a in (got.x, got.y, got.ell))
+    assert_bitwise(got, obj)  # signed zeros and planted values keep their bits
+    twin_of(grid).unlink()
+    assert_bitwise(got, read_grid(grid))  # the serial text read
+    forks, _ = force_parallel(monkeypatch, 2)
+    assert_bitwise(got, read_grid(grid))
+    assert len(forks) == 1
+
+
+def test_a_valid_twin_is_read_without_a_parse_or_a_fork(tmp_path, monkeypatch, no_child_left):
+    grid, s = tmp_path / "g.grid", plant(lifted(6, 12))
+    write_surface([s], [grid], [tmp_path / "g.obj"])
+    forks, _ = force_parallel(monkeypatch, 2)
+    body_values = mock.Mock(side_effect=AssertionError("parsed"))
+    monkeypatch.setattr(io_mesh, "_body_values", body_values)
+    assert_bitwise(read_grid(grid), s)
+    assert not forks and not body_values.called
+
+
+def first_ell_digit_changed(grid, twin):  # of the last record, to another digit
+    data = grid.read_bytes()
+    at = data.rindex(b" ") + 1
+    at += data[at : at + 1] == b"-"
+    grid.write_bytes(data[:at] + str((data[at] - ord("0") + 1) % 10).encode() + data[at + 1 :])
+
+
+def last_digit_to_a_letter(grid, twin):  # the last record ends in a digit, then "\n"
+    grid.write_bytes(grid.read_bytes()[:-2] + b"x\n")
+
+
+def other_twin(grid, twin):  # the twin of another grid on the same lattice
+    s = read_grid(grid)
+    other = grid.with_name("o.grid")
+    write_surface([dataclasses.replace(s, ell=s.ell + 1.0)], [other], [grid.with_name("o.obj")])
+    twin.write_bytes(twin_of(other).read_bytes())
+
+
+TAMPERED = {
+    "grid-edited-to-the-same-length": first_ell_digit_changed,
+    "grid-edited-to-a-bad-token": last_digit_to_a_letter,
+    "twin-of-another-grid": other_twin,
+    "twin-truncated": lambda grid, twin: twin.write_bytes(twin.read_bytes()[:-1]),
+    "twin-one-byte-too-long": lambda grid, twin: twin.write_bytes(twin.read_bytes() + b"\0"),
+    "twin-a-directory": lambda grid, twin: (twin.unlink(), twin.mkdir()),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED.values(), ids=TAMPERED.keys())
+def test_a_twin_that_does_not_match_is_ignored(tmp_path, monkeypatch, no_child_left, tamper):
+    grid, s = tmp_path / "g.grid", lifted(5, 3)
+    write_surface([s], [grid], [tmp_path / "g.obj"])
+    tamper(grid, twin_of(grid))
+    want = text_read(grid)
+    forks, _ = force_parallel(monkeypatch, 2)
+    got = read_or_error(grid)
+    assert len(forks) == 1  # the text read ran, on two processes, from the body's first line
+    assert_same_outcome(got, want)
+    if tamper is first_ell_digit_changed:
+        assert got.ell[-1, -1] != s.ell[-1, -1]
+
+
+def test_a_grid_changed_while_it_is_hashed_is_parsed(tmp_path, monkeypatch):
+    # the header-time fstat no longer matches once the digest is taken: the text decides
+    grid, s = tmp_path / "g.grid", graph(5, 4)
+    write_surface([s], [grid], [tmp_path / "g.obj"])
+    digest, body_values = io_mesh._digest, mock.Mock(side_effect=io_mesh._body_values)
+    monkeypatch.setattr(io_mesh, "_body_values", body_values)
+
+    def touched(fh):
+        os.utime(grid, ns=(1, 1))
+        return digest(fh)
+
+    monkeypatch.setattr(io_mesh, "_digest", touched)
+    assert_bitwise(read_grid(grid), s)
+    assert body_values.called
+
+
+def test_a_twin_holding_inf_is_rejected(tmp_path):
+    grid = tmp_path / "g.grid"
+    write_surface([graph(5, 4)], [grid], [tmp_path / "g.obj"])
+    twin = twin_of(grid)
+    twin.write_bytes(twin.read_bytes()[:-8] + np.array([np.inf], "<f8").tobytes())
+    with pytest.raises(GridFormatError, match="non-finite value in records"):
+        read_grid(grid)
+
+
+def test_a_field_grid_with_a_twin_keeps_the_lattice_check(tmp_path):
+    # write_surface writes no field grid, but a twin with the right digest is read for one too
+    grid, f = tmp_path / "f.grid", a_field(6)
+    grid.write_text(reference_grid_text(f))
+    for x, want in ((f.x, None), (f.x + 1e-6, "field records do not sit on the header lattice")):
+        digest = hashlib.sha256(grid.read_bytes()).digest()
+        twin_of(grid).write_bytes(digest + np.stack((x, f.y, f.ell)).astype("<f8").tobytes())
+        if want is None:
+            assert_bitwise(read_grid(grid), text_read(grid))
+        else:
+            with pytest.raises(GridFormatError, match=want):
+                read_grid(grid)
+
+
+def test_a_new_write_removes_the_old_twin_first(tmp_path, monkeypatch):
+    # a write that fails leaves no twin beside a grid the twin no longer describes
+    grid = tmp_path / "g.grid"
+    write_surface([graph(5, 4)], [grid], [tmp_path / "g.obj"])
+    monkeypatch.setattr(io_mesh, "_records", mock.Mock(side_effect=KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        write_surface([graph(5, 4)], [grid], [tmp_path / "g.obj"])
+    assert not twin_of(grid).exists()
+
+
+# ---------------------------------------------------------------------------
 # the parallel write, forced on small lattices: the per-value writers' bytes
 
 
@@ -867,7 +1035,8 @@ def write_checked(s, out_dir, raises=None, grid=True):
                 write_surface([s], *paths, provenance="ref check")
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    assert sorted(p.name for p in out_dir.iterdir()) == ["s.grid", "s.obj"][not grid :]
+    twin = ["s.grid.bin"] if grid and raises is None else []  # a failed write leaves no twin
+    assert sorted(p.name for p in out_dir.iterdir()) == ["s.grid", *twin, "s.obj"][not grid :]
 
 
 def assert_reference_bytes(s, out_dir):
@@ -924,7 +1093,7 @@ def test_family_write_matches_the_per_value_writers(
         if grid:
             want = reference_grid_text(s, "ref check").encode()
             assert (tmp_path / f"{name}.grid").read_bytes() == want
-    assert len(list(tmp_path.iterdir())) == len(names) * (1 + grid)
+    assert len(list(tmp_path.iterdir())) == len(names) * (1 + 2 * grid)
 
 
 def test_a_long_family_keeps_few_files_open(tmp_path, monkeypatch, no_child_left):
