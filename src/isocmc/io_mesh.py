@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import mmap
 import operator
 import os
 import shutil
@@ -33,14 +32,12 @@ GRID_MAGIC = "# cmcgrid v1"
 REPORT_SCHEMA_VERSION = "2"
 # Nodes per block of records that the reader parses with one numpy.loadtxt call.
 _BLOCK_NODES = 1 << 13
-# Fewest nodes per process for which a parallel body read repays its fork.
+# Fewest nodes per process for which a forked write_surface pass repays its fork.
 _PARALLEL_NODES = 1 << 14
 # Most samples whose files one write_surface pass holds open; a forked pass adds about as
 # many temp files per extra CPU.  A longer family is written in runs of this many.
 _FAMILY_RUN = 8
 _FILE_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
-# A record with x and y as text in bytes 0-24 and 25-49 (%.17g writes <= 24).
-_TEXT_RECORD = np.dtype([("x", "S25"), ("y", "S25"), ("ell", "f8")])
 
 
 class GridFormatError(ValueError):
@@ -78,26 +75,19 @@ def _header_value(lines: list[str], idx: int, key: str) -> str:
     return lines[idx][len(key) + 1 :]
 
 
-def _loadtxt(source, dtype=float) -> np.ndarray:
-    """numpy.loadtxt, 2-D, of an array of texts or of source = (fh, n), the next n lines of a
-    binary handle; a line with no data, which loadtxt would skip, raises UserWarning."""
-    lines, n = (source, None) if isinstance(source, np.ndarray) else source
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)
-        return np.loadtxt(lines, dtype, comments=None, ndmin=2, max_rows=n, encoding="utf-8")
-
-
-def _body_values(fh, n_u: int, rows: list, k=0, as_text=True, out=None) -> np.ndarray | None:
-    """x, y and ell of lattice rows rows[k] to rows[k + 1] - 1, shape (3, rows[k + 1] - rows[k],
-    n_u), in `out` if given, parsed off the binary handle fh from the first line of row rows[k];
-    None if a text filled its 25 bytes or does not convert.  Only blank lines may end the body."""
-    lo, hi, expected = rows[k], rows[k + 1], n_u * rows[-1]
-    values, found, rest = np.empty((3, hi - lo, n_u)) if out is None else out, n_u * hi, b""
-    step, x0 = max(1, _BLOCK_NODES // n_u), None  # row 0's x (bytes, values)
-    for j in range(lo, hi, step):
-        block, start = values[:, j - lo : j - lo + step], fh.tell()
-        try:
-            rec = _loadtxt((fh, block[0].size), _TEXT_RECORD if as_text else float)
+def _body_values(fh, n_u: int, n_v: int) -> np.ndarray:
+    """x, y and ell of the n_u x n_v records, shape (3, n_v, n_u), parsed off the binary handle
+    fh from the first record line, a block of rows per numpy.loadtxt call.  Only blank lines may
+    end the body."""
+    values, expected, rest = np.empty((3, n_v, n_u)), n_u * n_v, b""
+    found, step = expected, max(1, _BLOCK_NODES // n_u)
+    for j in range(0, n_v, step):
+        block, start = values[:, j : j + step], fh.tell()
+        try:  # a record of three fields: any other count of numbers on a line is an error
+            with warnings.catch_warnings():  # loadtxt warns as it skips a line with no data
+                warnings.simplefilter("error", UserWarning)
+                rec = np.loadtxt(fh, "f8,f8,f8", comments=None, max_rows=block[0].size,
+                                 encoding="utf-8", ndmin=1)
         except (UserWarning, ValueError) as exc:  # at a line that fh has just read
             size = fh.tell() - start
             fh.seek(start)
@@ -110,44 +100,17 @@ def _body_values(fh, n_u: int, rows: list, k=0, as_text=True, out=None) -> np.nd
         if len(rec) < block[0].size:
             found = j * n_u + len(rec)
             break
-        if as_text:  # until a block's x rows differ from row 0 or a y row varies
-            rec = rec.reshape(block[0].shape)
-            raw = rec.view(np.uint8).reshape(*rec.shape, -1)
-            if raw[..., 24].any() or raw[..., 49].any():
-                return None
-            x, y = raw[..., :25], raw[..., 25:50]
-            try:
-                x0 = x0 or (x[0], _loadtxt(rec["x"][0])[:, 0])
-                as_text = bool(np.all(x == x0[0]) and np.all(y == y[:, :1]))
-                if as_text:
-                    block[0], block[1] = x0[1], _loadtxt(rec["y"][:, 0])
-                else:
-                    block[0], block[1] = (_loadtxt(rec[c].ravel()).reshape(rec.shape) for c in "xy")
-            except ValueError:
-                return None
-            block[2] = rec["ell"]
-        else:
-            if rec.shape[1] != 3:
-                raise GridFormatError("malformed record: expected three numbers per line")
-            block[:] = rec.T.reshape(block.shape)
+        block[:] = rec.view(np.float64).reshape(-1, 3).T.reshape(block.shape)
         if not np.all(np.isfinite(block)):
             raise GridFormatError("non-finite value in records")
-    rest += fh.read() if hi == rows[-1] else b""  # what follows the last record or blank line
-    if found < n_u * hi or rest.strip():  # lines up to a blank one count as records
+    rest += fh.read()  # what follows the last record or blank line
+    if found < expected or rest.strip():  # lines up to a blank one count as records
         lines = rest.splitlines()
         blank = next((i for i, line in enumerate(lines) if not line.strip()), len(lines))
         if b"".join(lines[blank:]).strip():
             raise GridFormatError("malformed record: blank line inside the body")
         raise GridFormatError(f"record count mismatch: expected {expected}, found {found + blank}")
     return values
-
-
-def _line_start(fh, count: int) -> int:
-    """Seek fh just past the count-th newline ahead, count > 0, counted 1 MiB at a time."""
-    while (chunk := fh.read(1 << 20)) and chunk.count(b"\n") < count:
-        count -= chunk.count(b"\n")
-    newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-    return fh.seek(int(newlines[count - 1]) + 1 - len(chunk), os.SEEK_CUR)  # IndexError at EOF
 
 
 def _forked_ranges(n_u: int, n_v: int, prepare):
@@ -166,8 +129,8 @@ def _forked_ranges(n_u: int, n_v: int, prepare):
         run, result = prepare(rows)
         for k in range(1, workers):
             # On Python >= 3.12 fork warns (DeprecationWarning) in a process with other
-            # threads, and numpy's BLAS pool is one.  A child only parses or formats
-            # text, never calls BLAS, and OpenBLAS shuts its pool down across a fork.
+            # threads, and numpy's BLAS pool is one.  A child only formats text, never
+            # calls BLAS, and OpenBLAS shuts its pool down across a fork.
             pids.append(os.fork())
             if pids[-1] == 0:
                 try:
@@ -214,7 +177,7 @@ def read_grid(path: str | Path) -> SurfaceSample:
     """Parse a grid file into a sample with no curvature potential (H None for a `field` grid,
     whose (x, y) must sit on the header lattice).  Checks the header, the record count and
     that every value is finite.  The body is read from the grid's twin file if that holds it
-    (_twin_values), else parsed as one row range of _body_values, or one per CPU."""
+    (_twin_values), else parsed from the text on the handle the header came from."""
     with open(path, "rb") as fh:
         raw = [fh.readline().rstrip(b"\r\n") for _ in range(7)]
         if raw[0] != GRID_MAGIC.encode():
@@ -250,28 +213,10 @@ def read_grid(path: str | Path) -> SurfaceSample:
             msg = f"expected {n_u * n_v}, but {left} bytes hold at most {fits}"
             raise GridFormatError(f"record count mismatch: {msg}")
 
-        def prepare(rows):  # range k opens the file at the first line of row rows[k]
-            values = np.frombuffer(mmap.mmap(-1, 24 * n_u * n_v)).reshape(3, n_v, n_u)
-            starts = [body, *(_line_start(fh, n_u * (b - a)) for a, b in zip(rows, rows[1:-1]))]
-
-            def run(k: int) -> bool:
-                with open(path, "rb") as own:
-                    own.seek(starts[k])
-                    same = _FILE_IDENTITY(os.fstat(own.fileno())) == _FILE_IDENTITY(stat)
-                    out = values[:, rows[k] : rows[k + 1]]
-                    return same and _body_values(own, n_u, rows, k, out=out) is not None
-
-            return run, values
-
         values = _twin_values(path, fh, stat, n_u, n_v)
         if values is None:
             fh.seek(body)
-            values = _forked_ranges(n_u, n_v, prepare)
-    for as_text in (True, False):  # serial: as text, then as floats if a text was cut
-        if values is None:
-            with open(path, "rb") as fh:
-                fh.seek(body)
-                values = _body_values(fh, n_u, [0, n_v], as_text=as_text)
+            values = _body_values(fh, n_u, n_v)
     xs, ys, ells = values
     if kind == "field":
         xx, yy = domain.mesh(n_u, n_v)

@@ -1,14 +1,17 @@
 """The package keeps only what a subcommand runs: every public function, class and
-method in src/isocmc is named somewhere in src/ outside its own definition, and
-every defaulted parameter of a public function or method is set by some call in
-src/, so no default is a knob that only tests turn."""
+method in src/isocmc is named somewhere in src/ outside its own definition, every
+defaulted parameter of a public function or method is set by some call in src/, so no
+default is a knob that only tests turn, and every module-level import is used or
+exported.  Every source file parses at the Python floor that pyproject.toml declares."""
 
 import ast
+import re
 from pathlib import Path
 
 import isocmc
 
 SRC = Path(isocmc.__file__).parent
+ROOT = Path(__file__).parent.parent
 # Kept for the benchmark's tracer, which wraps it, until the tracer no longer needs it.
 ALLOWED = {"SurfaceSample.as_height_field"}
 # (module, qualified name, parameter) of defaults only callers outside src/ set:
@@ -113,3 +116,45 @@ def test_the_allowed_names_exist():
     assert ALLOWED <= defined
     defaults = {(module, qualified, name) for module, qualified, name, *_ in public_defaults(trees)}
     assert ALLOWED_KNOBS <= defaults
+
+
+def module_imports(body: list):
+    """(bound name, line) of each import among the statements, also inside their if and
+    try blocks: given a module's top-level statements, its module-level imports."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            for block in ("body", "handlers", "orelse", "finalbody"):
+                yield from module_imports(getattr(node, block, []))
+
+
+def exported(tree: ast.Module) -> set:
+    """The names of the module's __all__ list, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_module_level_import_is_used_or_exported():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
+        unused += [f"{path.name}:{line}: {name}" for name, line in module_imports(tree.body)
+                   if name not in used]
+    assert not unused, f"imported and never used: {unused}"
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    version = tuple(int(part) for part in floor.groups())
+    files = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
+    assert len(files) > 10
+    for path in sorted(files):
+        ast.parse(path.read_text(), str(path), feature_version=version)

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,6 +154,25 @@ def test_written_files_match_the_golden_files(tmp_path, argv, files):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("lift", ["graph_lift", "chart_lift"])
+def test_a_grid_read_without_its_twin_gives_the_same_reports(tmp_path, monkeypatch, lift):
+    # analyze, classify and pde read a golden lift from its twin, then from its text alone
+    commands, reports = ("analyze", "classify", "pde"), {}
+    parsed = mock.Mock(side_effect=io_mesh._body_values)
+    monkeypatch.setattr(io_mesh, "_body_values", parsed)
+    for files in ((".grid", ".grid.bin"), (".grid",)):
+        where = tmp_path / str(len(files))
+        where.mkdir()
+        for suffix in files:
+            shutil.copyfile(GOLDEN / f"{lift}{suffix}", where / f"lift{suffix}")
+        monkeypatch.chdir(where)  # the reports echo the --grid-file argument
+        for command in commands:
+            assert main([command, "--grid-file", "lift.grid", "-o", command]) == 0
+        reports[files] = [(where / f"{command}.json").read_bytes() for command in commands]
+        assert parsed.call_count == len(commands) * (files == (".grid",))
+    assert reports[(".grid",)] == reports[(".grid", ".grid.bin")]
 
 
 def test_classify_constants(tmp_path, capsys):
