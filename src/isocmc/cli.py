@@ -178,8 +178,8 @@ def cmd_analyze(args, parser, tols: dict) -> int:
     sample = _height_source(args, parser, tols)
     if sample.H is None:
         parser.error("analyze expects a surface grid file; use pde for plain fields")
-    pde = graphgeo.pde_analyze(sample)
-    h_fd, k_fd = 0.5 * pde.laplacian, pde.hessian_det
+    laplacian, k_fd = graphgeo.pde_analyze(sample)
+    h_fd = 0.5 * laplacian
     block = {
         "H_input": float(sample.H),
         "H_fd": _stats(h_fd),
@@ -272,10 +272,10 @@ def cmd_vdist(args, parser, tols: dict) -> int:
 def cmd_pde(args, parser, tols: dict) -> int:
     source = _height_source(args, parser, tols)
     const_tol = tols["const"] or 1e-6 * (1.0 + abs(source.H or 0.0))
-    rep = graphgeo.pde_analyze(source)
+    laplacian, hessian_det = graphgeo.pde_analyze(source)
     is_quad, _ = graphgeo.quadratic_test(source, tols["fit"])
-    lap, hess = _stats(rep.laplacian), _stats(rep.hessian_det)
-    constant = float(rep.laplacian.max() - rep.laplacian.min()) < const_tol
+    lap, hess = _stats(laplacian), _stats(hessian_det)
+    constant = float(laplacian.max() - laplacian.min()) < const_tol
     pde = {
         "laplacian": lap,
         "hessian_det": hess,

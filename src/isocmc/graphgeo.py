@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 DEFAULT_QUAD_FIT_TOL = 1e-8
 # Agreement required of a chart with a translated lattice to count as one.
 GRAPH_TOL = 1e-9
+_FIT_ROWS = 1 << 16  # design rows the quadratic fit holds at once
 
 
 class GridTooSmallError(ValueError):
@@ -75,15 +76,6 @@ class Rect:
         return np.meshgrid(self.x_nodes(n_x), self.y_nodes(n_y))
 
 
-@dataclass
-class PdeReport:
-    """Interior Laplacian, Hessian determinant and det J of a height field."""
-
-    laplacian: np.ndarray
-    hessian_det: np.ndarray
-    jacobian: np.ndarray
-
-
 def _spacing(s: SurfaceSample) -> tuple[float, float]:
     """The lattice steps (h_u, h_v) of s, whose heights must be a finite 2-d array with
     at least 5 nodes per axis."""
@@ -92,7 +84,7 @@ def _spacing(s: SurfaceSample) -> tuple[float, float]:
     (n_v, n_u), d = np.shape(s.ell), s.domain
     if n_u < 5 or n_v < 5:
         raise GridTooSmallError(f"need at least 5 nodes per axis, got {n_u} x {n_v}")
-    if not np.all(np.isfinite(s.ell)):
+    if not (np.isfinite(np.min(s.ell)) and np.isfinite(np.max(s.ell))):  # NaN propagates
         raise ValueError("field values must be finite")
     return (d.x_max - d.x_min) / (n_u - 1), (d.y_max - d.y_min) / (n_v - 1)
 
@@ -133,7 +125,7 @@ def _finite(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _chain_rule(ell, x, y, hu: float, hv: float) -> tuple[np.ndarray, ...]:
-    """Laplacian and Hessian determinant over a curved chart, and det J.
+    """Laplacian and Hessian determinant over a curved chart.
 
     With J = d(x, y)/d(u, v) and p = J^-T grad_uv ell,
 
@@ -154,30 +146,35 @@ def _chain_rule(ell, x, y, hu: float, hv: float) -> tuple[np.ndarray, ...]:
         e, g, c = x_u * x_u + y_u * y_u, x_v * x_v + y_v * y_v, x_u * x_v + y_u * y_v
         lap = (g * m_uu - 2.0 * c * m_uv + e * m_vv) / (jac * jac)
         hess = (m_uu * m_vv - m_uv * m_uv) / (jac * jac)
-    return _finite(lap, hess) + (jac,)
+    return _finite(lap, hess)
 
 
-def pde_analyze(s: SurfaceSample) -> PdeReport:
+def pde_analyze(s: SurfaceSample) -> tuple[np.ndarray, np.ndarray]:
     """Interior Laplacian and Hessian determinant of ell over the chart (x, y).
 
     s samples ell on the parameter lattice (u along rows, v down columns),
     with the chart (x, y) at the same nodes.  On a translated lattice
     (lattice_shift) the central second differences of ell are the (x, y)
-    derivatives and det J is 1; on any other chart the chain rule carries
-    them over.  A value past the float range raises StencilOverflowError,
-    and a chart that folds FoldedChartError.
+    derivatives; on any other chart the chain rule carries them over.  A value
+    past the float range raises StencilOverflowError, and a chart that folds
+    FoldedChartError.
     """
     hu, hv = _spacing(s)
     if np.shape(s.x) != np.shape(s.ell) or np.shape(s.y) != np.shape(s.ell):
         raise ValueError("chart coordinates must share the field's grid shape")
     if lattice_shift(s) is None:
-        lap, hess, jac = _chain_rule(s.ell, s.x, s.y, hu, hv)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_xx, f_yy, f_xy = _second_differences(s.ell, hu, hv)
-            lap, hess = _finite(f_xx + f_yy, f_xx * f_yy - f_xy * f_xy)
-        jac = np.ones_like(lap)
-    return PdeReport(lap, hess, jac)
+        return _chain_rule(s.ell, s.x, s.y, hu, hv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_xx, f_yy, f_xy = _second_differences(s.ell, hu, hv)
+        return _finite(f_xx + f_yy, f_xx * f_yy - f_xy * f_xy)
+
+
+def _design_blocks(s: SurfaceSample):
+    """Design rows [1, x, y, x^2, xy, y^2, ell], whole lattice rows up to _FIT_ROWS at a time."""
+    step = max(1, _FIT_ROWS // np.shape(s.ell)[1])
+    for j in range(0, len(s.ell), step):
+        x, y, ell = (np.ravel(a[j : j + step]) for a in (s.x, s.y, s.ell))
+        yield np.column_stack((np.ones_like(x), x, y, x * x, x * y, y * y, ell))
 
 
 def quadratic_test(s: SurfaceSample, tol: float = DEFAULT_QUAD_FIT_TOL) -> tuple[bool, np.ndarray]:
@@ -192,15 +189,13 @@ def quadratic_test(s: SurfaceSample, tol: float = DEFAULT_QUAD_FIT_TOL) -> tuple
     _spacing(s)
     if min(np.shape(s.ell)) < 7:
         raise GridTooSmallError("quadratic test needs at least 7 nodes per axis")
-    xs, ys = np.ravel(s.x), np.ravel(s.y)
-    design = np.empty((xs.size, 6), order="F")  # LAPACK's order: lstsq copies it without striding
-    design[:, 0], design[:, 1], design[:, 2] = 1.0, xs, ys
-    for col, (a, b) in enumerate(((xs, xs), (xs, ys), (ys, ys)), start=3):
-        np.multiply(a, b, out=design[:, col])
-    rhs = np.ravel(s.ell)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    r, n = np.empty((0, 7)), np.size(s.ell)
+    for block in _design_blocks(s):  # a sequential TSQR: R of the design, heights appended
+        r = np.linalg.qr(np.vstack((r, block)), mode="r")
+    # R[:6, :6] has the design's singular values, so lstsq's rank rule for it carries over
+    coeffs, _, rank, _ = np.linalg.lstsq(r[:6, :6], r[:6, 6], rcond=np.finfo(float).eps * n)
     if rank < 6:
         raise DegenerateFitError("quadratic fit design matrix is rank deficient")
-    residual = float(np.max(np.abs(design @ coeffs - rhs)))
-    bound = tol * (1.0 + float(np.max(np.abs(rhs))))
+    residual = max(float(np.max(np.abs(b[:, :6] @ coeffs - b[:, 6]))) for b in _design_blocks(s))
+    bound = tol * (1.0 + max(float(np.max(s.ell)), -float(np.min(s.ell))))
     return residual < bound, coeffs

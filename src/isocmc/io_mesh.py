@@ -91,9 +91,13 @@ def _body_values(fh, n_u: int, n_v: int) -> np.ndarray:
         except (UserWarning, ValueError) as exc:  # at a line that fh has just read
             size = fh.tell() - start
             fh.seek(start)
-            found = j * n_u + fh.read(size).count(b"\n", 0, size - 1)  # the records before it
+            data = fh.read(size)
+            found = j * n_u + data.count(b"\n", 0, size - 1)  # the records before it
             if isinstance(exc, ValueError):
-                why = str(exc).split(" at row ")[0]  # numpy counts rows from the block's first
+                numbers = len(data.split(b"\n")[found - j * n_u].split())
+                why = f"expected three numbers, found {numbers}"
+                if numbers == 3:  # a text that is no float: numpy's words, without its row count
+                    why = str(exc).split(" at row ")[0]
                 raise GridFormatError(f"malformed record on line {8 + found}: {why}") from None
             rest = b"\n"  # the line had no data
             break

@@ -39,7 +39,7 @@ def test_criterion_1_constant_curvature_family():
         sample = lift_one(enneper_data(2), H, SQUARE, 201, 201)
         want = H * H - 1.0
         worst_analytic = max(worst_analytic, float(np.max(np.abs(sample.analytic_gauss() - want))))
-        k_fd = pde_analyze(sample).hessian_det
+        k_fd = pde_analyze(sample)[1]
         worst_fd = max(worst_fd, float(np.max(np.abs(k_fd - want))))
         if H == 1.0:
             label = classify_sample(sample).label
@@ -65,7 +65,7 @@ def test_criterion_2_exponential_family():
     sample = lift_one(exp_data(), H, SQUARE, 201, 201)
     want = H * H - np.exp(2.0 * sample.x)
     dev_analytic = float(np.max(np.abs(sample.analytic_gauss() - want)))
-    k_fd = pde_analyze(sample).hessian_det
+    k_fd = pde_analyze(sample)[1]
     dev_fd = float(np.max(np.abs(k_fd - want[1:-1, 1:-1])))
     umbilics = umbilic_scan(exp_data(), Rect(-2, 2, -2, 2), (101, 101))
     elapsed = time.perf_counter() - start
@@ -170,12 +170,12 @@ def test_criterion_6_pde_views():
     const_ok = True
     for H, K in pairs:
         field = quadric_field(H, K, SQUARE, 41, 41)
-        report = pde_analyze(field)
-        lo, hi = report.laplacian.min(), report.laplacian.max()
+        lap, hess = pde_analyze(field)
+        lo, hi = lap.min(), lap.max()
         const_ok &= (hi - lo) < 1e-8
         worst_lap = max(worst_lap, abs(lo - 2 * H), abs(hi - 2 * H))
         worst_hess = max(
-            worst_hess, float(np.max(np.abs(report.hessian_det - K)))
+            worst_hess, float(np.max(np.abs(hess - K)))
         )
         quad_ok &= quadratic_test(field)[0]
     cubic_like_rejected = True
@@ -201,9 +201,9 @@ def test_criterion_7_numerics_properties():
         fxx = -4 * np.sin(2 * xi) * np.cos(3 * yi)
         fyy = -9 * np.sin(2 * xi) * np.cos(3 * yi)
         fxy = -6 * np.cos(2 * xi) * np.sin(3 * yi)
-        report = pde_analyze(f)
-        eh = float(np.max(np.abs(0.5 * report.laplacian - 0.5 * (fxx + fyy))))
-        ek = float(np.max(np.abs(report.hessian_det - (fxx * fyy - fxy**2))))
+        lap, hess = pde_analyze(f)
+        eh = float(np.max(np.abs(0.5 * lap - 0.5 * (fxx + fyy))))
+        ek = float(np.max(np.abs(hess - (fxx * fyy - fxy**2))))
         return eh, ek
 
     coarse, fine = stencil_errors(51), stencil_errors(101)
@@ -231,7 +231,7 @@ def test_criterion_7_numerics_properties():
     exp_sample = lift_one(exp_data(), 0.5, SQUARE, 201, 201)
     h = (SQUARE.x_max - SQUARE.x_min) / 200  # the lattice step
     fd_bound = 0.25 + 10.0 * h * h
-    fd_ok = float(np.max(pde_analyze(exp_sample).hessian_det)) <= fd_bound
+    fd_ok = float(np.max(pde_analyze(exp_sample)[1])) <= fd_bound
 
     ok = factor >= 3.5 and path_gap <= 2 * tol and trips == 1000 and analytic_ok and fd_ok
     verdict(

@@ -2,7 +2,9 @@
 method in src/isocmc is named somewhere in src/ outside its own definition, every
 defaulted parameter of a public function or method is set by some call in src/, so no
 default is a knob that only tests turn, and every module-level import is used or
-exported.  Every source file parses at the Python floor that pyproject.toml declares."""
+exported.  Every field of a dataclass is read as an attribute somewhere in src/ outside
+its class, but for the reports that are written out whole.  Every source file parses at
+the Python floor that pyproject.toml declares."""
 
 import ast
 import re
@@ -17,6 +19,8 @@ ALLOWED = {"SurfaceSample.as_height_field"}
 # (module, qualified name, parameter) of defaults only callers outside src/ set:
 # cli.main's argv, which the tests and the benchmark's traced run pass.
 ALLOWED_KNOBS = {("cli.py", "main", "argv")}
+# Dataclasses whose every field io_mesh.write_report serializes, unread by name.
+SERIALIZED = {"ClassificationResult", "VdistReport"}
 
 
 def public_definitions(tree: ast.Module):
@@ -56,6 +60,37 @@ def test_every_public_name_is_used_in_src():
             if next(outside, None) is None and qualified not in ALLOWED:
                 unused.append(f"{module}: {qualified}")
     assert not unused, f"named nowhere else in src/: {unused}"
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class node, field name) of each annotated field of each top-level dataclass."""
+    for node in tree.body:
+        decorators = [getattr(d, "func", d) for d in getattr(node, "decorator_list", [])]
+        if "dataclass" in [getattr(d, "id", None) for d in decorators]:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node, item.target.id
+
+
+def test_every_dataclass_field_is_read_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = [
+        (node.attr, module, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for cls, field in dataclass_fields(tree):
+            inside = range(cls.lineno, cls.end_lineno + 1)
+            read = any(
+                attr == field and not (where == module and line in inside)
+                for attr, where, line in reads
+            )
+            if cls.name not in SERIALIZED and not read:
+                unread.append(f"{module}: {cls.name}.{field}")
+    assert not unread, f"fields read nowhere in src/: {unread}"
 
 
 def defaulted_parameters(qualified: str, node: ast.FunctionDef):
@@ -114,6 +149,7 @@ def test_the_allowed_names_exist():
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     defined = {qualified for tree in trees.values() for qualified, _ in public_definitions(tree)}
     assert ALLOWED <= defined
+    assert SERIALIZED <= {cls.name for tree in trees.values() for cls, _ in dataclass_fields(tree)}
     defaults = {(module, qualified, name) for module, qualified, name, *_ in public_defaults(trees)}
     assert ALLOWED_KNOBS <= defaults
 

@@ -642,8 +642,7 @@ BAD_LINES = bad_lines()
 
 
 def columns(count, line):
-    why = f"the dtype passed requires 3 columns but {count} were found"
-    return f"malformed record on line {line}: {why}"
+    return f"malformed record on line {line}: expected three numbers, found {count}"
 
 
 def not_a_float(token, line):

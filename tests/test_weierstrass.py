@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isocmc import holo, weierstrass
-from isocmc.graphgeo import Rect, pde_analyze
+from isocmc.graphgeo import Rect
 from isocmc.weierstrass import (
     NonGraphSampleError,
     SingularNodeError,
@@ -16,6 +16,7 @@ from isocmc.weierstrass import (
 )
 
 from util_expr import enneper_data, exp_data, lift_one
+from util_grid import interior_det_j
 
 Z = holo.Variable("z")
 ONE = holo.Constant(1)
@@ -141,10 +142,10 @@ def test_induced_metric():
     # the metric |omega_hat|^2 |dz|^2 comes from the chart alone, so H never changes it
     data = WeierstrassData(ONE, holo.Exp(Z))
     flat, bowl = synthesize_family(data, [0.0, 2.0], Rect(-0.5, 0.5, -0.5, 0.5), 21, 21)
-    jacs = [pde_analyze(s).jacobian for s in (flat, bowl)]
+    jacs = [interior_det_j(s) for s in (flat, bowl)]
     assert np.array_equal(jacs[0], jacs[1])
     sample = lift_one(exp_data(), 1.0, SQUARE, 21, 21)
-    jac = pde_analyze(sample).jacobian
+    jac = interior_det_j(sample)
     assert np.max(np.abs(jac - 1.0)) < 1e-13
 
 
@@ -393,7 +394,7 @@ def test_coordinate_fields_carry_the_conformal_factor():
     data = WeierstrassData(ONE, holo.Exp(Z))
     rect = Rect(-0.5, 0.5, -0.5, 0.5)
     sample = lift_one(data, 0.0, rect, 51, 51)
-    jac = pde_analyze(sample).jacobian
+    jac = interior_det_j(sample)
     # a conformal chart has det J = |omega_hat|^2
     uu, vv = rect.mesh(51, 51)
     omega = holo.evaluate(data.omega_hat, {"z": uu + 1j * vv})[1:-1, 1:-1]

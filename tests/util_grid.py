@@ -1,11 +1,24 @@
-"""Per-value reference writers of the grid and OBJ text formats.
+"""Per-value reference writers of the grid and OBJ text formats, and det J of a chart.
 
-They format every number on its own, node by node, so the tests can check
-the package's row-template writers byte for byte against them and write
+The writers format every number on its own, node by node, so the tests can
+check the package's row-template writers byte for byte against them and write
 fixture files, `field` grids among them, that no subcommand writes.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def interior_det_j(s):
+    """det J = d(x, y)/d(u, v) of the chart of a SurfaceSample at its interior nodes, by
+    central differences along the rows (u) and columns (v) of its parameter lattice."""
+    n_v, n_u = np.shape(s.ell)
+    d = s.domain
+    hu, hv = (d.x_max - d.x_min) / (n_u - 1), (d.y_max - d.y_min) / (n_v - 1)
+    x_u, y_u = ((a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * hu) for a in (s.x, s.y))
+    x_v, y_v = ((a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * hv) for a in (s.x, s.y))
+    return x_u * y_v - x_v * y_u
 
 
 def _ref_fmt(v):
