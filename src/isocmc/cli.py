@@ -56,14 +56,21 @@ def _parse_floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
+def _base_name(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a base name, got ''")
+    return text
+
+
 def _resolve_tols(args, parser) -> dict:
-    tols = dict(_TOL_DEFAULTS)
+    """The tolerances the subcommand reads: its declared keys, then any --tol."""
+    tols = {key: _TOL_DEFAULTS[key] for key in args.tol_keys}
     for item in args.tol or []:
         if "=" not in item:
             parser.error(f"--tol expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
         if key not in tols:
-            parser.error(f"unknown tolerance {key!r}; choose from {sorted(tols)}")
+            parser.error(f"{args.command} reads no tolerance {key!r}; it reads {', '.join(tols)}")
         try:
             value = float(raw)
         except ValueError:
@@ -108,11 +115,12 @@ def _stats(values: np.ndarray) -> dict:
 
 
 def _report(args, tols: dict, inputs: dict | None = None, **sections) -> None:
-    """Write the run's .json report: the options it echoes, its tolerances and
-    any further inputs, then its sections (see io_mesh.write_report)."""
-    keys = ("h2", "omega", "f", "grid_file", "H", "domain", "grid")
-    block = {key: getattr(args, key, None) for key in keys}
-    block["tolerances"] = {k: tols[k] for k in sorted(tols)}
+    """Write the run's .json report: the options below that the subcommand has,
+    its tolerances and any further inputs, then its sections (see
+    io_mesh.write_report)."""
+    keys = ("h2", "omega", "f", "grid_file", "H", "K", "domain", "grid")
+    block = {key: getattr(args, key) for key in keys if hasattr(args, key)}
+    block["tolerances"] = dict(tols)
     io_mesh.write_report(_out_path(args, f"{args.out}.json"), block | (inputs or {}), **sections)
 
 
@@ -207,10 +215,10 @@ def cmd_analyze(args, parser, tols: dict) -> int:
 def cmd_classify(args, parser, tols: dict) -> int:
     source = _height_source(args, parser, tols)
     if source is None:
-        result, inputs = classify.label_from_constants(args.H, args.K, tols["zero"]), {"K": args.K}
+        result = classify.label_from_constants(args.H, args.K, tols["zero"])
     else:
-        result, inputs = classify.classify_sample(source, tols["zero"], tols["fit"]), None
-    _report(args, tols, inputs, classification=result)
+        result = classify.classify_sample(source, tols["zero"], tols["fit"])
+    _report(args, tols, classification=result)
     if result.label is classify.SurfaceClass.NON_QUADRIC:
         print(f"classify: {result.label.value}")
     else:
@@ -303,14 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constant mean curvature graphs in the isotropic 3-space.",
     )
     parser.add_argument("--version", action="version", version=f"isocmc {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=".", help="directory for output files")
-    common.add_argument(
-        "--tol",
-        action="append",
-        metavar="KEY=VALUE",
-        help=f"tolerance override, KEY in {sorted(_TOL_DEFAULTS)}",
-    )
     gen = argparse.ArgumentParser(add_help=False)
     gen.add_argument("--h2", help="generator expression h2(z)")
     gen.add_argument("--omega", help="generator expression omega(z), nowhere zero")
@@ -321,57 +321,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lift", parents=[common, gen, lattice], help="synthesize one surface")
+    p = sub.add_parser("lift", parents=[gen, lattice], help="synthesize one surface")
     p.add_argument("--H", type=float, default=0.0, help="mean curvature")
-    p.add_argument("-o", "--out", default="lift", help="output base name")
-    p.set_defaults(func=cmd_lift, required_gen=True)
+    p.set_defaults(func=cmd_lift, required_gen=True, tol_keys=("quadrature", "umbilic"))
 
-    p = sub.add_parser(
-        "analyze", parents=[common, gen, lattice], help="finite-difference curvature check"
-    )
+    p = sub.add_parser("analyze", parents=[gen, lattice], help="finite-difference curvature check")
     p.add_argument("--H", type=float, default=0.0)
     p.add_argument("--grid-file", help="analyze a stored surface instead")
-    p.add_argument("-o", "--out", default="analyze")
-    p.set_defaults(func=cmd_analyze, required_gen=False)
+    p.set_defaults(func=cmd_analyze, required_gen=False, tol_keys=("quadrature", "umbilic"))
 
-    p = sub.add_parser(
-        "classify", parents=[common, gen, lattice], help="name the quadric, if it is one"
-    )
+    p = sub.add_parser("classify", parents=[gen, lattice], help="name the quadric, if it is one")
     p.add_argument("--H", type=float, default=0.0)
     p.add_argument("--K", type=float, default=None, help="classify the pair (H, K)")
     p.add_argument("--grid-file", help="classify a stored grid")
     p.add_argument("--f", help="height expression in x and y")
-    p.add_argument("-o", "--out", default="classify")
-    p.set_defaults(func=cmd_classify, required_gen=False)
+    p.set_defaults(func=cmd_classify, required_gen=False, tol_keys=("fit", "quadrature", "zero"))
 
-    p = sub.add_parser(
-        "sweep", parents=[common, gen, lattice], help="one family, several H values"
-    )
+    p = sub.add_parser("sweep", parents=[gen, lattice], help="one family, several H values")
     numbers = _syntax("comma separated numbers", ",")
     p.add_argument("--H-list", dest="H_list", required=True, type=numbers, help="comma separated")
-    p.add_argument("-o", "--out", default="sweep")
-    p.set_defaults(func=cmd_sweep, required_gen=True)
+    p.set_defaults(func=cmd_sweep, required_gen=True, tol_keys=("quadrature",))
 
-    p = sub.add_parser(
-        "vdist", parents=[common, gen], help="K image over growing disks"
-    )
+    p = sub.add_parser("vdist", parents=[gen], help="K image over growing disks")
     p.add_argument("--H", type=float, default=0.0)
     p.add_argument("--radii", default="1,10,100", type=numbers, help="comma separated, increasing")
     p.add_argument("--samples", type=int, default=10_000, help="samples per radius")
-    p.set_defaults(func=cmd_vdist, required_gen=True)
-    p.add_argument("-o", "--out", default="vdist")
+    p.set_defaults(func=cmd_vdist, required_gen=True, tol_keys=("margin", "umbilic"))
 
-    p = sub.add_parser(
-        "pde", parents=[common, gen, lattice], help="laplacian / hessian determinant view"
-    )
+    p = sub.add_parser("pde", parents=[gen, lattice], help="laplacian / hessian determinant view")
     p.add_argument("--H", type=float, default=0.0)
     p.add_argument("--grid-file")
     p.add_argument("--f", help="height expression in x and y")
-    p.add_argument("-o", "--out", default="pde")
-    p.set_defaults(func=cmd_pde, required_gen=False)
+    p.set_defaults(func=cmd_pde, required_gen=False, tol_keys=("const", "fit", "quadrature"))
 
-    for p in sub.choices.values():  # later usage errors print the subcommand's usage
-        p.set_defaults(parser=p)
+    for name, p in sub.choices.items():
+        keys = ", ".join(p.get_default("tol_keys"))  # the only keys it accepts and echoes
+        p.add_argument("--tol", action="append", metavar="KEY=VALUE",
+                       help=f"tolerance override, KEY in {keys}")
+        p.add_argument("--out-dir", default=".", help="directory for output files")
+        p.add_argument("-o", "--out", default=name, type=_base_name, help="output base name")
+        p.set_defaults(parser=p)  # later usage errors print the subcommand's usage
     return parser
 
 

@@ -29,7 +29,7 @@ from .graphgeo import Rect
 from .weierstrass import SurfaceSample
 
 GRID_MAGIC = "# cmcgrid v1"
-REPORT_SCHEMA_VERSION = "2"
+REPORT_SCHEMA_VERSION = "3"
 # Nodes per block of records that the reader parses with one numpy.loadtxt call.
 _BLOCK_NODES = 1 << 13
 # Fewest nodes per process for which a forked write_surface pass repays its fork.
@@ -393,11 +393,10 @@ def _plain(obj):
 
 
 def write_report(path: str | Path, inputs: dict, **sections) -> None:
-    """Write a run's JSON report: the version, the inputs, then the curvature,
-    classification and vdist sections (null where the run has none), then any
-    other section in the order given.  Non-finite numbers are an error."""
+    """Write a run's JSON report: the version, the inputs, then the run's own
+    sections in the order given.  Non-finite numbers are an error."""
     from isocmc import __version__
 
     doc = {"version": {"schema": REPORT_SCHEMA_VERSION, "tool": __version__}, "input": inputs}
-    doc |= {"curvature": None, "classification": None, "vdist": None} | sections
+    doc |= sections
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False, default=_plain) + "\n")

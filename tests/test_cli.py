@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from isocmc import graphgeo, holo, io_mesh, vdist, weierstrass
+from isocmc import cli, graphgeo, holo, io_mesh, vdist, weierstrass
 from isocmc.cli import main
 from isocmc.graphgeo import Rect
 
@@ -335,37 +336,49 @@ def test_reports_are_deterministic(tmp_path):
 
 
 LIFT_31X21 = ("--h2", "z^2", "--omega", "1", "--H", "0.5", "--grid", "31x21")
-NOT_READ = (None, None, None)
+NOT_READ = {"H": None, "domain": None, "grid": None}
+# The input block of each subcommand's report: the options it has, then the rest.
+INPUT_KEYS = {
+    "lift": ["h2", "omega", "H", "domain", "grid", "tolerances"],
+    "analyze": ["h2", "omega", "grid_file", "H", "domain", "grid", "tolerances"],
+    "classify": ["h2", "omega", "f", "grid_file", "H", "K", "domain", "grid", "tolerances"],
+    "sweep": ["h2", "omega", "domain", "grid", "tolerances", "H_list"],
+    "vdist": ["h2", "omega", "H", "tolerances", "radii", "samples"],
+    "pde": ["h2", "omega", "f", "grid_file", "H", "domain", "grid", "tolerances"],
+}
 
 
 @pytest.mark.parametrize(
     "command, argv, echoed",
     [
-        pytest.param("lift", LIFT_31X21, (0.5, "-1:1:-1:1", "31x21"), id="lift"),
+        pytest.param("lift", LIFT_31X21, {"H": 0.5, "domain": "-1:1:-1:1", "grid": "31x21"},
+                     id="lift"),
         pytest.param("analyze", ("--grid-file", "lift.grid"), NOT_READ, id="analyze-grid-file"),
         pytest.param("classify", ("--grid-file", "lift.grid"), NOT_READ, id="classify-grid-file"),
         pytest.param("pde", ("--grid-file", "lift.grid", "--H", "2", "--grid", "5x5"), NOT_READ,
                      id="pde-grid-file"),
-        pytest.param("classify", ("--H", "1", "--K", "-1", "--grid", "5x5"), (1.0, None, None),
-                     id="classify-constants"),
+        pytest.param("classify", ("--H", "1", "--K", "-1", "--grid", "5x5"),
+                     {"H": 1.0, "domain": None, "grid": None}, id="classify-constants"),
         pytest.param("classify", ("--f", "x^2", "--H", "2", "--grid", "9x7"),
-                     (None, "-1:1:-1:1", "9x7"), id="classify-f"),
-        pytest.param("pde", ("--f", "x^2", "--grid", "9x7"), (None, "-1:1:-1:1", "9x7"),
-                     id="pde-f"),
+                     {"H": None, "domain": "-1:1:-1:1", "grid": "9x7"}, id="classify-f"),
+        pytest.param("pde", ("--f", "x^2", "--grid", "9x7"),
+                     {"H": None, "domain": "-1:1:-1:1", "grid": "9x7"}, id="pde-f"),
         pytest.param("sweep", ("--h2", "z", "--omega", "1", "--H-list", "0,1", "--grid", "5x5"),
-                     (None, "-1:1:-1:1", "5x5"), id="sweep"),
+                     {"domain": "-1:1:-1:1", "grid": "5x5"}, id="sweep"),
         pytest.param("vdist", ("--h2", "z^2", "--omega", "1", "--H", "1", "--samples", "400"),
-                     (1.0, None, None), id="vdist"),
+                     {"H": 1.0}, id="vdist"),
     ],
 )
 def test_inputs_echo_null_for_options_the_run_did_not_read(
     tmp_path, monkeypatch, command, argv, echoed
 ):
+    # and echo no option the subcommand does not have
     monkeypatch.chdir(tmp_path)
     assert run(tmp_path, "lift", *LIFT_31X21) == 0
     assert run(tmp_path, command, *argv, "-o", "echo") == 0
     inputs = load_report(tmp_path, "echo.json")["input"]
-    assert (inputs["H"], inputs["domain"], inputs["grid"]) == echoed
+    assert list(inputs) == INPUT_KEYS[command]
+    assert {key: inputs[key] for key in ("H", "domain", "grid") if key in inputs} == echoed
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +407,102 @@ def test_unknown_tolerance_key_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("tol", ["umbilic=inf", "quadrature=nan", "margin=inf", "const=nan"])
 def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, tol):
-    assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5x5", "--tol", tol) == 2
+    command = {"margin": "vdist", "const": "pde"}.get(tol.split("=")[0], "lift")
+    assert run(tmp_path, command, "--h2", "z", "--omega", "1", "--tol", tol) == 2
     assert "must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# The tolerance keys each subcommand reads, the only ones it accepts and echoes.
+TOL_KEYS = {
+    "lift": ("quadrature", "umbilic"),
+    "analyze": ("quadrature", "umbilic"),
+    "classify": ("fit", "quadrature", "zero"),
+    "sweep": ("quadrature",),
+    "vdist": ("margin", "umbilic"),
+    "pde": ("const", "fit", "quadrature"),
+}
+GEN_9X9 = ("--h2", "z^2", "--omega", "1", "--grid", "9x9")
+# One small run of each subcommand per height source it has, the generators first.
+SOURCE_RUNS = {
+    "lift": {"--h2": GEN_9X9},
+    "analyze": {"--h2": GEN_9X9, "--grid-file": ("--grid-file", "lift.grid")},
+    "classify": {"--h2": GEN_9X9, "--grid-file": ("--grid-file", "lift.grid"),
+                 "--f": ("--f", "x^2 + y^2", "--grid", "9x9"), "--K": ("--H", "1", "--K", "-1")},
+    "sweep": {"--h2": (*GEN_9X9, "--H-list", "0,1")},
+    "vdist": {"--h2": ("--h2", "z^2", "--omega", "1", "--H", "1", "--samples", "400")},
+    "pde": {"--h2": GEN_9X9, "--grid-file": ("--grid-file", "lift.grid"),
+            "--f": ("--f", "x^2 + y^2", "--grid", "9x9")},
+}
+# A value for each key, none of them its default.
+TOL_OVERRIDES = {"const": 1e-3, "fit": 1e-7, "margin": 1e-2, "quadrature": 1e-9,
+                 "umbilic": 1e-8, "zero": 1e-7}
+
+
+@pytest.mark.parametrize("command", SOURCE_RUNS)
+def test_the_declared_tolerance_keys_are_the_keys_read(tmp_path, monkeypatch, capsys, command):
+    # a run per height source: a declared key that no source reads fails here
+    monkeypatch.chdir(tmp_path)
+    assert run(tmp_path, "lift", *GEN_9X9) == 0
+    assert main([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    sources = {"--h2", "--grid-file", "--f", "--K"} & set(re.findall(r"--[\w-]+", help_text))
+    assert set(SOURCE_RUNS[command]) == sources
+    keys = TOL_KEYS[command]
+    tol_help = help_text.split("--tol KEY=VALUE ", 1)[1].split(" --", 1)[0]
+    assert tol_help == f"tolerance override, KEY in {', '.join(keys)}"
+
+    reads, declared, echoing = [], [], []
+
+    class Logged(dict):
+        def __getitem__(self, key):
+            if not echoing:
+                reads.append((key, super().__getitem__(key)))
+            return super().__getitem__(key)
+
+    def resolve(args, parser):
+        declared.append(args.tol_keys)
+        return Logged(resolve_tols(args, parser))
+
+    def report(*args, **kwargs):  # the report's echo reads no tolerance for the run
+        echoing.append(True)
+        try:
+            return write(*args, **kwargs)
+        finally:
+            echoing.pop()
+
+    resolve_tols, write = cli._resolve_tols, cli._report
+    monkeypatch.setattr(cli, "_resolve_tols", resolve)
+    monkeypatch.setattr(cli, "_report", report)
+    tol = [arg for key in keys for arg in ("--tol", f"{key}={TOL_OVERRIDES[key]}")]
+    for argv in SOURCE_RUNS[command].values():
+        assert run(tmp_path, command, *argv, *tol, "-o", "out") == 0
+        echoed = load_report(tmp_path, "out.json")["input"]["tolerances"]
+        assert echoed == {key: TOL_OVERRIDES[key] for key in keys}
+    assert set(declared) == {keys}
+    assert {key for key, _ in reads} == set(keys)
+    assert all(value == TOL_OVERRIDES[key] for key, value in reads)
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, keys in TOL_KEYS.items() for key in TOL_OVERRIDES
+     if key not in keys],
+)
+def test_a_tolerance_key_the_subcommand_does_not_read_is_a_usage_error(
+    tmp_path, capsys, command, key
+):
+    argv = SOURCE_RUNS[command]["--h2"]
+    assert run(tmp_path, command, *argv, "--tol", f"{key}=1e-3") == 2
+    want = f"{command} reads no tolerance {key!r}; it reads {', '.join(TOL_KEYS[command])}\n"
+    assert capsys.readouterr().err.endswith(want)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", SOURCE_RUNS)
+def test_an_empty_output_name_is_a_usage_error(tmp_path, capsys, command):
+    assert run(tmp_path, command, *SOURCE_RUNS[command]["--h2"], "-o", "") == 2
+    assert "argument -o/--out: expected a base name, got ''" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -262,10 +262,9 @@ def fit_cases():
 
 
 @pytest.mark.parametrize("s", fit_cases())
-def test_quadratic_fit_matches_the_column_stack_design_bitwise(s):
-    # within a few ulps of the coefficients' scale: both solves are backward stable on
-    # designs of condition number 5-6, and up to 11 ulps were seen; the name keeps the
-    # test's ids stable
+def test_quadratic_fit_matches_the_column_stack_design_within_16_ulps(s):
+    # of the coefficients' scale: both solves are backward stable on designs of
+    # condition number 5-6, and up to 11 ulps were seen
     _, coeffs = quadratic_test(s)
     want = column_stack_fit(s)
     assert np.max(np.abs(coeffs - want)) <= 16 * np.spacing(np.max(np.abs(want)))

@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from isocmc.cli import main
+from isocmc.cli import build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -29,3 +29,13 @@ def test_command_line_examples_print_their_summary_lines(tmp_path, monkeypatch, 
     for command, shown in examples:
         assert main(shlex.split(command)) == 0
         assert capsys.readouterr().out.startswith(shown.split("...")[0])
+
+
+def test_the_tolerance_key_table_lists_the_keys_each_subcommand_declares():
+    table = README.split("| subcommand | keys read |", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in re.findall(r"^\| (.*) \| (.*) \|$", table, re.M):
+        keys = tuple(re.findall(r"`(\w+)`", row[1]))
+        listed |= {command: keys for command in re.findall(r"`(\w+)`", row[0])}
+    (commands,) = (a for a in build_parser()._actions if a.dest == "command")
+    assert listed == {name: p.get_default("tol_keys") for name, p in commands.choices.items()}
