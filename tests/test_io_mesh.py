@@ -708,11 +708,12 @@ def test_parallel_read_raises_the_serial_error(tmp_path, monkeypatch, text, mess
     assert (type(got.value), str(got.value)) == (GridFormatError, message)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("text, line", BAD_LINES.values(), ids=BAD_LINES.keys())
-def test_a_malformed_record_names_its_file_line(tmp_path, monkeypatch, text, line):
+def test_a_malformed_record_names_its_file_line(tmp_path, monkeypatch, text, line, workers):
     path = tmp_path / "m.grid"
     path.write_text(text)
-    forks = force_parallel(monkeypatch, 3)  # a read forks no worker, however many CPUs
+    forks = force_parallel(monkeypatch, workers)  # a read forks no worker, however many CPUs
     with pytest.raises(GridFormatError) as got:
         read_grid(path)
     assert not forks
