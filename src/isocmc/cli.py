@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -57,8 +58,8 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _base_name(text: str) -> str:
-    if not text:
-        raise argparse.ArgumentTypeError("expected a base name, got ''")
+    if os.path.basename(text) in ("", ".", ".."):  # no file name to add suffixes to
+        raise argparse.ArgumentTypeError(f"expected a base name, got {text!r}")
     return text
 
 

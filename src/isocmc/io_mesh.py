@@ -117,20 +117,12 @@ def _body_values(fh, n_u: int, n_v: int) -> np.ndarray:
     return values
 
 
-def _forked_ranges(n_u: int, n_v: int, prepare):
-    """Run a range function on W contiguous row ranges at once, W <= the usable CPUs.
-
-    prepare(rows), given the bounds 0 = rows[0] < ... < rows[W] = n_v, returns
-    (run, result) before any fork.  Forked children run run(k), k = 1..W-1, and
-    end through os._exit; this process runs run(0).  result if every run(k)
-    returned True; None if that does not pay or fails in any way."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, n_u * n_v // _PARALLEL_NODES, n_v) if hasattr(os, "fork") else 1
-    if workers < 2 or threading.active_count() != 1:
-        return None
-    rows, pids, ok = [k * n_v // workers for k in range(workers + 1)], [], False
+def _forked(workers: int, run) -> bool:
+    """Run run(k) in forked children, k = 1..workers-1, that end through os._exit, and
+    run(0) in this process.  True if every run(k) returned True; a failure of any kind kills
+    the children, and every child is reaped."""
+    pids, ok = [], False
     try:
-        run, result = prepare(rows)
         for k in range(1, workers):
             # On Python >= 3.12 fork warns (DeprecationWarning) in a process with other
             # threads, and numpy's BLAS pool is one.  A child only formats text, never
@@ -149,7 +141,7 @@ def _forked_ranges(n_u: int, n_v: int, prepare):
             if not ok:
                 os.kill(pid, signal.SIGKILL)
             ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
-    return result if ok else None
+    return ok
 
 
 def _digest(fh) -> bytes:
@@ -254,14 +246,10 @@ def _faces(n_u: int, n_v: int, lo: int = 0, hi: int | None = None):
 
 
 def _append(dst, src) -> None:
-    """Append all of the flushed file src to dst, within the kernel where it can."""
+    """Append all of the text file src to the text file dst, byte for byte."""
     dst.flush()
-    done = 0
-    with contextlib.suppress(OSError):
-        while n := os.copy_file_range(src.fileno(), dst.fileno(), 1 << 30, done):
-            done += n
-    src.seek(done)
-    shutil.copyfileobj(src, dst)  # what copy_file_range left, if anything
+    src.seek(0)
+    shutil.copyfileobj(src.buffer, dst.buffer)
 
 
 def write_surface(
@@ -316,6 +304,9 @@ def write_surface(
         ])
 
     _faces(n_u, n_v)  # rejects a lattice too small for a mesh before a file opens
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(cpus, n_u * n_v // _PARALLEL_NODES, n_v) if forks else 1
 
     def write(rows, files, k: int) -> bool:
         """files[k] takes range k's records (grids), "v" lines (objs) and "f" lines (faces)."""
@@ -343,23 +334,21 @@ def write_surface(
             Path(f"{path}.bin").unlink(missing_ok=True)
         grids = [path and stack.enter_context(open(path, "w")) for path in grid_paths]
 
-        with contextlib.ExitStack() as temps:  # the temp files, closed before a serial write
+        appended = False
+        if workers > 1:  # any OSError of the forked write ends in the serial one
+            with contextlib.suppress(OSError), contextlib.ExitStack() as temps:
 
-            def prepare(rows):
                 def temp(path):
                     return path and temps.enter_context(
                         tempfile.TemporaryFile("w+", dir=Path(path).parent)
                     )
 
+                rows = [k * n_v // workers for k in range(workers + 1)]
                 files = [(grids, objs, [temp(obj_paths[0])])]
                 for _ in rows[2:]:
                     range_grids = [temp(p) for p in grid_paths]
                     files.append((range_grids, [temp(p) for p in obj_paths], [temp(obj_paths[0])]))
-                return (lambda k: write(rows, files, k)), files
-
-            files, appended = _forked_ranges(n_u, n_v, prepare), False
-            if files is not None:
-                with contextlib.suppress(OSError):
+                if _forked(workers, lambda k: write(rows, files, k)):
                     for i, (grid, obj) in enumerate(zip(grids, objs)):
                         for range_grids, range_objs, _ in files[1:]:
                             if grid:

@@ -501,9 +501,11 @@ def test_a_tolerance_key_the_subcommand_does_not_read_is_a_usage_error(
 
 @pytest.mark.parametrize("command", SOURCE_RUNS)
 def test_an_empty_output_name_is_a_usage_error(tmp_path, capsys, command):
-    assert run(tmp_path, command, *SOURCE_RUNS[command]["--h2"], "-o", "") == 2
-    assert "argument -o/--out: expected a base name, got ''" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    # "." or "sub/" would write hidden files such as "..grid" or "sub/.grid"
+    for name in ("", ".", "..", "sub/"):
+        assert run(tmp_path, command, *SOURCE_RUNS[command]["--h2"], "-o", name) == 2
+        assert f"argument -o/--out: expected a base name, got {name!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 def test_classify_needs_exactly_one_source(tmp_path):

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import signal
 import threading
 import warnings
@@ -616,7 +617,9 @@ def parallel_inputs():
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("data", parallel_inputs())
-def test_parallel_read_matches_the_one_call_reader(tmp_path, monkeypatch, data, workers):
+def test_a_read_on_many_cpus_forks_nothing_and_matches_the_one_call_reader(
+    tmp_path, monkeypatch, data, workers
+):
     path = tmp_path / "p.grid"
     path.write_bytes(data)
     forks = force_parallel(monkeypatch, workers)
@@ -1097,10 +1100,6 @@ def fail_in_range(monkeypatch, failure):
     monkeypatch.setattr(io_mesh, "_faces", failing)
 
 
-def no_copy_file_range(*args):
-    raise OSError(errno.EXDEV, "no copy_file_range across these files")
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("failure", ["child-raises", "child-killed"])
 def test_a_failed_range_ends_in_the_serial_bytes(
@@ -1127,15 +1126,17 @@ def test_a_failed_range_of_a_mesh_only_write_ends_in_the_serial_bytes(
     assert (tmp_path / "s.obj").read_bytes() == reference_obj_text(s).encode()
 
 
+def no_room(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 @pytest.mark.parametrize("workers", [2, 3])
-def test_ranges_are_appended_without_copy_file_range(
-    tmp_path, monkeypatch, no_child_left, workers
-):
+def test_a_failed_append_ends_in_the_serial_bytes(tmp_path, monkeypatch, no_child_left, workers):
     s = plant(lifted(6, 12))
     forks, rows = force_parallel_write(monkeypatch, workers)
-    monkeypatch.setattr(os, "copy_file_range", no_copy_file_range)
+    monkeypatch.setattr(shutil, "copyfileobj", no_room)  # the copy inside io_mesh._append
     write_checked(s, tmp_path)
-    assert len(forks) == workers - 1 and 12 not in rows  # no serial write
+    assert len(forks) == workers - 1 and 12 in rows  # the serial write ran
     assert_reference_bytes(s, tmp_path)
 
 

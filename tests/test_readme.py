@@ -1,7 +1,9 @@
 """The README's examples run and print what it shows."""
 
 import contextlib
+import importlib
 import io
+import operator
 import re
 import shlex
 from pathlib import Path
@@ -39,3 +41,17 @@ def test_the_tolerance_key_table_lists_the_keys_each_subcommand_declares():
         listed |= {command: keys for command in re.findall(r"`(\w+)`", row[0])}
     (commands,) = (a for a in build_parser()._actions if a.dest == "command")
     assert listed == {name: p.get_default("tol_keys") for name, p in commands.choices.items()}
+
+
+def test_every_module_name_in_the_readme_exists():
+    modules = "holo|io_mesh|weierstrass|graphgeo|classify|vdist|cli"
+    names = re.findall(rf"`(?:isocmc\.)?((?:{modules})(?:\.\w+)+)`", README)
+    assert names
+    missing = []
+    for name in names:
+        module, _, attr = name.partition(".")
+        try:
+            operator.attrgetter(attr)(importlib.import_module(f"isocmc.{module}"))
+        except AttributeError:
+            missing.append(name)
+    assert not missing
