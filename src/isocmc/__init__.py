@@ -8,8 +8,6 @@ distribution of the Gauss curvature on growing disks.
 
 __version__ = "0.1.0"
 
-from . import classify, graphgeo, holo, io_mesh, vdist, weierstrass
-
 __all__ = [
     "__version__",
     "classify",

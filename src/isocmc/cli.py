@@ -9,23 +9,19 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from . import __version__
 
-from . import __version__, classify, graphgeo, holo, io_mesh, vdist, weierstrass
-from .graphgeo import Rect
 
-_TOL_DEFAULTS = {
-    "quadrature": holo.DEFAULT_QUAD_TOL,
-    "umbilic": weierstrass.UMBILIC_TOL,
-    "zero": classify.DEFAULT_CLASSIFY_TOL,
-    "fit": graphgeo.DEFAULT_QUAD_FIT_TOL,
-    "const": None,   # resolved to 1e-6 * (1 + |H|) once H is known
-    "margin": None,  # resolved inside vdist to 1e-3 * (1 + H^2)
-}
+def _load() -> None:
+    """Import numpy and the modules a run needs, under the names the subcommands use."""
+    global np, classify, graphgeo, holo, io_mesh, vdist, weierstrass
+    import numpy as np
+    from . import classify, graphgeo, holo, io_mesh, vdist, weierstrass
 
 
 def _syntax(form: str, sep: str, count: int = 0, kind=float):
@@ -45,8 +41,8 @@ def _syntax(form: str, sep: str, count: int = 0, kind=float):
     return check
 
 
-def _parse_domain(text: str) -> Rect:
-    return Rect(*(float(p) for p in text.split(":")))
+def _parse_domain(text: str) -> graphgeo.Rect:
+    return graphgeo.Rect(*(float(p) for p in text.split(":")))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -63,23 +59,37 @@ def _base_name(text: str) -> str:
     return text
 
 
-def _resolve_tols(args, parser) -> dict:
-    """The tolerances the subcommand reads: its declared keys, then any --tol."""
-    tols = {key: _TOL_DEFAULTS[key] for key in args.tol_keys}
+def _check_tols(args, parser) -> dict:
+    """The --tol overrides, each a positive finite value of a declared key."""
+    overrides = {}
     for item in args.tol or []:
         if "=" not in item:
             parser.error(f"--tol expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
-        if key not in tols:
-            parser.error(f"{args.command} reads no tolerance {key!r}; it reads {', '.join(tols)}")
+        if key not in args.tol_keys:
+            keys = ", ".join(args.tol_keys)
+            parser.error(f"{args.command} reads no tolerance {key!r}; it reads {keys}")
         try:
             value = float(raw)
         except ValueError:
             parser.error(f"tolerance {key!r} needs a number, got {raw!r}")
-        if not 0 < value < np.inf:
+        if not 0 < value < math.inf:
             parser.error(f"tolerance {key!r} must be positive and finite")
-        tols[key] = value
-    return tols
+        overrides[key] = value
+    return overrides
+
+
+def _resolve_tols(args, overrides: dict) -> dict:
+    """The tolerances the subcommand reads: its declared keys, then any --tol."""
+    defaults = {
+        "quadrature": holo.DEFAULT_QUAD_TOL,
+        "umbilic": weierstrass.UMBILIC_TOL,
+        "zero": classify.DEFAULT_CLASSIFY_TOL,
+        "fit": graphgeo.DEFAULT_QUAD_FIT_TOL,
+        "const": None,   # resolved to 1e-6 * (1 + |H|) once H is known
+        "margin": None,  # resolved inside vdist to 1e-3 * (1 + H^2)
+    }
+    return {key: overrides.get(key, defaults[key]) for key in args.tol_keys}
 
 
 def _data_from_args(args) -> weierstrass.WeierstrassData:
@@ -372,7 +382,9 @@ def main(argv=None) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.required_gen and not (args.h2 and args.omega):
             args.parser.error("this command requires --h2 and --omega")
-        return args.func(args, args.parser, _resolve_tols(args, args.parser))
+        overrides = _check_tols(args, args.parser)
+        _load()
+        return args.func(args, args.parser, _resolve_tols(args, overrides))
     except SystemExit as exc:  # a usage error, --help or --version
         return int(exc.code or 0)
     except RecursionError:  # only expression trees and their parser recurse this deep

@@ -14,6 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import isocmc
 from isocmc import cli, graphgeo, holo, io_mesh, vdist, weierstrass
 from isocmc.cli import main
 from isocmc.graphgeo import Rect
@@ -286,9 +287,15 @@ def test_classify_and_pde_read_the_same_fit_tolerance(tmp_path, capsys, tol, qua
     assert (label != "NonQuadric") is load_report(tmp_path, "pde.json")["pde"]["is_quadratic"]
 
 
-def test_version_flag(capsys):
+def test_version_flag(tmp_path, capsys):
+    # pyproject.toml, the package, the flag and every report name one version
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "(.*)"$', pyproject, re.M)
+    assert isocmc.__version__ == version
     assert main(["--version"]) == 0
-    assert "isocmc" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"isocmc {version}\n"
+    assert run(tmp_path, "classify", "--H", "1", "--K", "-1") == 0
+    assert load_report(tmp_path, "classify.json")["version"]["tool"] == version
 
 
 def test_help_prints_the_usage_of_its_level(capsys):
@@ -452,7 +459,7 @@ def test_the_declared_tolerance_keys_are_the_keys_read(tmp_path, monkeypatch, ca
     tol_help = help_text.split("--tol KEY=VALUE ", 1)[1].split(" --", 1)[0]
     assert tol_help == f"tolerance override, KEY in {', '.join(keys)}"
 
-    reads, declared, echoing = [], [], []
+    reads, declared, checked, echoing = [], [], [], []
 
     class Logged(dict):
         def __getitem__(self, key):
@@ -460,9 +467,10 @@ def test_the_declared_tolerance_keys_are_the_keys_read(tmp_path, monkeypatch, ca
                 reads.append((key, super().__getitem__(key)))
             return super().__getitem__(key)
 
-    def resolve(args, parser):
+    def resolve(args, overrides):  # the checked --tol values, then the defaults
         declared.append(args.tol_keys)
-        return Logged(resolve_tols(args, parser))
+        checked.append(overrides)
+        return Logged(resolve_tols(args, overrides))
 
     def report(*args, **kwargs):  # the report's echo reads no tolerance for the run
         echoing.append(True)
@@ -480,6 +488,7 @@ def test_the_declared_tolerance_keys_are_the_keys_read(tmp_path, monkeypatch, ca
         echoed = load_report(tmp_path, "out.json")["input"]["tolerances"]
         assert echoed == {key: TOL_OVERRIDES[key] for key in keys}
     assert set(declared) == {keys}
+    assert all(overrides == {key: TOL_OVERRIDES[key] for key in keys} for overrides in checked)
     assert {key for key, _ in reads} == set(keys)
     assert all(value == TOL_OVERRIDES[key] for key, value in reads)
 
@@ -840,6 +849,49 @@ def test_jobs_that_read_and_write_no_grid_leave_hashlib_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "False\nFalse\n"), done.stderr
+
+
+NUMERIC = ("numpy", *(f"isocmc.{name}" for name in
+                      ("classify", "graphgeo", "holo", "io_mesh", "vdist", "weierstrass")))
+LIFT = ("lift", "--h2", "z", "--omega", "1")
+# (argv, exit code, the start of stdout, the last line of stderr) of runs that end at the
+# parser or the --tol check
+START_UP_RUNS = [
+    (("--version",), 0, f"isocmc {isocmc.__version__}\n", ""),
+    (("--help",), 0, "usage: isocmc [-h] [--version] {lift,", ""),
+    *(((command, "--help"), 0, f"usage: isocmc {command} [-h]", "") for command in TOL_KEYS),
+    ((*LIFT, "--bogus", "1"), 2, "", "isocmc lift: error: unrecognized arguments: --bogus 1"),
+    (("lift", "--h2", "z"), 2, "", "isocmc lift: error: this command requires --h2 and --omega"),
+    ((*LIFT, "--grid", "5x5x"), 2, "",
+     "isocmc lift: error: argument --grid: expected NxM, got '5x5x'"),
+    (("vdist", *LIFT[1:], "--tol", "fit=1"), 2, "",
+     "isocmc vdist: error: vdist reads no tolerance 'fit'; it reads margin, umbilic"),
+    ((*LIFT, "--tol", "quadrature=0"), 2, "",
+     "isocmc lift: error: tolerance 'quadrature' must be positive and finite"),
+    ((*LIFT, "-o", "."), 2, "",
+     "isocmc lift: error: argument -o/--out: expected a base name, got '.'"),
+]
+
+
+def test_start_up_and_usage_errors_leave_numpy_unloaded(tmp_path):
+    # each run in a fresh interpreter, whose last stderr line names the NUMERIC modules
+    # loaded: none, but for the lift that runs
+    code = (
+        "import sys, isocmc.cli; code = isocmc.cli.main(sys.argv[1:]); "
+        f"print(*sorted(set({NUMERIC!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
+    runs = [(*case, "") for case in START_UP_RUNS]
+    runs += [((*LIFT, "--grid", "5x5"), 0, "lift: wrote", "", " ".join(sorted(NUMERIC)))]
+    for argv, exit_code, out, err, loaded in runs:
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        *err_lines, loaded_line = done.stderr.split("\n")[:-1]
+        want = (exit_code, [err] if err else [], loaded)
+        assert (done.returncode, err_lines[-1:], loaded_line) == want, argv
+        assert done.stdout.startswith(out) and bool(done.stdout) is (exit_code == 0), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "lift.grid", "lift.grid.bin", "lift.json", "lift.obj"]
 
 
 def test_pde_rejects_complex_height_expressions(tmp_path, capsys):

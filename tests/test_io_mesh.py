@@ -701,7 +701,9 @@ def malformed_files():
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("text, message", malformed_files())
-def test_parallel_read_raises_the_serial_error(tmp_path, monkeypatch, text, message, workers):
+def test_a_read_on_many_cpus_forks_nothing_and_raises_the_one_call_error(
+    tmp_path, monkeypatch, text, message, workers
+):
     path = tmp_path / "m.grid"
     path.write_text(text)
     forks = force_parallel(monkeypatch, workers)
