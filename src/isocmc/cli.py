@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,8 @@ from . import __version__
 
 
 def _load() -> None:
-    """Import numpy and the modules a run needs, under the names the subcommands use."""
+    """Import numpy and the modules a run needs under the names used below: every
+    function after this one needs main to have called it first."""
     global np, classify, graphgeo, holo, io_mesh, vdist, weierstrass
     import numpy as np
     from . import classify, graphgeo, holo, io_mesh, vdist, weierstrass
@@ -59,27 +59,7 @@ def _base_name(text: str) -> str:
     return text
 
 
-def _check_tols(args, parser) -> dict:
-    """The --tol overrides, each a positive finite value of a declared key."""
-    overrides = {}
-    for item in args.tol or []:
-        if "=" not in item:
-            parser.error(f"--tol expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        if key not in args.tol_keys:
-            keys = ", ".join(args.tol_keys)
-            parser.error(f"{args.command} reads no tolerance {key!r}; it reads {keys}")
-        try:
-            value = float(raw)
-        except ValueError:
-            parser.error(f"tolerance {key!r} needs a number, got {raw!r}")
-        if not 0 < value < math.inf:
-            parser.error(f"tolerance {key!r} must be positive and finite")
-        overrides[key] = value
-    return overrides
-
-
-def _resolve_tols(args, overrides: dict) -> dict:
+def _resolve_tols(args, parser) -> dict:
     """The tolerances the subcommand reads: its declared keys, then any --tol."""
     defaults = {
         "quadrature": holo.DEFAULT_QUAD_TOL,
@@ -89,7 +69,21 @@ def _resolve_tols(args, overrides: dict) -> dict:
         "const": None,   # resolved to 1e-6 * (1 + |H|) once H is known
         "margin": None,  # resolved inside vdist to 1e-3 * (1 + H^2)
     }
-    return {key: overrides.get(key, defaults[key]) for key in args.tol_keys}
+    tols = {key: defaults[key] for key in args.tol_keys}
+    for item in args.tol or []:
+        if "=" not in item:
+            parser.error(f"--tol expects KEY=VALUE, got {item!r}")
+        key, _, raw = item.partition("=")
+        if key not in tols:
+            parser.error(f"{args.command} reads no tolerance {key!r}; it reads {', '.join(tols)}")
+        try:
+            value = float(raw)
+        except ValueError:
+            parser.error(f"tolerance {key!r} needs a number, got {raw!r}")
+        if not 0 < value < np.inf:
+            parser.error(f"tolerance {key!r} must be positive and finite")
+        tols[key] = value
+    return tols
 
 
 def _data_from_args(args) -> weierstrass.WeierstrassData:
@@ -382,9 +376,8 @@ def main(argv=None) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.required_gen and not (args.h2 and args.omega):
             args.parser.error("this command requires --h2 and --omega")
-        overrides = _check_tols(args, args.parser)
         _load()
-        return args.func(args, args.parser, _resolve_tols(args, overrides))
+        return args.func(args, args.parser, _resolve_tols(args, args.parser))
     except SystemExit as exc:  # a usage error, --help or --version
         return int(exc.code or 0)
     except RecursionError:  # only expression trees and their parser recurse this deep
