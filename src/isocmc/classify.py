@@ -8,23 +8,22 @@ the canonical surface
 
 with alpha = (H + sqrt(H^2 - K))/2 and beta = (H - sqrt(H^2 - K))/2, so
 alpha + beta = H and 4*alpha*beta = K.  The sign pattern of (H, K) sorts
-the surface into six classes; the boundary cases get the more special
-label (zero mean curvature refines the saddle, K = H^2 refines the bowl).
+the surface into six classes, compared exactly; the boundary cases get the
+more special label (zero mean curvature refines the saddle, K = H^2 refines
+the bowl).  Only the reported numbers are rounded.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .graphgeo import DEFAULT_QUAD_FIT_TOL, quadratic_test
+from .graphgeo import DEFAULT_QUAD_FIT_TOL, fit_bound, quadratic_test
 from .weierstrass import SurfaceSample
-
-# Default width of the zero tests on H, K, and H^2 - K.
-DEFAULT_CLASSIFY_TOL = 1e-8
 
 
 class SurfaceClass(Enum):
@@ -52,76 +51,70 @@ class ClassificationResult:
     rotation_angle: float = 0.0
 
 
-def label_from_constants(
-    H: float, K: float, tol: float = DEFAULT_CLASSIFY_TOL
-) -> ClassificationResult:
-    """Classify by the curvature pair alone, with |.| < tol as the zero test.
+def label_from_constants(H, K) -> ClassificationResult:
+    """Classify by the curvature pair alone, with exact zero tests: a Fraction
+    counts as it is, a float as the decimal its repr prints, the number a report
+    echoes, so (0.1, 0.01) is a bowl."""
+    from fractions import Fraction  # here, not at the top: only classify runs need it
 
-    Boundary pairs take the more special label: a vanishing H refines the
-    saddle to its rectangular case, and K = H^2 refines the bowl to the
-    surface of revolution.
-    """
-    H, K = float(H), float(K)
-    if not (math.isfinite(H) and math.isfinite(K)):
+    if not all(abs(v) <= sys.float_info.max for v in (H, K)):
         raise ValueError("H and K must be finite")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    H, K = (v if isinstance(v, Fraction) else Fraction(repr(float(v))) for v in (H, K))
     disc = H * H - K
-    if not math.isfinite(disc):
-        raise ValueError(f"H^2 - K leaves the float range at H = {H:g}, K = {K:g}")
-    if disc < -tol:
-        raise ValueError(
-            f"K = {K:g} exceeds H^2 = {H * H:g}; no spacelike graph carries that pair"
-        )
-    sqrt_disc = math.sqrt(max(disc, 0.0))
-    alpha = 0.5 * (H + sqrt_disc)
-    beta = 0.5 * (H - sqrt_disc)
-    if abs(K) < tol:
-        label = SurfaceClass.PLANE if abs(H) < tol else SurfaceClass.CYLINDER
-    elif K < 0:
-        label = (
-            SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID
-            if abs(H) < tol
-            else SurfaceClass.HYPERBOLIC_PARABOLOID
-        )
-    else:
-        label = (
-            SurfaceClass.CIRCULAR_PARABOLOID
-            if abs(disc) < tol
-            else SurfaceClass.ELLIPTIC_PARABOLOID
-        )
-    return ClassificationResult(label, alpha, beta, H, K, 0.0)
+    if abs(disc) > sys.float_info.max:
+        raise ValueError(f"H^2 - K leaves the float range at H = {float(H):g}, K = {float(K):g}")
+    if disc < 0:
+        raise ValueError(f"K = {float(K)!r} exceeds H^2 = {float(H * H)!r}; "
+                         "no spacelike graph carries that pair")
+    root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+    if root * root != disc:  # no square of a rational: the root of its float
+        root = Fraction(math.sqrt(disc))
+    generic, special = {  # by the sign of K; the boundary is H = 0 for K <= 0, K = H^2 above
+        -1: (SurfaceClass.HYPERBOLIC_PARABOLOID, SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID),
+        0: (SurfaceClass.CYLINDER, SurfaceClass.PLANE),
+        1: (SurfaceClass.ELLIPTIC_PARABOLOID, SurfaceClass.CIRCULAR_PARABOLOID),
+    }[(K > 0) - (K < 0)]
+    label = special if (disc if K > 0 else H) == 0 else generic
+    alpha, beta = float((H + root) / 2), float((H - root) / 2)
+    return ClassificationResult(label, alpha, beta, float(H), float(K), 0.0)
 
 
 def classify_sample(
-    sample: SurfaceSample,
-    tol: float = DEFAULT_CLASSIFY_TOL,
-    fit_tol: float = DEFAULT_QUAD_FIT_TOL,
+    sample: SurfaceSample, fit_tol: float = DEFAULT_QUAD_FIT_TOL
 ) -> ClassificationResult:
     """Classify a sampled graph; non-quadrics come back labeled NonQuadric.
 
     Accepts a sample over any chart, a plain height field among them.  The
     height is fitted by least squares over the chart nodes; linear and
     constant terms are dropped as the translational part of an ambient
-    isometry, and the quadratic part is diagonalized by a planar rotation.
-    `fit_tol` bounds the relative fit residual, as in quadratic_test, and
-    `tol` the zero tests on the recovered constants.
+    isometry, and the quadratic part is diagonalized by a planar rotation.  Its
+    eigenvalues snap to the most special case that moves no height by more than
+    the fit residual quadratic_test accepts, fit_bound(sample, fit_tol).
     """
+    from fractions import Fraction
+
     is_quad, coeffs = quadratic_test(sample, fit_tol)
     if not is_quad:
         return ClassificationResult(SurfaceClass.NON_QUADRIC, None, None, None, None)
     _, _, _, d, e, g = (float(c) for c in coeffs)
-    quad_form = np.array([[d, 0.5 * e], [0.5 * e, g]])
-    eigvals, eigvecs = np.linalg.eigh(quad_form)
-    alpha, beta = float(eigvals[1]), float(eigvals[0])
-    if abs(alpha - beta) < tol:
-        angle = 0.0
-    else:
-        vx, vy = float(eigvecs[0, 1]), float(eigvecs[1, 1])
-        angle = math.atan2(vy, vx)
+    (beta, alpha), eigvecs = np.linalg.eigh(np.array([[d, 0.5 * e], [0.5 * e, g]]))
+    # moving an eigenvalue by c moves no height, up to affine terms, by more than c*rho^2
+    rho = 0.5 * math.hypot(np.ptp(sample.x), np.ptp(sample.y))  # the chart box's half-diagonal
+    bound = fit_bound(sample, fit_tol) / (rho * rho)
+    if max(abs(alpha), abs(beta)) <= bound:
+        alpha = beta = 0.0
+    elif min(abs(alpha), abs(beta)) <= bound:
+        alpha, beta = sorted((max(alpha, beta, key=abs), 0.0), reverse=True)
+    elif abs(alpha + beta) <= 2.0 * bound:
+        alpha, beta = 0.5 * alpha - 0.5 * beta, 0.5 * beta - 0.5 * alpha
+    elif abs(alpha - beta) <= 2.0 * bound:
+        alpha = beta = 0.5 * alpha + 0.5 * beta
+    angle = 0.0
+    if alpha != beta:  # else every rotation diagonalizes the form
+        angle = math.atan2(float(eigvecs[1, 1]), float(eigvecs[0, 1]))
         if angle <= -0.5 * math.pi:
             angle += math.pi
         elif angle > 0.5 * math.pi:
             angle -= math.pi
-    result = label_from_constants(alpha + beta, 4.0 * alpha * beta, tol)
-    return replace(result, rotation_angle=angle)
+    a, b = Fraction(alpha), Fraction(beta)
+    return replace(label_from_constants(a + b, 4 * a * b), rotation_angle=angle)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -64,7 +65,6 @@ def _resolve_tols(args, parser) -> dict:
     defaults = {
         "quadrature": holo.DEFAULT_QUAD_TOL,
         "umbilic": weierstrass.UMBILIC_TOL,
-        "zero": classify.DEFAULT_CLASSIFY_TOL,
         "fit": graphgeo.DEFAULT_QUAD_FIT_TOL,
         "const": None,   # resolved to 1e-6 * (1 + |H|) once H is known
         "margin": None,  # resolved inside vdist to 1e-3 * (1 + H^2)
@@ -220,9 +220,9 @@ def cmd_analyze(args, parser, tols: dict) -> int:
 def cmd_classify(args, parser, tols: dict) -> int:
     source = _height_source(args, parser, tols)
     if source is None:
-        result = classify.label_from_constants(args.H, args.K, tols["zero"])
+        result = classify.label_from_constants(args.H, args.K)  # the decimals echoed
     else:
-        result = classify.classify_sample(source, tols["zero"], tols["fit"])
+        result = classify.classify_sample(source, tols["fit"])
     _report(args, tols, classification=result)
     if result.label is classify.SurfaceClass.NON_QUADRIC:
         print(f"classify: {result.label.value}")
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, default=None, help="classify the pair (H, K)")
     p.add_argument("--grid-file", help="classify a stored grid")
     p.add_argument("--f", help="height expression in x and y")
-    p.set_defaults(func=cmd_classify, required_gen=False, tol_keys=("fit", "quadrature", "zero"))
+    p.set_defaults(func=cmd_classify, required_gen=False, tol_keys=("fit", "quadrature"))
 
     p = sub.add_parser("sweep", parents=[gen, lattice], help="one family, several H values")
     numbers = _syntax("comma separated numbers", ",")
@@ -366,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("-o", "--out", default=name, type=_base_name, help="output base name")
         p.set_defaults(parser=p)  # later usage errors print the subcommand's usage
+        # a value such as -1e-9 after an option is a number, not an option
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

@@ -29,7 +29,7 @@ from .graphgeo import Rect
 from .weierstrass import SurfaceSample
 
 GRID_MAGIC = "# cmcgrid v1"
-REPORT_SCHEMA_VERSION = "3"
+REPORT_SCHEMA_VERSION = "4"
 # Nodes per block of records that the reader parses with one numpy.loadtxt call.
 _BLOCK_NODES = 1 << 13
 # Fewest nodes per process for which a forked write_surface pass repays its fork.

@@ -1,15 +1,17 @@
 """Quadric classification: the (H, K) label table and sample fitting."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocmc import holo, weierstrass
 from isocmc.classify import SurfaceClass, classify_sample, label_from_constants
-from isocmc.graphgeo import Rect
+from isocmc.graphgeo import DEFAULT_QUAD_FIT_TOL, Rect, fit_bound
 from isocmc.weierstrass import SurfaceSample
 
 from util_expr import enneper_data, lift_one, quadric_field
@@ -31,6 +33,17 @@ def field_from(rect: Rect, n: int, fn) -> SurfaceSample:
     return SurfaceSample(rect, None, x, y, fn(x, y))
 
 
+def rotated_quadric(alpha, beta, t, b, c, c0, n=41) -> SurfaceSample:
+    """alpha*x~^2 + beta*y~^2 + b*x + c*y + c0 with (x, y) = R(t) (x~, y~), on SQUARE."""
+
+    def fn(x, y):
+        xr = math.cos(t) * x + math.sin(t) * y
+        yr = -math.sin(t) * x + math.cos(t) * y
+        return alpha * xr * xr + beta * yr * yr + b * x + c * y + c0
+
+    return field_from(SQUARE, n, fn)
+
+
 # ---------------------------------------------------------------------------
 # label table
 
@@ -45,11 +58,20 @@ def test_label_table(H, K, label):
 def test_label_extra_cases():
     assert label_from_constants(1.0, -4.0).label is SurfaceClass.HYPERBOLIC_PARABOLOID
     assert label_from_constants(1.0, 1.0).label is SurfaceClass.CIRCULAR_PARABOLOID
-    # zero tests are tolerance zero tests, not exact comparisons
-    assert label_from_constants(1e-12, -1.0).label is (
+    # zero tests are exact: a small H or K is not a zero one
+    assert label_from_constants(1e-12, -1.0).label is SurfaceClass.HYPERBOLIC_PARABOLOID
+    assert label_from_constants(1e-12, 0.0).label is SurfaceClass.CYLINDER
+    assert label_from_constants(0.0, -1e-300).label is (
         SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID
     )
-    assert label_from_constants(1e-12, 1e-12).label is SurfaceClass.PLANE
+    # a float counts as its decimal, though 0.1**2 != 0.01 in binary
+    bowl = label_from_constants(0.1, 0.01)
+    assert bowl.label is SurfaceClass.CIRCULAR_PARABOLOID
+    assert bowl.alpha == bowl.beta == 0.05
+    # a Fraction counts as it is
+    third = label_from_constants(Fraction(1, 3), Fraction(1, 9))
+    assert third.label is SurfaceClass.CIRCULAR_PARABOLOID
+    assert third.alpha == third.beta == 1 / 6
 
 
 def test_label_rejects_impossible_pairs():
@@ -57,10 +79,10 @@ def test_label_rejects_impossible_pairs():
         label_from_constants(0.0, 1.0)
     with pytest.raises(ValueError):
         label_from_constants(1.0, 1.0 + 1e-6)
-    # inside tolerance the pair snaps to the boundary instead
-    assert label_from_constants(1.0, 1.0 + 1e-12).label is (
-        SurfaceClass.CIRCULAR_PARABOLOID
-    )
+    # however small the excess, the message keeps it
+    message = "K = 1.000000000001 exceeds H^2 = 1.0; no spacelike graph carries that pair"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        label_from_constants(1.0, 1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -69,11 +91,6 @@ def test_label_rejects_impossible_pairs():
 def test_label_rejects_non_finite_constants(H, K):
     with pytest.raises(ValueError, match="H and K must be finite"):
         label_from_constants(H, K)
-
-
-def test_label_tolerance_validation():
-    with pytest.raises(ValueError):
-        label_from_constants(0.0, 0.0, tol=0.0)
 
 
 def test_sign_flip_preserves_the_label():
@@ -128,13 +145,7 @@ def test_classify_reports_a_working_rotation():
 
 def test_classify_recovers_a_known_rotation():
     t, alpha, beta = math.pi / 6, 2.0, 0.5
-
-    def fn(x, y):
-        xr = math.cos(t) * x + math.sin(t) * y
-        yr = -math.sin(t) * x + math.cos(t) * y
-        return alpha * xr * xr + beta * yr * yr
-
-    result = classify_sample(field_from(SQUARE, 25, fn))
+    result = classify_sample(rotated_quadric(alpha, beta, t, 0.0, 0.0, 0.0, n=25))
     assert result.label is SurfaceClass.ELLIPTIC_PARABOLOID
     assert result.alpha == pytest.approx(alpha, abs=1e-9)
     assert result.beta == pytest.approx(beta, abs=1e-9)
@@ -192,14 +203,102 @@ def test_classify_roundtrip_through_normal_forms(H, K, label):
     assert result.K == pytest.approx(K, abs=1e-8)
 
 
-@given(H=st.floats(-2, 2), gap=st.floats(0, 4))
+def assert_on_its_stratum(result):
+    """The reported numbers satisfy the label exactly, not to a tolerance."""
+    alpha, beta, H, K = result.alpha, result.beta, result.H, result.K
+    assert alpha >= beta
+    if result.label is SurfaceClass.PLANE:
+        assert alpha == beta == H == K == 0.0
+    elif result.label is SurfaceClass.CYLINDER:
+        assert K == 0.0 and 0.0 in (alpha, beta) and H != 0.0
+    elif result.label is SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID:
+        assert alpha == -beta and H == 0.0 and K < 0.0
+    elif result.label is SurfaceClass.CIRCULAR_PARABOLOID:
+        assert alpha == beta != 0.0
+    else:
+        assert 0.0 not in (alpha, beta, H, K) and abs(alpha) != abs(beta)
+
+
+# a random three-decimal H other than 0, as an integer count of thousandths
+THOUSANDTHS = st.integers(1, 5000).flatmap(lambda n: st.sampled_from((n, -n)))
+
+
+@given(n=THOUSANDTHS)
 @settings(max_examples=60, deadline=None)
-def test_classify_roundtrip_on_random_pairs(H, gap):
-    K = H * H - gap
-    # keep the zero tests decisively on one side of the label boundaries
-    assume(all(abs(v) < 1e-9 or abs(v) > 1e-7 for v in (H, K, gap)))
-    field = quadric_field(H, K, SQUARE, 31, 31)
+def test_exact_constants_get_their_exact_stratum(n):
+    H, square = n / 1000, n * n / 10**6  # the decimals n/1000 and its square, correctly rounded
+    bowl = label_from_constants(H, square)
+    assert bowl.label is SurfaceClass.CIRCULAR_PARABOLOID
+    assert bowl.alpha == bowl.beta == n / 2000
+    saddle = label_from_constants(0.0, -square)
+    assert saddle.label is SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID
+    assert label_from_constants(0.0, 0.0).label is SurfaceClass.PLANE
+    cylinder = label_from_constants(H, 0.0)
+    assert cylinder.label is SurfaceClass.CYLINDER
+    assert sorted((cylinder.alpha, cylinder.beta)) == sorted((H, 0.0))
+    for result in (bowl, saddle, cylinder):
+        assert_on_its_stratum(result)
+    with pytest.raises(ValueError, match="no spacelike graph carries that pair"):
+        label_from_constants(H, (n * n * 10**6 + 1) / 10**12)  # K = H^2 + 1e-12
+
+
+# (alpha, beta) on each stratum, from a magnitude a in [0.1, 2] and a sign s
+STRATA = {
+    SurfaceClass.PLANE: lambda a, s: (0.0, 0.0),
+    SurfaceClass.CYLINDER: lambda a, s: (s * a, 0.0),
+    SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID: lambda a, s: (a, -a),
+    SurfaceClass.CIRCULAR_PARABOLOID: lambda a, s: (s * a, s * a),
+    SurfaceClass.ELLIPTIC_PARABOLOID: lambda a, s: (s * a, s * 0.5 * a),
+    SurfaceClass.HYPERBOLIC_PARABOLOID: lambda a, s: (s * a, -s * 0.5 * a),
+}
+# the generic label, by whether alpha*beta > 0
+GENERIC_BY_SIGN = {
+    True: SurfaceClass.ELLIPTIC_PARABOLOID,
+    False: SurfaceClass.HYPERBOLIC_PARABOLOID,
+}
+
+
+@given(
+    label=st.sampled_from(list(STRATA)),
+    a=st.floats(0.1, 2.0),
+    s=st.sampled_from((-1.0, 1.0)),
+    t=st.floats(-math.pi, math.pi),
+    affine=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_fitted_quadrics_get_their_stratum_exactly(label, a, s, t, affine):
+    alpha, beta = STRATA[label](a, s)
+    result = classify_sample(rotated_quadric(alpha, beta, t, *affine))
+    assert result.label is label
+    assert_on_its_stratum(result)
+    assert sorted((result.alpha, result.beta)) == pytest.approx(sorted((alpha, beta)), abs=1e-9)
+    if label in GENERIC_BY_SIGN.values():
+        return
+    # off the stratum by far more than the fit's tolerance: the generic label
+    step = 1e-6 * (1.0 + abs(alpha) + abs(beta))
+    alpha, beta = alpha + step, beta - 0.5 * step
+    moved = classify_sample(rotated_quadric(alpha, beta, t, *affine))
+    assert moved.label is GENERIC_BY_SIGN[alpha * beta > 0]
+    assert_on_its_stratum(moved)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, label",
+    [
+        (4e-9, -3e-9, SurfaceClass.PLANE),
+        (1.0, 9e-9, SurfaceClass.CYLINDER),
+        (1.0, -1.0 + 1.5e-8, SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID),
+        (0.7, 0.7 - 1.5e-8, SurfaceClass.CIRCULAR_PARABOLOID),
+    ],
+)
+def test_a_snap_moves_no_height_past_the_fit_bound(alpha, beta, label):
+    # the snapped normal form, with the affine terms fitted afresh, still fits the heights
+    field = rotated_quadric(alpha, beta, 0.3, 0.2, -0.4, 0.1)
     result = classify_sample(field)
-    assert result.label is label_from_constants(H, K).label
-    assert result.H == pytest.approx(H, abs=1e-7)
-    assert result.K == pytest.approx(K, abs=1e-7)
+    assert result.label is label and (result.alpha, result.beta) != (alpha, beta)
+    t, x, y = result.rotation_angle, field.x.ravel(), field.y.ravel()
+    xr, yr = math.cos(t) * x + math.sin(t) * y, -math.sin(t) * x + math.cos(t) * y
+    rest = field.ell.ravel() - (result.alpha * xr * xr + result.beta * yr * yr)
+    design = np.column_stack((np.ones_like(x), x, y))
+    affine = np.linalg.lstsq(design, rest, rcond=None)[0]
+    assert np.max(np.abs(design @ affine - rest)) <= fit_bound(field, DEFAULT_QUAD_FIT_TOL)

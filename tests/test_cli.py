@@ -424,7 +424,7 @@ def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, tol):
 TOL_KEYS = {
     "lift": ("quadrature", "umbilic"),
     "analyze": ("quadrature", "umbilic"),
-    "classify": ("fit", "quadrature", "zero"),
+    "classify": ("fit", "quadrature"),
     "sweep": ("quadrature",),
     "vdist": ("margin", "umbilic"),
     "pde": ("const", "fit", "quadrature"),
@@ -443,7 +443,7 @@ SOURCE_RUNS = {
 }
 # A value for each key, none of them its default.
 TOL_OVERRIDES = {"const": 1e-3, "fit": 1e-7, "margin": 1e-2, "quadrature": 1e-9,
-                 "umbilic": 1e-8, "zero": 1e-7}
+                 "umbilic": 1e-8}
 
 
 @pytest.mark.parametrize("command", SOURCE_RUNS)
@@ -491,10 +491,11 @@ def test_the_declared_tolerance_keys_are_the_keys_read(tmp_path, monkeypatch, ca
     assert all(value == TOL_OVERRIDES[key] for key, value in reads)
 
 
+# "zero" too, which no subcommand reads since classify decides its strata exactly
 @pytest.mark.parametrize(
     "command, key",
-    [(command, key) for command, keys in TOL_KEYS.items() for key in TOL_OVERRIDES
-     if key not in keys],
+    [(command, key) for command, keys in TOL_KEYS.items()
+     for key in (*TOL_OVERRIDES, "zero") if key not in keys],
 )
 def test_a_tolerance_key_the_subcommand_does_not_read_is_a_usage_error(
     tmp_path, capsys, command, key
@@ -713,6 +714,65 @@ def test_classify_rejects_constants_whose_discriminant_overflows(tmp_path, capsy
     assert not list(tmp_path.glob("*.json"))
 
 
+# What each label says of the reported numbers, exactly.
+EXACT_RELATION = {
+    "Plane": lambda c: c["alpha"] == c["beta"] == c["H"] == c["K"] == 0.0,
+    "Cylinder": lambda c: c["K"] == 0.0 and c["H"] != 0.0,
+    "RectangularHyperbolicParaboloid": lambda c: c["alpha"] == -c["beta"] and c["H"] == 0.0,
+    "HyperbolicParaboloid": lambda c: c["K"] < 0.0 and c["H"] != 0.0,
+    "EllipticParaboloid": lambda c: c["alpha"] != c["beta"] and c["K"] > 0.0,
+    "CircularParaboloid": lambda c: c["alpha"] == c["beta"] != 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, label, reported",
+    [
+        (("--f", "x^2 + 1.0001*y^2"), "EllipticParaboloid", {}),
+        (("--f", "0.7*x^2+0.7*y^2+0.3*x"), "CircularParaboloid", {}),
+        (("--f", "1e-5*x^2 + 1e-5*y^2"), "CircularParaboloid", {}),
+        (("--f", "x^2 - y^2"), "RectangularHyperbolicParaboloid", {"H": 0.0}),
+        (("--H=1e-5", "--K=1e-10"), "CircularParaboloid", {"alpha": 5e-6, "beta": 5e-6}),
+        (("--H=1e-9", "--K=0"), "Cylinder", {"alpha": 1e-9, "beta": 0.0}),
+        (("--H", "0.1", "--K", "0.01"), "CircularParaboloid", {"alpha": 0.05, "beta": 0.05}),
+    ],
+    ids=["f-elliptic", "f-near-circular", "f-small-circular", "f-rectangular",
+         "HK-1e-5-1e-10", "HK-1e-9-0", "HK-0.1-0.01"],
+)
+def test_classify_labels_agree_with_the_numbers_reported(tmp_path, capsys, argv, label, reported):
+    # the strata of the constants are decided on their decimals, and those of a fit
+    # after its eigenvalues snap within the fit bound
+    assert run(tmp_path, "classify", *argv) == 0
+    assert capsys.readouterr().out.startswith(f"classify: {label} (")
+    block = load_report(tmp_path, "classify.json")["classification"]
+    assert block["label"] == label and EXACT_RELATION[label](block)
+    assert {key: block[key] for key in reported} == reported
+
+
+@pytest.mark.parametrize(
+    "H, K, H2",
+    [("1", "1.000000001", "1.0"), ("1", "1.000001", "1.0"), ("0.1", "0.0100001", "0.01")],
+)
+def test_classify_names_an_excess_of_k_over_h_squared_however_small(tmp_path, capsys, H, K, H2):
+    assert run(tmp_path, "classify", "--H", H, "--K", K) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: K = {K} exceeds H^2 = {H2}; no spacelike graph carries that pair\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("K", ["-1e-9", "-1e300", "-2.5E-3", "-.5e+1", "-7."])
+def test_a_spaced_negative_number_in_exponent_form_is_a_value(tmp_path, K):
+    # argparse takes a dash-led argument for an option unless it looks like a number
+    argv = ("--H", "0", "--K", K, "--tol", "fit=1e-7", "-o", "saddle")
+    assert run(tmp_path, "classify", *argv) == 0
+    doc = load_report(tmp_path, "saddle.json")
+    assert doc["input"]["K"] == float(K) and doc["input"]["tolerances"]["fit"] == 1e-7
+    assert doc["classification"]["label"] == "RectangularHyperbolicParaboloid"
+    # every subcommand reads them so: lift too
+    assert run(tmp_path, "lift", "--h2", "z", "--omega", "1", "--grid", "5x5", "--H", "-5e-1") == 0
+    assert load_report(tmp_path, "lift.json")["curvature"]["H_input"] == -0.5
+
+
 def test_sweep_height_shift_overflow_writes_nothing(tmp_path, capsys):
     argv = ("sweep", "--h2", "z", "--omega", "1", "--H-list=1e308,-1e308", "--grid", "5x5")
     assert run_quietly(tmp_path, *argv) == (1, [])
@@ -851,6 +911,8 @@ def test_jobs_that_read_and_write_no_grid_leave_hashlib_unloaded(tmp_path):
 
 NUMERIC = ("numpy", *(f"isocmc.{name}" for name in
                       ("classify", "graphgeo", "holo", "io_mesh", "vdist", "weierstrass")))
+# only classify's exact rationals need fractions, so no run below loads it
+WATCHED = (*NUMERIC, "fractions")
 LIFT = ("lift", "--h2", "z", "--omega", "1")
 # (argv, exit code, the start of stdout, the last line of stderr) of runs that end at the
 # parser
@@ -877,11 +939,11 @@ LOADING_RUNS = [
 
 
 def test_start_up_and_usage_errors_leave_numpy_unloaded(tmp_path):
-    # each run in a fresh interpreter, whose last stderr line names the NUMERIC modules
-    # loaded: none, but for the runs past the parser
+    # each run in a fresh interpreter, whose last stderr line names the WATCHED modules
+    # loaded: none, but the NUMERIC ones for the runs past the parser
     code = (
         "import sys, isocmc.cli; code = isocmc.cli.main(sys.argv[1:]); "
-        f"print(*sorted(set({NUMERIC!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
+        f"print(*sorted(set({WATCHED!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
     runs = [(*case, "") for case in START_UP_RUNS]

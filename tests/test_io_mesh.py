@@ -1181,7 +1181,7 @@ def report(tmp_path, inputs, **sections):
 
 def test_report_omits_absent_sections(tmp_path):
     doc = json.loads(report(tmp_path, {"seed": 0}))
-    assert doc == {"version": {"schema": "3", "tool": isocmc.__version__}, "input": {"seed": 0}}
+    assert doc == {"version": {"schema": "4", "tool": isocmc.__version__}, "input": {"seed": 0}}
 
 
 def test_report_classification_only(tmp_path):
