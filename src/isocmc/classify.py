@@ -7,10 +7,9 @@ the canonical surface
         = alpha*x~^2 + beta*y~^2
 
 with alpha = (H + sqrt(H^2 - K))/2 and beta = (H - sqrt(H^2 - K))/2, so
-alpha + beta = H and 4*alpha*beta = K.  The sign pattern of (H, K) sorts
-the surface into six classes, compared exactly; the boundary cases get the
-more special label (zero mean curvature refines the saddle, K = H^2 refines
-the bowl).  Only the reported numbers are rounded.
+alpha + beta = H and 4*alpha*beta = K.  The exact signs of H, K and H^2 - K
+sort the surface into six classes; the boundary cases get the more special
+label (zero mean curvature refines the saddle, K = H^2 refines the bowl).
 """
 
 from __future__ import annotations
@@ -19,10 +18,11 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
-from .graphgeo import DEFAULT_QUAD_FIT_TOL, fit_bound, quadratic_test
+from .graphgeo import DEFAULT_QUAD_FIT_TOL, quadratic_test
 from .weierstrass import SurfaceSample
 
 
@@ -52,11 +52,10 @@ class ClassificationResult:
 
 
 def label_from_constants(H, K) -> ClassificationResult:
-    """Classify by the curvature pair alone, with exact zero tests: a Fraction
-    counts as it is, a float as the decimal its repr prints, the number a report
-    echoes, so (0.1, 0.01) is a bowl."""
-    from fractions import Fraction  # here, not at the top: only classify runs need it
-
+    """Classify by the curvature pair alone, with exact zero tests.  A Fraction
+    counts as it is, a float as the decimal its repr prints (the number a report
+    echoes), so (0.1, 0.01) is a bowl; no tolerance forgives rounding, so
+    (0.1, 0.1 * 0.1), whose K is past 0.01 in binary, is rejected."""
     if not all(abs(v) <= sys.float_info.max for v in (H, K)):
         raise ValueError("H and K must be finite")
     H, K = (v if isinstance(v, Fraction) else Fraction(repr(float(v))) for v in (H, K))
@@ -69,12 +68,16 @@ def label_from_constants(H, K) -> ClassificationResult:
     root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
     if root * root != disc:  # no square of a rational: the root of its float
         root = Fraction(math.sqrt(disc))
-    generic, special = {  # by the sign of K; the boundary is H = 0 for K <= 0, K = H^2 above
-        -1: (SurfaceClass.HYPERBOLIC_PARABOLOID, SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID),
-        0: (SurfaceClass.CYLINDER, SurfaceClass.PLANE),
-        1: (SurfaceClass.ELLIPTIC_PARABOLOID, SurfaceClass.CIRCULAR_PARABOLOID),
-    }[(K > 0) - (K < 0)]
-    label = special if (disc if K > 0 else H) == 0 else generic
+    if K == 0:
+        label = SurfaceClass.PLANE if H == 0 else SurfaceClass.CYLINDER
+    elif K < 0 and H == 0:
+        label = SurfaceClass.RECTANGULAR_HYPERBOLIC_PARABOLOID
+    elif K < 0:
+        label = SurfaceClass.HYPERBOLIC_PARABOLOID
+    elif disc == 0:
+        label = SurfaceClass.CIRCULAR_PARABOLOID
+    else:
+        label = SurfaceClass.ELLIPTIC_PARABOLOID
     alpha, beta = float((H + root) / 2), float((H - root) / 2)
     return ClassificationResult(label, alpha, beta, float(H), float(K), 0.0)
 
@@ -88,23 +91,24 @@ def classify_sample(
     height is fitted by least squares over the chart nodes; linear and
     constant terms are dropped as the translational part of an ambient
     isometry, and the quadratic part is diagonalized by a planar rotation.  Its
-    eigenvalues snap to the most special case that moves no height by more than
-    the fit residual quadratic_test accepts, fit_bound(sample, fit_tol).
+    eigenvalues alpha >= beta snap to the most special case that moves no height,
+    up to affine terms, by more than fit_tol * (1 + max(|alpha|, |beta|) rho^2),
+    rho the chart box's half-diagonal: a bound blind to the dropped terms.
     """
-    from fractions import Fraction
-
     is_quad, coeffs = quadratic_test(sample, fit_tol)
     if not is_quad:
         return ClassificationResult(SurfaceClass.NON_QUADRIC, None, None, None, None)
     _, _, _, d, e, g = (float(c) for c in coeffs)
     (beta, alpha), eigvecs = np.linalg.eigh(np.array([[d, 0.5 * e], [0.5 * e, g]]))
-    # moving an eigenvalue by c moves no height, up to affine terms, by more than c*rho^2
-    rho = 0.5 * math.hypot(np.ptp(sample.x), np.ptp(sample.y))  # the chart box's half-diagonal
-    bound = fit_bound(sample, fit_tol) / (rho * rho)
+    # B / rho^2: moving an eigenvalue by c moves no height, affine terms aside, past c*rho^2
+    rho2 = 0.25 * float(np.ptp(sample.x) ** 2 + np.ptp(sample.y) ** 2)
+    bound = fit_tol * (1.0 / rho2 + max(abs(alpha), abs(beta)))
     if max(abs(alpha), abs(beta)) <= bound:
         alpha = beta = 0.0
-    elif min(abs(alpha), abs(beta)) <= bound:
-        alpha, beta = sorted((max(alpha, beta, key=abs), 0.0), reverse=True)
+    elif abs(beta) <= bound:
+        beta = 0.0
+    elif abs(alpha) <= bound:
+        alpha = 0.0
     elif abs(alpha + beta) <= 2.0 * bound:
         alpha, beta = 0.5 * alpha - 0.5 * beta, 0.5 * beta - 0.5 * alpha
     elif abs(alpha - beta) <= 2.0 * bound:

@@ -183,7 +183,7 @@ def quadratic_test(s: SurfaceSample, tol: float = DEFAULT_QUAD_FIT_TOL) -> tuple
     The fit runs over the chart nodes (x, y) of s, where s holds the heights.
     Returns (is_quadratic, coefficients) with coefficients ordered
     (a, b, c, d, e, g).  The fit passes when the maximum absolute residual
-    stays below fit_bound(s, tol).  Needs at least 7 nodes per axis so a
+    stays below tol * (1 + max |ell|).  Needs at least 7 nodes per axis so a
     cubic cannot masquerade as quadratic on the stencil.
     """
     _spacing(s)
@@ -197,9 +197,5 @@ def quadratic_test(s: SurfaceSample, tol: float = DEFAULT_QUAD_FIT_TOL) -> tuple
     if rank < 6:
         raise DegenerateFitError("quadratic fit design matrix is rank deficient")
     residual = max(float(np.max(np.abs(b[:, :6] @ coeffs - b[:, 6]))) for b in _design_blocks(s))
-    return residual < fit_bound(s, tol), coeffs
-
-
-def fit_bound(s: SurfaceSample, tol: float) -> float:
-    """The bound quadratic_test holds the fit residual below: tol * (1 + max |ell|)."""
-    return tol * (1.0 + max(float(np.max(s.ell)), -float(np.min(s.ell))))
+    bound = tol * (1.0 + max(float(np.max(s.ell)), -float(np.min(s.ell))))
+    return residual < bound, coeffs

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from isocmc import holo, weierstrass
 from isocmc.classify import SurfaceClass, classify_sample, label_from_constants
-from isocmc.graphgeo import DEFAULT_QUAD_FIT_TOL, Rect, fit_bound
+from isocmc.graphgeo import DEFAULT_QUAD_FIT_TOL, Rect
 from isocmc.weierstrass import SurfaceSample
 
 from util_expr import enneper_data, lift_one, quadric_field
@@ -83,6 +83,9 @@ def test_label_rejects_impossible_pairs():
     message = "K = 1.000000000001 exceeds H^2 = 1.0; no spacelike graph carries that pair"
     with pytest.raises(ValueError, match=re.escape(message)):
         label_from_constants(1.0, 1.0 + 1e-12)
+    # a float counts as its decimal, so a K squared in binary can exceed H's square
+    with pytest.raises(ValueError, match="no spacelike graph carries that pair"):
+        label_from_constants(0.1, 0.1 * 0.1)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +172,13 @@ def test_classify_ignores_ambient_translations():
     assert a.label is b.label
     assert a.H == pytest.approx(b.H, abs=1e-9)
     assert a.K == pytest.approx(b.K, abs=1e-9)
+    # neither a large height offset nor an off-centre chart widens the snap: a bowl
+    # 1e-4 off revolution stays elliptic, and one of revolution stays circular
+    for rect, c0 in ((SQUARE, 1e6), (Rect(100.0, 102.0, 100.0, 102.0), 0.0)):
+        for beta, label in ((1.0001, SurfaceClass.ELLIPTIC_PARABOLOID),
+                            (1.0, SurfaceClass.CIRCULAR_PARABOLOID)):
+            result = classify_sample(field_from(rect, 21, lambda x, y: x * x + beta * y * y + c0))
+            assert result.label is label, (rect, c0, beta)
 
 
 def test_classify_accepts_surface_samples():
@@ -291,8 +301,9 @@ def test_fitted_quadrics_get_their_stratum_exactly(label, a, s, t, affine):
         (0.7, 0.7 - 1.5e-8, SurfaceClass.CIRCULAR_PARABOLOID),
     ],
 )
-def test_a_snap_moves_no_height_past_the_fit_bound(alpha, beta, label):
+def test_a_snap_moves_no_height_past_its_bound(alpha, beta, label):
     # the snapped normal form, with the affine terms fitted afresh, still fits the heights
+    # within fit_tol (1 + max(|alpha|, |beta|) rho^2), where rho^2 = 2 on SQUARE
     field = rotated_quadric(alpha, beta, 0.3, 0.2, -0.4, 0.1)
     result = classify_sample(field)
     assert result.label is label and (result.alpha, result.beta) != (alpha, beta)
@@ -301,4 +312,5 @@ def test_a_snap_moves_no_height_past_the_fit_bound(alpha, beta, label):
     rest = field.ell.ravel() - (result.alpha * xr * xr + result.beta * yr * yr)
     design = np.column_stack((np.ones_like(x), x, y))
     affine = np.linalg.lstsq(design, rest, rcond=None)[0]
-    assert np.max(np.abs(design @ affine - rest)) <= fit_bound(field, DEFAULT_QUAD_FIT_TOL)
+    bound = DEFAULT_QUAD_FIT_TOL * (1.0 + 2.0 * max(abs(alpha), abs(beta)))
+    assert np.max(np.abs(design @ affine - rest)) <= bound

@@ -735,9 +735,14 @@ EXACT_RELATION = {
         (("--H=1e-5", "--K=1e-10"), "CircularParaboloid", {"alpha": 5e-6, "beta": 5e-6}),
         (("--H=1e-9", "--K=0"), "Cylinder", {"alpha": 1e-9, "beta": 0.0}),
         (("--H", "0.1", "--K", "0.01"), "CircularParaboloid", {"alpha": 0.05, "beta": 0.05}),
+        # the snap ignores the dropped constant and the chart's position
+        (("--f", "x^2 + 1.001*y^2 + 1000000"), "EllipticParaboloid", {}),
+        (("--f", "x^2 + y^2 + 1000000"), "CircularParaboloid", {}),
+        (("--f", "x^2 + 1.0001*y^2", "--domain", "100:102:100:102"), "EllipticParaboloid", {}),
     ],
     ids=["f-elliptic", "f-near-circular", "f-small-circular", "f-rectangular",
-         "HK-1e-5-1e-10", "HK-1e-9-0", "HK-0.1-0.01"],
+         "HK-1e-5-1e-10", "HK-1e-9-0", "HK-0.1-0.01", "f-offset-elliptic",
+         "f-offset-circular", "f-off-centre-elliptic"],
 )
 def test_classify_labels_agree_with_the_numbers_reported(tmp_path, capsys, argv, label, reported):
     # the strata of the constants are decided on their decimals, and those of a fit
@@ -911,8 +916,6 @@ def test_jobs_that_read_and_write_no_grid_leave_hashlib_unloaded(tmp_path):
 
 NUMERIC = ("numpy", *(f"isocmc.{name}" for name in
                       ("classify", "graphgeo", "holo", "io_mesh", "vdist", "weierstrass")))
-# only classify's exact rationals need fractions, so no run below loads it
-WATCHED = (*NUMERIC, "fractions")
 LIFT = ("lift", "--h2", "z", "--omega", "1")
 # (argv, exit code, the start of stdout, the last line of stderr) of runs that end at the
 # parser
@@ -939,11 +942,11 @@ LOADING_RUNS = [
 
 
 def test_start_up_and_usage_errors_leave_numpy_unloaded(tmp_path):
-    # each run in a fresh interpreter, whose last stderr line names the WATCHED modules
-    # loaded: none, but the NUMERIC ones for the runs past the parser
+    # each run in a fresh interpreter, whose last stderr line names the NUMERIC modules
+    # loaded: none, but for the runs past the parser
     code = (
         "import sys, isocmc.cli; code = isocmc.cli.main(sys.argv[1:]); "
-        f"print(*sorted(set({WATCHED!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
+        f"print(*sorted(set({NUMERIC!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(holo.__file__).parents[1])}
     runs = [(*case, "") for case in START_UP_RUNS]
